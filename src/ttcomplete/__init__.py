@@ -11,10 +11,6 @@ from .complete import complete_image, fit_cores
 from .core import (
     DenseTensor,
     TensorShape,
-    frobenius_norm,
-    inner_product,
-    lin_index,
-    multi_index,
     permute,
     reshape,
     tensor_from_array,
@@ -31,13 +27,11 @@ from .data import (
     synthetic_scene,
 )
 from .engine import (
-    ResidualWorkspace,
     SparseObservations,
     gradient,
     objective,
     objective_and_gradient,
     reconstruct,
-    residual_workspace,
 )
 from .errors import BoundsError, CapacityError, FormatError, NumericError, ShapeError
 from .fileio import (

@@ -10,11 +10,11 @@ import argparse
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .complete import fit_cores
+from .complete import complete_image, fit_cores
 from .core import TensorShape
 from .data import (
     MissingMask,
@@ -27,10 +27,10 @@ from .data import (
 from .engine import reconstruct
 from .errors import FormatError, NumericError
 from .fileio import load_dense, load_sparse, save_dense, save_model
-from .images import detensorize_image, load_image, save_image, tensorize_image, tensorize_mask
+from .images import detensorize_image, load_image, save_image, tensorize_image
 from .metrics import psnr, rse
 from .optimize import METHOD_GD, METHOD_NCG, OptimizeConfig, OptimizeReport
-from .ttmodel import cap_ranks, tt_full, uniform_ranks
+from .ttmodel import TTRank, check_full_capacity, tt_full, uniform_ranks
 
 
 class UsageError(Exception):
@@ -152,48 +152,32 @@ def _write_trace(path, spec_pairs, report: OptimizeReport) -> None:
 
 def cmd_complete(spec: RunSpec) -> int:
     config = spec.config
-    image = None
+    rank = TTRank(spec.ranks)
     if spec.image_path is not None:
         image = load_image(spec.image_path)
+        check_full_capacity(image.shape)
         mask = spec.mask.build(image.shape, spec.seed)
-        if spec.tensorize:
-            work = tensorize_image(image)
-            obs = extract_observations(work, tensorize_mask(mask))
-        else:
-            obs = extract_observations(image, mask)
+        recovered, cores, report = complete_image(image, mask, rank, config, spec.seed, spec.tensorize)
     else:
         obs = load_sparse(spec.sparse_path)
-
-    try:
-        rank = cap_ranks(obs.shape, spec.ranks)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-    cores, report = fit_cores(obs, rank, config, spec.seed)
+        check_full_capacity(obs.shape)
+        cores, report = fit_cores(obs, rank, config, spec.seed)
+        recovered = tt_full(cores)
 
     spec_pairs = [
         ("command", "complete"),
         ("input", spec.sparse_path or spec.image_path),
-        ("ranks", ",".join(str(r) for r in rank.ranks)),
+        ("ranks", ",".join(str(r) for r in cores.rank.ranks)),
         ("mask", spec.mask.describe()),
         ("tensorize", int(spec.tensorize)),
         ("seed", spec.seed),
-        ("method", config.method),
-        ("max_iters", config.max_iters),
-        ("grad_tol", config.grad_tol),
-        ("wolfe_c1", config.wolfe_c1),
-        ("wolfe_c2", config.wolfe_c2),
-        ("initial_step", config.initial_step),
-        ("max_line_search_evals", config.max_line_search_evals),
+        *asdict(config).items(),
         ("termination", report.reason),
     ]
     _write_trace(f"{spec.out_prefix}.csv", spec_pairs, report)
     save_model(f"{spec.out_prefix}_model.txt", cores)
 
-    if image is not None:
-        recovered = tt_full(cores)
-        if spec.tensorize:
-            recovered = detensorize_image(recovered)
+    if spec.image_path is not None:
         save_image(f"{spec.out_prefix}_recovered.ppm", recovered)
         saved = load_image(f"{spec.out_prefix}_recovered.ppm")
         metrics_line = (
@@ -201,7 +185,6 @@ def cmd_complete(spec: RunSpec) -> int:
             f"psnr={psnr(saved, image)!r}"
         )
     else:
-        recovered = tt_full(cores)
         save_dense(f"{spec.out_prefix}_recovered.txt", recovered)
         fitted = reconstruct(cores, obs.indices)
         denom = float(np.linalg.norm(obs.values))
@@ -235,6 +218,8 @@ def cmd_sweep(shapes, rates, seeds, rank_value, config, out_csv, workers=1) -> i
         raise UsageError("--rates lists no missing rates")
     if not seeds:
         raise UsageError("--seeds lists no seeds")
+    for shape in shapes:
+        check_full_capacity(shape)
     grid = [(shape, rate, seed) for shape in shapes for rate in rates for seed in seeds]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -248,13 +233,7 @@ def cmd_sweep(shapes, rates, seeds, rank_value, config, out_csv, workers=1) -> i
         ("rates", ",".join(repr(r) for r in rates)),
         ("seeds", ",".join(str(s) for s in seeds)),
         ("rank", rank_value),
-        ("method", config.method),
-        ("max_iters", config.max_iters),
-        ("grad_tol", config.grad_tol),
-        ("wolfe_c1", config.wolfe_c1),
-        ("wolfe_c2", config.wolfe_c2),
-        ("initial_step", config.initial_step),
-        ("max_line_search_evals", config.max_line_search_evals),
+        *asdict(config).items(),
         ("workers", workers),
     ]
     with open(out_csv, "w", encoding="ascii") as fh:
@@ -359,10 +338,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _run(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except NumericError as exc:

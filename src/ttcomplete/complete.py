@@ -9,7 +9,7 @@ from .data import MissingMask, default_init_scale, extract_observations
 from .engine import SparseObservations, objective_and_gradient
 from .images import detensorize_image, tensorize_image, tensorize_mask
 from .optimize import OptimizeConfig, OptimizeReport, minimize
-from .ttmodel import TTCores, TTRank, flatten_params, random_init, tt_full, unflatten_params
+from .ttmodel import TTCores, TTRank, cap_ranks, flatten_params, random_init, tt_full, unflatten_params
 
 
 def fit_cores(
@@ -19,7 +19,12 @@ def fit_cores(
     seed: int = 0,
     init_scale: float | None = None,
 ) -> tuple[TTCores, OptimizeReport]:
-    """Fit TT cores to the observed entries from a seeded random start."""
+    """Fit TT cores to the observed entries from a seeded random start.
+
+    ``rank`` is capped by ``obs.shape`` (see :func:`ttcomplete.ttmodel.cap_ranks`);
+    the fitted cores carry the capped chain.
+    """
+    rank = cap_ranks(obs.shape, rank.ranks)
     if init_scale is None:
         init_scale = default_init_scale(obs, rank)
     template = random_init(obs.shape, rank, seed, scale=init_scale)
@@ -42,7 +47,8 @@ def complete_image(
     """Recover a masked image; returns the unclamped reconstruction.
 
     With ``tensorize`` the model is fit in the block-tensorized domain and
-    mapped back afterwards; ``rank`` must match the working shape either way.
+    mapped back afterwards; ``rank`` must have the working shape's order and is
+    capped by that shape.
     """
     if tensorize:
         work = tensorize_image(img)

@@ -74,17 +74,14 @@ class DenseTensor:
         return self.values.reshape(self.shape.sizes, order="F")
 
     def __getitem__(self, idx: Sequence[int]) -> float:
-        return float(self.values[lin_index(self.shape, idx)])
+        coords = check_multi_index(self.shape, idx)
+        return float(self.as_array()[tuple(c - 1 for c in coords)])
 
 
 def tensor_from_array(arr: np.ndarray) -> DenseTensor:
     """Wrap a numpy array as a DenseTensor (column-major copy if needed)."""
     arr = np.asarray(arr, dtype=np.float64)
     return DenseTensor(TensorShape(arr.shape), arr.ravel(order="F"))
-
-
-def zeros(shape: TensorShape) -> DenseTensor:
-    return DenseTensor(shape, np.zeros(shape.element_count))
 
 
 def check_multi_index(shape: TensorShape, idx: Sequence[int]) -> tuple[int, ...]:
@@ -96,30 +93,6 @@ def check_multi_index(shape: TensorShape, idx: Sequence[int]) -> tuple[int, ...]
         if not 1 <= c <= s:
             raise BoundsError(f"coordinate {c} out of range [1, {s}] in mode {n}")
     return coords
-
-
-def lin_index(shape: TensorShape, idx: Sequence[int]) -> int:
-    """Column-major linear offset (0-based) of a 1-based multi-index."""
-    coords = check_multi_index(shape, idx)
-    lin = 0
-    stride = 1
-    for c, s in zip(coords, shape.sizes):
-        lin += (c - 1) * stride
-        stride *= s
-    return lin
-
-
-def multi_index(shape: TensorShape, lin: int) -> tuple[int, ...]:
-    """Inverse of :func:`lin_index`: 1-based multi-index of a linear offset."""
-    lin = int(lin)
-    if not 0 <= lin < shape.element_count:
-        raise BoundsError(f"linear offset {lin} out of range [0, {shape.element_count})")
-    coords = []
-    rem = lin
-    for s in shape.sizes:
-        coords.append(rem % s + 1)
-        rem //= s
-    return tuple(coords)
 
 
 def reshape(t: DenseTensor, new_shape: TensorShape) -> DenseTensor:
@@ -144,14 +117,3 @@ def permute(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
         raise ValueError(f"perm {tuple(perm)} is not a permutation of 1..{order}")
     out = t.as_array().transpose(axes)
     return DenseTensor(TensorShape(out.shape), out.ravel(order="F"))
-
-
-def inner_product(a: DenseTensor, b: DenseTensor) -> float:
-    """Sum of elementwise products of two same-shaped tensors."""
-    if a.shape.sizes != b.shape.sizes:
-        raise ShapeError(f"inner product needs identical shapes, got {a.shape} and {b.shape}")
-    return float(np.dot(a.values, b.values))
-
-
-def frobenius_norm(t: DenseTensor) -> float:
-    return float(np.linalg.norm(t.values))

@@ -13,8 +13,12 @@ exactly the observations whose n-th index equals j:
 
 where P_n[m] is the left partial product of slices 1..n-1 (a 1 x r_{n-1} row)
 and S_n[m] the right partial product of slices n+1..N (an r_n x 1 column).
-One prefix sweep and one suffix sweep per evaluation produce every P_n and
-S_n, so a fused objective+gradient call costs O(M * sum r_{n-1} r_n).
+One per-slice kernel, ``_apply``, advances every observation's row through one
+core; one sweep chains it over the cores and yields P_1..P_N and the
+predictions. The suffix sweep is the same sweep over the cores N..2 in
+reverse order, each transposed to (r_n, I_n, r_{n-1}): its slice j is a view
+of core_n[:, j, :]^T, so S_n is kept as a row as well. A fused
+objective+gradient call thus costs O(M * sum r_{n-1} r_n).
 
 Evaluation is deterministic: observations are reduced in a canonical order
 (ascending column-major cell offset), so permuting the stored entries changes
@@ -61,14 +65,7 @@ class SparseObservations:
             raise ShapeError(f"{indices.shape[0]} indices but {values.size} values")
         if values.size < 1:
             raise ShapeError("at least one observation is required")
-        for n, size in enumerate(self.shape.sizes):
-            col = indices[:, n]
-            bad = np.nonzero((col < 1) | (col > size))[0]
-            if bad.size:
-                raise BoundsError(
-                    f"observation {bad[0] + 1}: coordinate {col[bad[0]]} out of range "
-                    f"[1, {size}] in mode {n + 1}"
-                )
+        _check_bounds(indices, self.shape, "observation")
 
     @property
     def count(self) -> int:
@@ -92,9 +89,26 @@ class SparseObservations:
             order = np.argsort(self.linear_indices(), kind="stable")
             idx0 = np.ascontiguousarray(self.indices[order] - 1)
             vals = self.values[order]
-            groups = [_group_by_mode(idx0[:, n]) for n in range(self.shape.order)]
+            groups = _groups(idx0)
             self._cache["canonical"] = (idx0, vals, groups)
         return self._cache["canonical"]
+
+
+def _check_bounds(indices: np.ndarray, shape: TensorShape, noun: str):
+    """Raise BoundsError naming the first row of 1-based ``indices`` outside ``shape``."""
+    for n, size in enumerate(shape.sizes):
+        col = indices[:, n]
+        bad = np.nonzero((col < 1) | (col > size))[0]
+        if bad.size:
+            raise BoundsError(
+                f"{noun} {bad[0] + 1}: coordinate {col[bad[0]]} out of range [1, {size}] "
+                f"in mode {n + 1}"
+            )
+
+
+def _groups(idx0: np.ndarray) -> list:
+    """One :func:`_group_by_mode` grouping per column of 0-based indices."""
+    return [_group_by_mode(idx0[:, n]) for n in range(idx0.shape[1])]
 
 
 def _group_by_mode(idx_col: np.ndarray):
@@ -111,11 +125,11 @@ def _group_by_mode(idx_col: np.ndarray):
     return perm, labels, bounds
 
 
-def _apply_left(prefix: np.ndarray, core: np.ndarray, group) -> np.ndarray:
-    """Advance per-observation prefix rows through one core's slices."""
+def _apply(rows: np.ndarray, core: np.ndarray, group) -> np.ndarray:
+    """Advance per-observation rows through one core: row m becomes row m @ core[:, i_m, :]."""
     perm, labels, bounds = group
-    gathered = prefix[perm]
-    out = np.empty((prefix.shape[0], core.shape[2]))
+    gathered = rows[perm]
+    out = np.empty((rows.shape[0], core.shape[2]))
     for t, j in enumerate(labels):
         s, e = bounds[t], bounds[t + 1]
         out[s:e] = gathered[s:e] @ core[:, j, :]
@@ -124,65 +138,20 @@ def _apply_left(prefix: np.ndarray, core: np.ndarray, group) -> np.ndarray:
     return result
 
 
-def _apply_right(suffix: np.ndarray, core: np.ndarray, group) -> np.ndarray:
-    """Advance per-observation suffix columns (stored as rows) through one core."""
-    perm, labels, bounds = group
-    gathered = suffix[perm]
-    out = np.empty((suffix.shape[0], core.shape[0]))
-    for t, j in enumerate(labels):
-        s, e = bounds[t], bounds[t + 1]
-        out[s:e] = gathered[s:e] @ core[:, j, :].T
-    result = np.empty_like(out)
-    result[perm] = out
-    return result
+def _sweep(cores: Sequence[np.ndarray], groups, m: int):
+    """Yield the running slice products through ``cores``, starting from all-ones rows."""
+    rows = np.ones((m, 1))
+    yield rows
+    for core, group in zip(cores, groups):
+        rows = _apply(rows, core, group)
+        yield rows
 
 
-def _prefix_sweep(cores: Sequence[np.ndarray], groups, m: int, keep_all: bool):
-    """Left-to-right sweep. Returns (prefix list P_1..P_N or None, predictions)."""
-    prefix = np.ones((m, 1))
-    prefixes = [prefix] if keep_all else None
-    for n, core in enumerate(cores):
-        prefix = _apply_left(prefix, core, groups[n])
-        if keep_all and n < len(cores) - 1:
-            prefixes.append(prefix)
-    return prefixes, prefix[:, 0]
-
-
-def _suffix_sweep(cores: Sequence[np.ndarray], groups, m: int):
-    """Right-to-left sweep producing S_1..S_N (each stored as (M, r_n) rows)."""
-    n_modes = len(cores)
-    suffixes = [None] * n_modes
-    suffix = np.ones((m, 1))
-    suffixes[n_modes - 1] = suffix
-    for n in range(n_modes - 1, 0, -1):
-        suffix = _apply_right(suffix, cores[n], groups[n])
-        suffixes[n - 1] = suffix
-    return suffixes
-
-
-@dataclass(frozen=True)
-class ResidualWorkspace:
-    """Per-observation intermediates of one model evaluation.
-
-    ``prefixes[n-1]`` holds the left products before mode n (M, r_{n-1});
-    ``suffixes[n-1]`` the right products after mode n (M, r_n); both border
-    sweeps are all-ones (empty products). Rows align with the observation
-    order the workspace was built from.
-    """
-
-    predictions: np.ndarray
-    prefixes: list
-    suffixes: list
-
-
-def residual_workspace(cores: TTCores, obs: SparseObservations) -> ResidualWorkspace:
-    """Build the prefix/suffix workspace in the stored observation order."""
-    _check_compatible(cores, obs)
-    idx0 = obs.indices - 1
-    groups = [_group_by_mode(idx0[:, n]) for n in range(obs.shape.order)]
-    prefixes, x = _prefix_sweep(cores.cores, groups, obs.count, keep_all=True)
-    suffixes = _suffix_sweep(cores.cores, groups, obs.count)
-    return ResidualWorkspace(x, prefixes, suffixes)
+def _predict(cores: Sequence[np.ndarray], groups, m: int) -> np.ndarray:
+    """The model value at each observation: the last rows of the sweep."""
+    for rows in _sweep(cores, groups, m):
+        pass
+    return rows[:, 0]
 
 
 def _check_compatible(cores: TTCores, obs: SparseObservations):
@@ -194,8 +163,7 @@ def objective(cores: TTCores, obs: SparseObservations) -> float:
     """Half the squared residual over the observed entries."""
     _check_compatible(cores, obs)
     _, vals, groups = obs._canonical()
-    _, x = _prefix_sweep(cores.cores, groups, obs.count, keep_all=False)
-    resid = x - vals
+    resid = _predict(cores.cores, groups, obs.count) - vals
     return 0.5 * float(np.dot(resid, resid))
 
 
@@ -208,9 +176,12 @@ def objective_and_gradient(cores: TTCores, obs: SparseObservations) -> tuple[flo
     _check_compatible(cores, obs)
     _, vals, groups = obs._canonical()
     m = obs.count
-    prefixes, x = _prefix_sweep(cores.cores, groups, m, keep_all=True)
-    suffixes = _suffix_sweep(cores.cores, groups, m)
-    resid = x - vals
+    *prefixes, x = _sweep(cores.cores, groups, m)
+    # The suffix sweep is the prefix sweep over the transposed cores N..2 in
+    # reverse: core.transpose(2, 1, 0)[:, j, :] is the view core[:, j, :].T.
+    flipped = [core.transpose(2, 1, 0) for core in cores.cores[:0:-1]]
+    suffixes = list(_sweep(flipped, groups[:0:-1], m))[::-1]
+    resid = x[:, 0] - vals
     f = 0.5 * float(np.dot(resid, resid))
 
     parts = []
@@ -239,15 +210,5 @@ def reconstruct(cores: TTCores, at) -> np.ndarray:
         raise BoundsError(
             f"indices of width {at.shape[1]} do not match order-{cores.shape.order} shape"
         )
-    for n, size in enumerate(cores.shape.sizes):
-        col = at[:, n]
-        bad = np.nonzero((col < 1) | (col > size))[0]
-        if bad.size:
-            raise BoundsError(
-                f"request {bad[0] + 1}: coordinate {col[bad[0]]} out of range [1, {size}] "
-                f"in mode {n + 1}"
-            )
-    idx0 = at - 1
-    groups = [_group_by_mode(idx0[:, n]) for n in range(cores.shape.order)]
-    _, x = _prefix_sweep(cores.cores, groups, at.shape[0], keep_all=False)
-    return x
+    _check_bounds(at, cores.shape, "request")
+    return _predict(cores.cores, _groups(at - 1), at.shape[0])

@@ -2,9 +2,13 @@
 
 All formats are line-oriented ASCII. Floats are written with Python's
 shortest round-trip representation, so load(save(x)) reproduces x bit-exact.
+Every loader reads its header and records through one line reader and rejects
+any non-blank line after the last record with a line-numbered FormatError.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,8 +28,9 @@ def _fmt(x: float) -> str:
 class _LineReader:
     """Sequential line access that reports 1-based line numbers in errors."""
 
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
+    def __init__(self, path):
+        with open(path, "r", encoding="ascii") as fh:
+            self.lines = fh.read().splitlines()
         self.pos = 0
 
     def next(self, what: str) -> str:
@@ -54,12 +59,37 @@ class _LineReader:
         except ValueError:
             raise self.error(f"non-integer value in {what}") from None
 
-    def next_float(self, what: str) -> float:
-        line = self.next(what)
+    def next_floats(self, what: str, n: int) -> np.ndarray:
+        """``n`` lines holding one number each."""
+        out = np.empty(n)
+        for i in range(n):
+            line = self.next(f"{what} {i + 1}")
+            try:
+                out[i] = float(line)
+            except ValueError:
+                raise self.error(f"expected number for {what} {i + 1}, got {line!r}") from None
+        return out
+
+    def header(self, magic: str | None) -> TensorShape:
+        """Read the optional magic line, the mode count and the mode sizes."""
+        if magic is not None:
+            line = self.next("format magic")
+            if line != magic:
+                raise self.error(f"bad magic {line!r}, expected {magic!r}")
+        order = self.next_int("mode count")
+        if order < 1:
+            raise self.error(f"mode count must be positive, got {order}")
+        sizes = self.next_ints("mode sizes", order)
         try:
-            return float(line)
-        except ValueError:
-            raise self.error(f"expected number for {what}, got {line!r}") from None
+            return TensorShape(tuple(sizes))
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
+    def end(self, what: str) -> None:
+        """Reject anything but blank lines after the last record."""
+        for k in range(self.pos, len(self.lines)):
+            if self.lines[k].strip():
+                raise FormatError(f"line {k + 1}: trailing content after {what}")
 
 
 def save_sparse(path, obs: SparseObservations) -> None:
@@ -74,20 +104,10 @@ def save_sparse(path, obs: SparseObservations) -> None:
 
 
 def load_sparse(path) -> SparseObservations:
-    """Parse a sparse observation file, rejecting malformed or duplicate entries."""
-    with open(path, "r", encoding="ascii") as fh:
-        rd = _LineReader(fh.read())
-    magic = rd.next("format magic")
-    if magic != SPARSE_MAGIC:
-        raise rd.error(f"bad magic {magic!r}, expected {SPARSE_MAGIC!r}")
-    order = rd.next_int("mode count")
-    if order < 1:
-        raise rd.error(f"mode count must be positive, got {order}")
-    sizes = rd.next_ints("mode sizes", order)
-    try:
-        shape = TensorShape(tuple(sizes))
-    except ValueError as exc:
-        raise rd.error(str(exc)) from None
+    """Parse a sparse observation file, rejecting malformed, non-finite or duplicate entries."""
+    rd = _LineReader(path)
+    shape = rd.header(SPARSE_MAGIC)
+    order, sizes = shape.order, shape.sizes
     m = rd.next_int("observation count")
     if m < 1:
         raise rd.error(f"observation count must be positive, got {m}")
@@ -102,13 +122,14 @@ def load_sparse(path) -> SparseObservations:
             value = float(parts[order])
         except ValueError:
             raise rd.error("malformed observation record") from None
+        if not math.isfinite(value):
+            raise rd.error(f"non-finite value {parts[order]!r}")
         for n, (c, s) in enumerate(zip(coords, sizes), start=1):
             if not 1 <= c <= s:
                 raise rd.error(f"coordinate {c} out of range [1, {s}] in mode {n}")
         indices[i] = coords
         values[i] = value
-    if rd.pos < len(rd.lines) and any(line.strip() for line in rd.lines[rd.pos :]):
-        raise FormatError(f"line {rd.pos + 1}: trailing content after {m} observations")
+    rd.end(f"{m} observations")
     obs = SparseObservations(shape, indices, values)
     if obs.has_duplicates():
         lin = obs.linear_indices()
@@ -129,22 +150,10 @@ def save_dense(path, t: DenseTensor) -> None:
 
 
 def load_dense(path) -> DenseTensor:
-    with open(path, "r", encoding="ascii") as fh:
-        rd = _LineReader(fh.read())
-    magic = rd.next("format magic")
-    if magic != DENSE_MAGIC:
-        raise rd.error(f"bad magic {magic!r}, expected {DENSE_MAGIC!r}")
-    order = rd.next_int("mode count")
-    if order < 1:
-        raise rd.error(f"mode count must be positive, got {order}")
-    sizes = rd.next_ints("mode sizes", order)
-    try:
-        shape = TensorShape(tuple(sizes))
-    except ValueError as exc:
-        raise rd.error(str(exc)) from None
-    values = np.empty(shape.element_count)
-    for i in range(shape.element_count):
-        values[i] = rd.next_float(f"value {i + 1}")
+    rd = _LineReader(path)
+    shape = rd.header(DENSE_MAGIC)
+    values = rd.next_floats("value", shape.element_count)
+    rd.end(f"{shape.element_count} values")
     return DenseTensor(shape, values)
 
 
@@ -159,23 +168,15 @@ def save_model(path, cores: TTCores) -> None:
 
 
 def load_model(path) -> TTCores:
-    with open(path, "r", encoding="ascii") as fh:
-        rd = _LineReader(fh.read())
-    order = rd.next_int("mode count")
-    if order < 1:
-        raise rd.error(f"mode count must be positive, got {order}")
-    sizes = rd.next_ints("mode sizes", order)
-    ranks = rd.next_ints("rank chain", order + 1)
+    rd = _LineReader(path)
+    shape = rd.header(None)
+    ranks = rd.next_ints("rank chain", shape.order + 1)
     try:
-        shape = TensorShape(tuple(sizes))
         rank = TTRank(tuple(ranks))
-        zeros = tuple(
-            np.zeros((ranks[n], sizes[n], ranks[n + 1])) for n in range(order)
-        )
+        zeros = tuple(np.zeros((ranks[n], shape.sizes[n], ranks[n + 1])) for n in range(shape.order))
         template = TTCores(zeros, shape, rank)
     except ValueError as exc:
         raise rd.error(str(exc)) from None
-    flat = np.empty(template.param_count)
-    for i in range(template.param_count):
-        flat[i] = rd.next_float(f"parameter {i + 1}")
+    flat = rd.next_floats("parameter", template.param_count)
+    rd.end(f"{template.param_count} parameters")
     return unflatten_params(template, flat)

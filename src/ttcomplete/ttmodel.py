@@ -119,14 +119,19 @@ def tt_entry(cores: TTCores, idx: Sequence[int]) -> float:
     return float(row[0, 0])
 
 
+def check_full_capacity(shape: TensorShape, limit: int = DEFAULT_FULL_LIMIT) -> None:
+    """Raise CapacityError if :func:`tt_full` would refuse ``shape``."""
+    count = shape.element_count
+    if count > limit:
+        raise CapacityError(f"shape {shape} has {count} entries, over the limit of {limit}")
+
+
 def tt_full(cores: TTCores, limit: int = DEFAULT_FULL_LIMIT) -> DenseTensor:
     """Materialize the full tensor represented by the cores.
 
     Refuses shapes with more than ``limit`` entries.
     """
-    count = cores.shape.element_count
-    if count > limit:
-        raise CapacityError(f"shape {cores.shape} has {count} entries, over the limit of {limit}")
+    check_full_capacity(cores.shape, limit)
     # Left-to-right sweep: after mode n the rows of `left` enumerate the
     # column-major prefix indices (i_1, ..., i_n) and columns span r_n.
     left = np.ones((1, 1))

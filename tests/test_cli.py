@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from ttcomplete import (
+    OptimizeConfig,
     SparseObservations,
+    complete_image,
     TensorShape,
     extract_observations,
     gen_tt_random,
@@ -135,6 +137,58 @@ class TestComplete:
         assert code == 3
         assert "line 5" in capsys.readouterr().err
 
+    def test_non_finite_sparse_value_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "nan.txt"
+        bad.write_text("stto-sparse v1\n2\n3 3\n2\n1 1 1.0\n2 2 nan\n")
+        code = main(
+            [
+                "complete",
+                "--input", str(bad),
+                "--ranks", "1,2,1",
+                "--out-prefix", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 3
+        assert "line 6" in capsys.readouterr().err
+
+    def test_over_capacity_exit_2_before_fitting(self, tmp_path, capsys):
+        # 300*300*300*2 = 54M cells, over the 2**24 cells tt_full will materialize
+        shape = TensorShape((300, 300, 300, 2))
+        path = tmp_path / "big.txt"
+        save_sparse(path, SparseObservations(shape, [[1, 1, 1, 1], [2, 3, 4, 2]], [1.0, 2.0]))
+        code = main(
+            [
+                "complete",
+                "--input", str(path),
+                "--ranks", "1,2,2,2,1",
+                "--out-prefix", str(tmp_path / "big"),
+            ]
+        )
+        assert code == 2
+        assert "over the limit" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
+
+    def test_image_output_matches_complete_image(self, tmp_path):
+        img_path = write_test_image(tmp_path)
+        prefix = str(tmp_path / "run")
+        argv = [
+            "complete",
+            "--image", str(img_path),
+            "--missing-rate", "0.5",
+            "--tensorize",
+            "--ranks", "1,4,4,4,4,1",
+            "--max-iters", "20",
+            "--seed", "3",
+            "--out-prefix", prefix,
+        ]
+        assert main(argv) == 0
+        img = load_image(img_path)
+        mask = mask_random(img.shape, 0.5, 3)
+        rank = TTRank((1, 4, 4, 4, 4, 1))
+        recovered = complete_image(img, mask, rank, OptimizeConfig(max_iters=20), seed=3)[0]
+        save_image(tmp_path / "lib.ppm", recovered)
+        assert (tmp_path / "run_recovered.ppm").read_bytes() == (tmp_path / "lib.ppm").read_bytes()
+
     def test_missing_input_exit_2(self, tmp_path):
         code = main(["complete", "--ranks", "1,2,1", "--out-prefix", str(tmp_path / "x")])
         assert code == 2
@@ -213,6 +267,20 @@ class TestSweep:
             ]
         )
         assert code == 2
+
+    def test_over_capacity_exit_2_before_fitting(self, tmp_path):
+        out = tmp_path / "big.csv"
+        code = main(
+            [
+                "sweep",
+                "--shapes", "4x4,300x300x300x2",
+                "--rates", "0.5",
+                "--seeds", "0",
+                "--out", str(out),
+            ]
+        )
+        assert code == 2
+        assert not out.exists()
 
     def test_grid_size_and_config_comments(self, tmp_path):
         out = tmp_path / "grid.csv"

@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,19 +8,11 @@ from ttcomplete import (
     DenseTensor,
     ShapeError,
     TensorShape,
-    frobenius_norm,
-    inner_product,
-    lin_index,
-    multi_index,
     permute,
     reshape,
     tensor_from_array,
 )
 from oracles import lin_offset_by_enumeration
-
-shapes_small = st.lists(st.integers(1, 5), min_size=1, max_size=4).map(
-    lambda s: TensorShape(tuple(s))
-)
 
 
 class TestTensorShape:
@@ -43,44 +33,37 @@ class TestTensorShape:
 
 
 class TestIndexing:
+    """``DenseTensor.__getitem__`` reads the column-major offset of a 1-based index."""
+
+    @staticmethod
+    def offsets(sizes):
+        shape = TensorShape(sizes)
+        return DenseTensor(shape, np.arange(float(shape.element_count)))
+
     def test_origin_maps_to_zero(self):
-        assert lin_index(TensorShape((3, 4)), (1, 1)) == 0
+        assert self.offsets((3, 4))[(1, 1)] == 0
 
     def test_hand_value(self):
         # (2-1) + (3-1)*3 = 7, cross-checked by enumerating all 12 cells
-        shape = TensorShape((3, 4))
-        assert lin_index(shape, (2, 3)) == 7
+        t = self.offsets((3, 4))
+        assert t[(2, 3)] == t.values[7] == 7
         assert lin_offset_by_enumeration((3, 4), (2, 3)) == 7
 
     def test_last_cell(self):
-        shape = TensorShape((2, 2, 2))
-        assert lin_index(shape, (2, 2, 2)) == shape.element_count - 1
+        t = self.offsets((2, 2, 2))
+        assert t[(2, 2, 2)] == t.shape.element_count - 1
 
     def test_multi_index_hand_values(self):
-        assert multi_index(TensorShape((3, 4)), 7) == (2, 3)
-        assert multi_index(TensorShape((5,)), 0) == (1,)
-        assert multi_index(TensorShape((2, 3, 4)), 23) == (2, 3, 4)
+        assert self.offsets((5,))[(1,)] == 0
+        assert self.offsets((2, 3, 4))[(2, 3, 4)] == 23
+        assert self.offsets((2, 3, 4))[(2, 1, 2)] == 7
 
     def test_out_of_bounds_names_mode(self):
+        t = self.offsets((3, 4))
         with pytest.raises(BoundsError, match="mode 2"):
-            lin_index(TensorShape((3, 4)), (1, 5))
+            t[(1, 5)]
         with pytest.raises(BoundsError):
-            multi_index(TensorShape((3, 4)), 12)
-
-    @pytest.mark.parametrize("sizes", [(1,), (7,), (3, 4), (2, 3, 4), (2, 2, 2, 3)])
-    def test_bijection_exhaustive(self, sizes):
-        shape = TensorShape(sizes)
-        seen = set()
-        for lin in range(shape.element_count):
-            idx = multi_index(shape, lin)
-            assert lin_index(shape, idx) == lin
-            seen.add(idx)
-        assert len(seen) == shape.element_count
-
-    @given(shapes_small, st.integers(0, 10**9))
-    def test_bijection_random(self, shape, raw):
-        lin = raw % shape.element_count
-        assert lin_index(shape, multi_index(shape, lin)) == lin
+            t[(1, 1, 1)]
 
 
 class TestReshapePermute:
@@ -146,37 +129,3 @@ class TestReshapePermute:
             inverse[src - 1] = out_mode
         back = permute(permute(t, perm), inverse)
         assert np.array_equal(back.values, t.values)
-
-
-class TestNormsProducts:
-    def test_inner_with_zeros(self):
-        shape = TensorShape((3, 2))
-        t = DenseTensor(shape, np.arange(6.0))
-        z = DenseTensor(shape, np.zeros(6))
-        assert inner_product(t, z) == 0.0
-
-    def test_norm_all_ones(self):
-        t = DenseTensor(TensorShape((2, 2)), np.ones(4))
-        assert frobenius_norm(t) == 2.0
-
-    def test_norm_pythagorean(self):
-        t = DenseTensor(TensorShape((2,)), np.array([3.0, 4.0]))
-        assert frobenius_norm(t) == 5.0
-
-    def test_shape_mismatch(self):
-        a = DenseTensor(TensorShape((2, 2)), np.zeros(4))
-        b = DenseTensor(TensorShape((4,)), np.zeros(4))
-        with pytest.raises(ShapeError):
-            inner_product(a, b)
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=25)
-    def test_symmetry_and_bilinearity_integers(self, seed):
-        rng = np.random.default_rng(seed)
-        shape = TensorShape((2, 3))
-        a = DenseTensor(shape, rng.integers(-5, 6, 6).astype(float))
-        b = DenseTensor(shape, rng.integers(-5, 6, 6).astype(float))
-        c = DenseTensor(shape, rng.integers(-5, 6, 6).astype(float))
-        assert inner_product(a, b) == inner_product(b, a)
-        bc = DenseTensor(shape, 2.0 * b.values + 3.0 * c.values)
-        assert inner_product(a, bc) == 2.0 * inner_product(a, b) + 3.0 * inner_product(a, c)

@@ -91,6 +91,13 @@ class TestSparseFormat:
         with pytest.raises(FormatError, match="line 6"):
             load_sparse(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "nan.txt"
+        path.write_text(f"stto-sparse v1\n2\n3 3\n2\n1 1 1.0\n2 2 {value}\n")
+        with pytest.raises(FormatError, match="line 6: non-finite"):
+            load_sparse(path)
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_round_trip_random(self, seed):
@@ -132,6 +139,12 @@ class TestDenseFormat:
         with pytest.raises(FormatError, match="line 6"):
             load_dense(path)
 
+    def test_trailing_content(self, tmp_path):
+        path = tmp_path / "extra.txt"
+        path.write_text("stto-dense v1\n1\n2\n1.0\n2.0\n\ngarbage\n")
+        with pytest.raises(FormatError, match="line 7: trailing content"):
+            load_dense(path)
+
 
 class TestModelFormat:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -157,4 +170,13 @@ class TestModelFormat:
         path = tmp_path / "model.txt"
         path.write_text("2\n2 2\n2 2 1\n" + "0.0\n" * 12)
         with pytest.raises(FormatError):
+            load_model(path)
+
+    def test_trailing_content(self, tmp_path):
+        cores = random_init(TensorShape((2, 2)), TTRank((1, 2, 1)), seed=0)
+        path = tmp_path / "model.txt"
+        save_model(path, cores)
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("garbage\n")
+        with pytest.raises(FormatError, match=f"line {4 + cores.param_count}: trailing content"):
             load_model(path)
