@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import FormatError, NumericError
 from .fileio import load_dense, load_sparse, save_dense, save_model
 from .images import detensorize_image, load_image, save_image, tensorize_image
 from .metrics import psnr, rse
-from .optimize import METHOD_GD, METHOD_NCG, OptimizeConfig, OptimizeReport
+from .optimize import METHOD_GD, METHOD_NCG, OptimizeConfig
 from .ttmodel import TTRank, check_full_capacity, tt_full, uniform_ranks
 
 
@@ -89,18 +88,12 @@ class RunSpec:
             raise UsageError("--tensorize applies only to --image inputs")
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind=int) -> list:
     try:
-        return [int(p) for p in text.split(",") if p != ""]
+        return [kind(p) for p in text.split(",") if p != ""]
     except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated integer list, got {text!r}") from None
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        return [float(p) for p in text.split(",") if p != ""]
-    except ValueError:
-        raise UsageError(f"{flag} expects a comma-separated number list, got {text!r}") from None
+        noun = "integer" if kind is int else "number"
+        raise UsageError(f"{flag} expects a comma-separated {noun} list, got {text!r}") from None
 
 
 def _parse_mask(text: str) -> MaskSpec:
@@ -108,10 +101,10 @@ def _parse_mask(text: str) -> MaskSpec:
     if not sep:
         raise UsageError(f"--mask expects rows:... or block:..., got {text!r}")
     if kind == "rows":
-        rows = _parse_int_list(rest, "--mask rows")
+        rows = _parse_list(rest, "--mask rows")
         return MaskSpec(kind="rows", rows=tuple(rows))
     if kind == "block":
-        vals = _parse_int_list(rest, "--mask block")
+        vals = _parse_list(rest, "--mask block")
         if len(vals) != 4:
             raise UsageError("--mask block expects top,left,height,width")
         return MaskSpec(kind="block", block=tuple(vals))
@@ -137,17 +130,13 @@ def _method_name(flag: str) -> str:
     return {"ncg": METHOD_NCG, "gd": METHOD_GD}[flag]
 
 
-def _config_lines(pairs) -> list[str]:
-    return [f"# {key}={value}" for key, value in pairs]
-
-
-def _write_trace(path, spec_pairs, report: OptimizeReport) -> None:
+def _write_csv(path, spec_pairs, header: str, rows) -> None:
+    """A CSV file led by one ``# key=value`` comment line per run setting."""
     with open(path, "w", encoding="ascii") as fh:
-        for line in _config_lines(spec_pairs):
+        for key, value in spec_pairs:
+            fh.write(f"# {key}={value}\n")
+        for line in (header, *rows):
             fh.write(line + "\n")
-        fh.write("iter,objective,grad_norm,step\n")
-        for i, rec in enumerate(report.records):
-            fh.write(f"{i},{rec.objective!r},{rec.grad_norm!r},{rec.step!r}\n")
 
 
 def cmd_complete(spec: RunSpec) -> int:
@@ -174,7 +163,8 @@ def cmd_complete(spec: RunSpec) -> int:
         *asdict(config).items(),
         ("termination", report.reason),
     ]
-    _write_trace(f"{spec.out_prefix}.csv", spec_pairs, report)
+    trace = (f"{i},{r.objective!r},{r.grad_norm!r},{r.step!r}" for i, r in enumerate(report.records))
+    _write_csv(f"{spec.out_prefix}.csv", spec_pairs, "iter,objective,grad_norm,step", trace)
     save_model(f"{spec.out_prefix}_model.txt", cores)
 
     if spec.image_path is not None:
@@ -213,7 +203,7 @@ def _sweep_point(shape: TensorShape, rate: float, seed: int, rank_value: int, co
     )
 
 
-def cmd_sweep(shapes, rates, seeds, rank_value, config, out_csv, workers=1) -> int:
+def cmd_sweep(shapes, rates, seeds, rank_value, config, out_csv) -> int:
     if not rates:
         raise UsageError("--rates lists no missing rates")
     if not seeds:
@@ -221,11 +211,7 @@ def cmd_sweep(shapes, rates, seeds, rank_value, config, out_csv, workers=1) -> i
     for shape in shapes:
         check_full_capacity(shape)
     grid = [(shape, rate, seed) for shape in shapes for rate in rates for seed in seeds]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda g: _sweep_point(*g, rank_value, config), grid))
-    else:
-        rows = [_sweep_point(*g, rank_value, config) for g in grid]
+    rows = [_sweep_point(*g, rank_value, config) for g in grid]
 
     spec_pairs = [
         ("command", "sweep"),
@@ -234,14 +220,8 @@ def cmd_sweep(shapes, rates, seeds, rank_value, config, out_csv, workers=1) -> i
         ("seeds", ",".join(str(s) for s in seeds)),
         ("rank", rank_value),
         *asdict(config).items(),
-        ("workers", workers),
     ]
-    with open(out_csv, "w", encoding="ascii") as fh:
-        for line in _config_lines(spec_pairs):
-            fh.write(line + "\n")
-        fh.write("shape,rate,seed,rank,iters,final_objective,rse,seconds\n")
-        for row in rows:
-            fh.write(row + "\n")
+    _write_csv(out_csv, spec_pairs, "shape,rate,seed,rank,iters,final_objective,rse,seconds", rows)
     print(f"wrote {len(rows)} rows to {out_csv}")
     return 0
 
@@ -281,7 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--method", choices=("ncg", "gd"), default="ncg")
     p_sweep.add_argument("--max-iters", type=int, default=200)
     p_sweep.add_argument("--grad-tol", type=float, default=0.0)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.add_argument("--out", required=True, help="output CSV path")
 
     p_tens = sub.add_parser("tensorize", help="convert between PPM images and the tensorized text form")
@@ -308,7 +287,7 @@ def _run(args) -> int:
         spec = RunSpec(
             sparse_path=args.input,
             image_path=args.image,
-            ranks=tuple(_parse_int_list(args.ranks, "--ranks")),
+            ranks=tuple(_parse_list(args.ranks, "--ranks")),
             mask=mask,
             tensorize=args.tensorize,
             seed=args.seed,
@@ -324,12 +303,11 @@ def _run(args) -> int:
         )
         return cmd_sweep(
             _parse_shapes(args.shapes),
-            _parse_float_list(args.rates, "--rates"),
-            _parse_int_list(args.seeds, "--seeds"),
+            _parse_list(args.rates, "--rates", float),
+            _parse_list(args.seeds, "--seeds"),
             args.rank,
             config,
             args.out,
-            workers=max(1, args.workers),
         )
     return cmd_tensorize(args.input, args.output, args.direction)
 

@@ -2,27 +2,30 @@
 
 Given M observed entries y_m at multi-indices (i_1^m, ..., i_N^m) and a TT
 model with prediction x_m (the chained slice product at that index), the loss
-is
+and the gradient of slice core_n[:, j, :] are
 
     f(cores) = 1/2 * sum_m (y_m - x_m)^2
-
-and the gradient of the slice core_n[:, j, :] collects contributions from
-exactly the observations whose n-th index equals j:
-
     df/dslice(n, j) = sum_{m: i_n^m = j} (x_m - y_m) * P_n[m]^T S_n[m]^T
 
 where P_n[m] is the left partial product of slices 1..n-1 (a 1 x r_{n-1} row)
 and S_n[m] the right partial product of slices n+1..N (an r_n x 1 column).
-One per-slice kernel, ``_apply``, advances every observation's row through one
-core; one sweep chains it over the cores and yields P_1..P_N and the
-predictions. The suffix sweep is the same sweep over the cores N..2 in
-reverse order, each transposed to (r_n, I_n, r_{n-1}): its slice j is a view
-of core_n[:, j, :]^T, so S_n is kept as a row as well. A fused
-objective+gradient call thus costs O(M * sum r_{n-1} r_n).
 
-Evaluation is deterministic: observations are reduced in a canonical order
-(ascending column-major cell offset), so permuting the stored entries changes
-no output bit.
+Observations that agree in (i_1, ..., i_n) share their left products, so the
+engine works on a trie of distinct prefixes. Depth n holds the K_n distinct
+prefixes of length n, K_n <= min(M, I_1 * ... * I_n), each with its parent at
+depth n-1 and its slice label i_n. The forward pass sets
+P[node] = P[parent] @ core_n[:, label, :]; the leaves give x. The backward pass
+is reverse mode over the same trie: a leaf's adjoint is the sum of its
+residuals x_m - y_m (repeated cells included), slice j's gradient sums
+P[parent]^T @ adjoint[node] over the nodes labelled j, and a parent's adjoint
+sums adjoint[child] @ core_n[:, label, :]^T over its children. ``objective``
+runs only the forward pass, as does ``reconstruct`` over a trie of the
+requested cells. A fused objective+gradient call costs
+O(sum_n K_n * r_{n-1} * r_n).
+
+Evaluation is deterministic: observations are sorted stably and
+lexicographically by (i_1, ..., i_N) and reduced in that order, so permuting
+distinct stored entries changes no output bit.
 """
 
 from __future__ import annotations
@@ -71,99 +74,123 @@ class SparseObservations:
     def count(self) -> int:
         return self.values.size
 
-    def linear_indices(self) -> np.ndarray:
-        """0-based column-major cell offsets, one per observation."""
-        if "lin" not in self._cache:
-            self._cache["lin"] = np.ravel_multi_index(
-                tuple((self.indices - 1).T), self.shape.sizes, order="F"
-            )
-        return self._cache["lin"]
+    def repeated_rows(self) -> np.ndarray:
+        """Ascending rows whose multi-index an earlier row already holds."""
+        trie, _ = self._trie()
+        return np.sort(trie.order[1:][trie.leaf[1:] == trie.leaf[:-1]])
 
-    def has_duplicates(self) -> bool:
-        lin = self.linear_indices()
-        return np.unique(lin).size != lin.size
-
-    def _canonical(self):
-        """Observations reordered by ascending cell offset, plus mode groups."""
-        if "canonical" not in self._cache:
-            order = np.argsort(self.linear_indices(), kind="stable")
-            idx0 = np.ascontiguousarray(self.indices[order] - 1)
-            vals = self.values[order]
-            groups = _groups(idx0)
-            self._cache["canonical"] = (idx0, vals, groups)
-        return self._cache["canonical"]
+    def _trie(self):
+        """The prefix trie of the observations and their values in its row order."""
+        if "trie" not in self._cache:
+            trie = _Trie(self.indices, self.shape)
+            self._cache["trie"] = (trie, self.values[trie.order])
+        return self._cache["trie"]
 
 
 def _check_bounds(indices: np.ndarray, shape: TensorShape, noun: str):
     """Raise BoundsError naming the first row of 1-based ``indices`` outside ``shape``."""
-    for n, size in enumerate(shape.sizes):
-        col = indices[:, n]
-        bad = np.nonzero((col < 1) | (col > size))[0]
-        if bad.size:
-            raise BoundsError(
-                f"{noun} {bad[0] + 1}: coordinate {col[bad[0]]} out of range [1, {size}] "
-                f"in mode {n + 1}"
-            )
+    sizes = np.array(shape.sizes)
+    bad = np.flatnonzero(((indices < 1) | (indices > sizes)).ravel())
+    if bad.size:
+        m, n = divmod(int(bad[0]), shape.order)
+        raise BoundsError(
+            f"{noun} {m + 1}: coordinate {indices[m, n]} out of range [1, {sizes[n]}] "
+            f"in mode {n + 1}",
+            row=m,
+        )
 
 
-def _groups(idx0: np.ndarray) -> list:
-    """One :func:`_group_by_mode` grouping per column of 0-based indices."""
-    return [_group_by_mode(idx0[:, n]) for n in range(idx0.shape[1])]
+class _Trie:
+    """Shared-prefix trie over the rows of 1-based ``indices`` into ``shape``.
 
-
-def _group_by_mode(idx_col: np.ndarray):
-    """Sort observation rows by one mode's index and mark the segments.
-
-    Returns (perm, labels, bounds): applying ``perm`` groups equal indices
-    into contiguous runs; run t spans bounds[t]:bounds[t+1] and carries the
-    0-based slice index labels[t].
+    ``order`` sorts the rows stably and lexicographically by (i_1, ..., i_N);
+    ``leaf[m]`` is the leaf of sorted row m. ``depths[n]`` is a pair
+    (segments, parents) for the distinct prefixes of length n + 1, stored
+    grouped by slice label: segments lists (label, node slice) in ascending
+    label order, and parents[k] is the position of node k's parent at the
+    previous depth. Within one segment the parents are distinct.
     """
-    perm = np.argsort(idx_col, kind="stable")
-    sorted_idx = idx_col[perm]
-    labels, starts = np.unique(sorted_idx, return_index=True)
-    bounds = np.append(starts, idx_col.size)
-    return perm, labels, bounds
+
+    def __init__(self, indices: np.ndarray, shape: TensorShape):
+        # Row-major offsets order cells lexicographically; TensorShape keeps them in int64.
+        lin = np.ravel_multi_index(tuple((indices - 1).T), shape.sizes)
+        self.order = np.argsort(lin, kind="stable")
+        lin = lin[self.order]
+        fresh = np.ones(lin.size, dtype=bool)  # sorted row starts a new prefix
+        node = np.zeros(lin.size, dtype=np.int64)  # each row's node at the previous depth
+        stride = shape.element_count
+        self.depths = []
+        self._targets = {}
+        for size in shape.sizes:
+            stride //= size
+            prefix = lin // stride
+            np.not_equal(prefix[1:], prefix[:-1], out=fresh[1:])
+            starts = np.flatnonzero(fresh)
+            # narrow labels let the stable sort use radix sort
+            label = (prefix[starts] % size).astype(np.min_scalar_type(size))
+            perm = np.argsort(label, kind="stable")
+            labels, first = np.unique(label[perm], return_index=True)
+            bounds = np.append(first, perm.size)
+            segments = [(j, slice(bounds[t], bounds[t + 1])) for t, j in enumerate(labels)]
+            self.depths.append((segments, node[starts[perm]]))
+            place = np.empty_like(perm)
+            place[perm] = np.arange(perm.size)
+            node = place[np.cumsum(fresh) - 1]
+        self.leaf = node
+
+    def forward(self, cores: Sequence[np.ndarray], keep: bool = False):
+        """Leaf values, plus each depth's gathered parent rows when ``keep``."""
+        rows = np.ones((1, 1))
+        gathered = []
+        for core, (segments, parents) in zip(cores, self.depths):
+            g = np.take(rows, parents, axis=0)
+            rows = np.empty((g.shape[0], core.shape[2]))
+            for j, seg in segments:
+                np.matmul(g[seg], core[:, j, :], out=rows[seg])
+            if keep:
+                gathered.append(g)
+        return rows[:, 0], gathered
+
+    def backward(self, cores: Sequence[np.ndarray], gathered, resid: np.ndarray) -> np.ndarray:
+        """Flattened core gradients given the residual of each sorted row."""
+        # a leaf's adjoint sums the residuals of its rows, repeated cells included
+        adj = np.bincount(self.leaf, weights=resid, minlength=gathered[-1].shape[0])[:, None]
+        parts = []
+        for n in range(len(cores) - 1, -1, -1):
+            core, g = cores[n], gathered[n]
+            grad = np.zeros_like(core)
+            up = np.empty(g.shape)
+            for j, seg in self.depths[n][0]:
+                grad[:, j, :] = g[seg].T @ adj[seg]
+                if n:
+                    np.matmul(adj[seg], core[:, j, :].T, out=up[seg])
+            if n:
+                adj = self._sum_into_parents(n, up, gathered[n - 1].shape[0])
+            parts.append(grad.ravel(order="F"))
+        return np.concatenate(parts[::-1])
+
+    def _sum_into_parents(self, n: int, rows: np.ndarray, count: int) -> np.ndarray:
+        """Sum depth-n node rows into their ``count`` parents' rows, adding in storage order."""
+        width = rows.shape[1]
+        if (n, width) not in self._targets:  # flat element offsets, cached per depth and width
+            parents = self.depths[n][1]
+            self._targets[n, width] = (parents[:, None] * width + np.arange(width)).ravel()
+        flat = np.bincount(self._targets[n, width], weights=rows.ravel(), minlength=count * width)
+        return flat.reshape(count, width)
 
 
-def _apply(rows: np.ndarray, core: np.ndarray, group) -> np.ndarray:
-    """Advance per-observation rows through one core: row m becomes row m @ core[:, i_m, :]."""
-    perm, labels, bounds = group
-    gathered = rows[perm]
-    out = np.empty((rows.shape[0], core.shape[2]))
-    for t, j in enumerate(labels):
-        s, e = bounds[t], bounds[t + 1]
-        out[s:e] = gathered[s:e] @ core[:, j, :]
-    result = np.empty_like(out)
-    result[perm] = out
-    return result
-
-
-def _sweep(cores: Sequence[np.ndarray], groups, m: int):
-    """Yield the running slice products through ``cores``, starting from all-ones rows."""
-    rows = np.ones((m, 1))
-    yield rows
-    for core, group in zip(cores, groups):
-        rows = _apply(rows, core, group)
-        yield rows
-
-
-def _predict(cores: Sequence[np.ndarray], groups, m: int) -> np.ndarray:
-    """The model value at each observation: the last rows of the sweep."""
-    for rows in _sweep(cores, groups, m):
-        pass
-    return rows[:, 0]
-
-
-def _check_compatible(cores: TTCores, obs: SparseObservations):
+def _residuals(cores: TTCores, obs: SparseObservations, keep: bool = False):
+    """The trie, x_m - y_m in its row order, and the forward pass's kept rows."""
     if cores.shape.sizes != obs.shape.sizes:
         raise ShapeError(f"cores describe shape {cores.shape}, observations shape {obs.shape}")
+    trie, vals = obs._trie()
+    x, gathered = trie.forward(cores.cores, keep)
+    return trie, x[trie.leaf] - vals, gathered
 
 
 def objective(cores: TTCores, obs: SparseObservations) -> float:
     """Half the squared residual over the observed entries."""
-    _check_compatible(cores, obs)
-    _, vals, groups = obs._canonical()
-    resid = _predict(cores.cores, groups, obs.count) - vals
+    _, resid, _ = _residuals(cores, obs)
     return 0.5 * float(np.dot(resid, resid))
 
 
@@ -173,29 +200,8 @@ def objective_and_gradient(cores: TTCores, obs: SparseObservations) -> tuple[flo
     The gradient layout matches :func:`ttcomplete.ttmodel.flatten_params`.
     Slices untouched by every observation keep an exactly zero gradient.
     """
-    _check_compatible(cores, obs)
-    _, vals, groups = obs._canonical()
-    m = obs.count
-    *prefixes, x = _sweep(cores.cores, groups, m)
-    # The suffix sweep is the prefix sweep over the transposed cores N..2 in
-    # reverse: core.transpose(2, 1, 0)[:, j, :] is the view core[:, j, :].T.
-    flipped = [core.transpose(2, 1, 0) for core in cores.cores[:0:-1]]
-    suffixes = list(_sweep(flipped, groups[:0:-1], m))[::-1]
-    resid = x[:, 0] - vals
-    f = 0.5 * float(np.dot(resid, resid))
-
-    parts = []
-    for n, core in enumerate(cores.cores):
-        perm, labels, bounds = groups[n]
-        grad = np.zeros_like(core)
-        pg = prefixes[n][perm]
-        sg = suffixes[n][perm]
-        rg = resid[perm]
-        for t, j in enumerate(labels):
-            s, e = bounds[t], bounds[t + 1]
-            grad[:, j, :] = (pg[s:e] * rg[s:e, None]).T @ sg[s:e]
-        parts.append(grad.ravel(order="F"))
-    return f, np.concatenate(parts)
+    trie, resid, gathered = _residuals(cores, obs, keep=True)
+    return 0.5 * float(np.dot(resid, resid)), trie.backward(cores.cores, gathered, resid)
 
 
 def gradient(cores: TTCores, obs: SparseObservations) -> np.ndarray:
@@ -211,4 +217,8 @@ def reconstruct(cores: TTCores, at) -> np.ndarray:
             f"indices of width {at.shape[1]} do not match order-{cores.shape.order} shape"
         )
     _check_bounds(at, cores.shape, "request")
-    return _predict(cores.cores, _groups(at - 1), at.shape[0])
+    trie = _Trie(at, cores.shape)
+    x, _ = trie.forward(cores.cores)
+    out = np.empty(at.shape[0])
+    out[trie.order] = x[trie.leaf]
+    return out

@@ -6,7 +6,11 @@ class ShapeError(ValueError):
 
 
 class BoundsError(IndexError):
-    """A multi-index or linear offset lies outside its tensor shape."""
+    """A multi-index or linear offset lies outside its shape; ``row`` is its 0-based row if known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class CapacityError(ValueError):

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import DenseTensor, TensorShape
 from .engine import SparseObservations
-from .errors import FormatError
+from .errors import BoundsError, FormatError
 from .ttmodel import TTCores, TTRank, flatten_params, unflatten_params
 
 SPARSE_MAGIC = "stto-sparse v1"
@@ -107,7 +107,7 @@ def load_sparse(path) -> SparseObservations:
     """Parse a sparse observation file, rejecting malformed, non-finite or duplicate entries."""
     rd = _LineReader(path)
     shape = rd.header(SPARSE_MAGIC)
-    order, sizes = shape.order, shape.sizes
+    order = shape.order
     m = rd.next_int("observation count")
     if m < 1:
         raise rd.error(f"observation count must be positive, got {m}")
@@ -124,18 +124,17 @@ def load_sparse(path) -> SparseObservations:
             raise rd.error("malformed observation record") from None
         if not math.isfinite(value):
             raise rd.error(f"non-finite value {parts[order]!r}")
-        for n, (c, s) in enumerate(zip(coords, sizes), start=1):
-            if not 1 <= c <= s:
-                raise rd.error(f"coordinate {c} out of range [1, {s}] in mode {n}")
         indices[i] = coords
         values[i] = value
     rd.end(f"{m} observations")
-    obs = SparseObservations(shape, indices, values)
-    if obs.has_duplicates():
-        lin = obs.linear_indices()
-        _, first = np.unique(lin, return_index=True)
-        dup = np.setdiff1d(np.arange(m), first)[0]
-        raise FormatError(f"line {int(dup) + 5}: duplicate multi-index {tuple(indices[dup])}")
+    try:
+        obs = SparseObservations(shape, indices, values)
+    except BoundsError as exc:
+        raise FormatError(f"line {exc.row + 5}: {exc}") from None
+    repeated = obs.repeated_rows()
+    if repeated.size:
+        dup = int(repeated[0])
+        raise FormatError(f"line {dup + 5}: duplicate multi-index {tuple(indices[dup])}")
     return obs
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttcomplete import (
     BoundsError,
@@ -39,6 +41,36 @@ def random_instance(seed, order=None):
     return cores, SparseObservations(shape, coords, values)
 
 
+@st.composite
+def trie_instances(draw):
+    """A random model, a random subset of observed cells, and a permutation of them."""
+    order = draw(st.integers(2, 5))
+    sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=order, max_size=order)))
+    inner = draw(st.lists(st.integers(1, 3), min_size=order - 1, max_size=order - 1))
+    shape = TensorShape(sizes)
+    cells = draw(
+        st.lists(st.integers(0, shape.element_count - 1), min_size=1, max_size=40, unique=True)
+    )
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    cores = random_init(shape, TTRank((1, *inner, 1)), seed=seed)
+    coords = np.stack(np.unravel_index(cells, sizes, order="F"), axis=1) + 1
+    obs = SparseObservations(shape, coords, rng.standard_normal(len(cells)))
+    return cores, obs, rng.permutation(len(cells))
+
+
+def _max_fd_error(cores, obs):
+    """Largest relative gap between the analytic gradient and central differences."""
+
+    def f(flat):
+        return objective(unflatten_params(cores, flat), obs)
+
+    analytic = gradient(cores, obs)
+    fd = central_difference_gradient(f, flatten_params(cores), eps=1e-5)
+    denom = np.maximum(np.abs(analytic), 1e-8)
+    return np.max(np.abs(analytic - fd) / denom)
+
+
 class TestObservations:
     def test_bounds_checked(self):
         shape = TensorShape((2, 2))
@@ -54,7 +86,7 @@ class TestObservations:
         shape = TensorShape((3, 3))
         obs = SparseObservations(shape, np.array([[1, 1], [2, 3]]), np.array([1.0, 2.0]))
         assert obs.count == 2
-        assert not obs.has_duplicates()
+        assert obs.repeated_rows().size == 0
 
 
 class TestObjective:
@@ -126,15 +158,7 @@ class TestGradient:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_finite_difference_agreement(self, seed):
-        cores, obs = random_instance(seed)
-
-        def f(flat):
-            return objective(unflatten_params(cores, flat), obs)
-
-        analytic = gradient(cores, obs)
-        fd = central_difference_gradient(f, flatten_params(cores), eps=1e-5)
-        denom = np.maximum(np.abs(analytic), 1e-8)
-        assert np.max(np.abs(analytic - fd) / denom) < 1e-6
+        assert _max_fd_error(*random_instance(seed)) < 1e-6
 
     def test_zero_coverage_slices_exactly_zero(self):
         rng = np.random.default_rng(4)
@@ -176,6 +200,64 @@ class TestFusedEvaluation:
         shuffled = SparseObservations(obs.shape, obs.indices[perm], obs.values[perm])
         f1, g1 = objective_and_gradient(cores, shuffled)
         assert f0 == f1
+        assert np.array_equal(g0, g1)
+
+
+class TestPrefixTrie:
+    def test_repeated_cell_sums_both_entries(self):
+        # x(1,1) = 17 and x(2,2) = 53: residuals 3, -3 and -2
+        cores = two_mode_example()
+        obs = SparseObservations(cores.shape, [[2, 2], [1, 1], [2, 2]], [50.0, 20.0, 55.0])
+        assert np.array_equal(obs.repeated_rows(), [2])
+        assert objective(cores, obs) == 0.5 * (9.0 + 9.0 + 4.0)
+        assert _max_fd_error(cores, obs) < 1e-6
+
+    def test_fully_observed_binary_tensor(self):
+        shape = TensorShape((2,) * 5)
+        cores = random_init(shape, TTRank((1, 2, 3, 2, 2, 1)), seed=5)
+        truth = np.random.default_rng(5).standard_normal(shape.element_count)
+        obs = extract_observations(DenseTensor(shape, truth), _full_mask(shape))
+        observed = np.ones(shape.element_count, dtype=bool)
+        dense_val = dense_weighted_objective(cores, truth, observed)
+        assert objective(cores, obs) == pytest.approx(dense_val, rel=1e-12)
+        assert _max_fd_error(cores, obs) < 1e-6
+
+    def test_observations_differing_only_in_last_mode(self):
+        shape = TensorShape((3, 4, 5))
+        cores = random_init(shape, TTRank((1, 3, 2, 1)), seed=6)
+        truth = np.random.default_rng(6).standard_normal(shape.element_count)
+        coords = np.array([[2, 3, k] for k in range(1, 6)])
+        observed = np.zeros(shape.element_count, dtype=bool)
+        observed[np.ravel_multi_index(tuple((coords - 1).T), shape.sizes, order="F")] = True
+        obs = extract_observations(DenseTensor(shape, truth), MissingMask(shape, observed))
+        dense_val = dense_weighted_objective(cores, truth, observed)
+        assert objective(cores, obs) == pytest.approx(dense_val, rel=1e-12)
+        assert _max_fd_error(cores, obs) < 1e-6
+
+    def test_reconstruct_unsorted_repeated_requests(self):
+        cores = two_mode_example()
+        assert np.array_equal(reconstruct(cores, [[2, 2], [1, 1], [2, 2]]), [53.0, 17.0, 53.0])
+
+
+class TestProperties:
+    # Central differences at eps=1e-5 carry rounding error near 1e-11 * f, so
+    # about one random draw in a thousand has a gradient entry too small for
+    # the 1e-6 relative tolerance, whatever computes the gradient. Fixed draws
+    # keep the check deterministic without loosening it.
+    @given(trie_instances())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_gradient_matches_finite_differences(self, instance):
+        cores, obs, _ = instance
+        assert _max_fd_error(cores, obs) < 1e-6
+
+    @given(trie_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_exact_under_permutation(self, instance):
+        cores, obs, perm = instance
+        shuffled = SparseObservations(obs.shape, obs.indices[perm], obs.values[perm])
+        f0, g0 = objective_and_gradient(cores, obs)
+        f1, g1 = objective_and_gradient(cores, shuffled)
+        assert f0 == f1 == objective(cores, shuffled)
         assert np.array_equal(g0, g1)
 
 

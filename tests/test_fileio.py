@@ -79,6 +79,13 @@ class TestSparseFormat:
         with pytest.raises(FormatError, match="line 5"):
             load_sparse(path)
 
+    def test_out_of_bounds_index_names_its_line(self, tmp_path):
+        path = tmp_path / "oob3.txt"
+        # the fourth record is out of range too, in an earlier mode
+        path.write_text("stto-sparse v1\n2\n3 3\n4\n1 1 1.0\n2 2 2.0\n3 4 3.0\n4 1 4.0\n")
+        with pytest.raises(FormatError, match=r"line 7: .* 4 out of range \[1, 3\] in mode 2"):
+            load_sparse(path)
+
     def test_malformed_record(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("stto-sparse v1\n2\n3 3\n1\n1 x 1.0\n")
