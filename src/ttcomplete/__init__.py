@@ -8,13 +8,7 @@ file formats, and a CLI (``ttcomplete``).
 """
 
 from .complete import complete_image, fit_cores
-from .core import (
-    DenseTensor,
-    TensorShape,
-    permute,
-    reshape,
-    tensor_from_array,
-)
+from .core import DenseTensor, TensorShape, tensor_from_array
 from .data import (
     MissingMask,
     default_init_scale,

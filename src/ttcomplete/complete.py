@@ -17,7 +17,6 @@ def fit_cores(
     rank: TTRank,
     cfg: OptimizeConfig | None = None,
     seed: int = 0,
-    init_scale: float | None = None,
 ) -> tuple[TTCores, OptimizeReport]:
     """Fit TT cores to the observed entries from a seeded random start.
 
@@ -25,9 +24,7 @@ def fit_cores(
     the fitted cores carry the capped chain.
     """
     rank = cap_ranks(obs.shape, rank.ranks)
-    if init_scale is None:
-        init_scale = default_init_scale(obs, rank)
-    template = random_init(obs.shape, rank, seed, scale=init_scale)
+    template = random_init(obs.shape, rank, seed, scale=default_init_scale(obs, rank))
 
     def callback(flat: np.ndarray):
         return objective_and_gradient(unflatten_params(template, flat), obs)

@@ -93,27 +93,3 @@ def check_multi_index(shape: TensorShape, idx: Sequence[int]) -> tuple[int, ...]
         if not 1 <= c <= s:
             raise BoundsError(f"coordinate {c} out of range [1, {s}] in mode {n}")
     return coords
-
-
-def reshape(t: DenseTensor, new_shape: TensorShape) -> DenseTensor:
-    """Reinterpret the flat buffer under a new shape of equal element count."""
-    if new_shape.element_count != t.shape.element_count:
-        raise ShapeError(
-            f"cannot reshape {t.shape} ({t.shape.element_count} entries) to "
-            f"{new_shape} ({new_shape.element_count} entries)"
-        )
-    return DenseTensor(new_shape, t.values)
-
-
-def permute(t: DenseTensor, perm: Sequence[int]) -> DenseTensor:
-    """Reorder tensor modes; ``perm`` lists 1-based source modes per output mode.
-
-    Output mode k has size I_{perm[k]} and the data is physically rearranged
-    into the column-major layout of the new shape.
-    """
-    order = t.shape.order
-    axes = [int(p) - 1 for p in perm]
-    if sorted(axes) != list(range(order)):
-        raise ValueError(f"perm {tuple(perm)} is not a permutation of 1..{order}")
-    out = t.as_array().transpose(axes)
-    return DenseTensor(TensorShape(out.shape), out.ravel(order="F"))

@@ -14,7 +14,7 @@ class BoundsError(IndexError):
 
 
 class CapacityError(ValueError):
-    """Materializing a tensor would exceed the configured element limit."""
+    """Materializing a tensor would exceed the element limit."""
 
 
 class FormatError(ValueError):

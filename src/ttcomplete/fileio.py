@@ -21,8 +21,11 @@ SPARSE_MAGIC = "stto-sparse v1"
 DENSE_MAGIC = "stto-dense v1"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write(path, head, body) -> None:
+    """Write the header lines, then stream the body lines; items carry no newline."""
+    with open(path, "w", encoding="ascii") as fh:
+        for lines in (head, body):
+            fh.writelines(f"{line}\n" for line in lines)
 
 
 class _LineReader:
@@ -94,13 +97,9 @@ class _LineReader:
 
 def save_sparse(path, obs: SparseObservations) -> None:
     """Write observations: magic, N, sizes, M, then one `i_1 .. i_N value` line each."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{SPARSE_MAGIC}\n")
-        fh.write(f"{obs.shape.order}\n")
-        fh.write(" ".join(str(s) for s in obs.shape.sizes) + "\n")
-        fh.write(f"{obs.count}\n")
-        for row, val in zip(obs.indices, obs.values):
-            fh.write(" ".join(str(int(c)) for c in row) + " " + _fmt(val) + "\n")
+    head = (SPARSE_MAGIC, obs.shape.order, " ".join(map(str, obs.shape.sizes)), obs.count)
+    rows = zip(obs.indices.tolist(), obs.values.tolist())
+    _write(path, head, (f"{' '.join(map(str, idx))} {val!r}" for idx, val in rows))
 
 
 def load_sparse(path) -> SparseObservations:
@@ -140,12 +139,8 @@ def load_sparse(path) -> SparseObservations:
 
 def save_dense(path, t: DenseTensor) -> None:
     """Write a dense tensor: magic, N, sizes, then one value per line (column-major)."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{DENSE_MAGIC}\n")
-        fh.write(f"{t.shape.order}\n")
-        fh.write(" ".join(str(s) for s in t.shape.sizes) + "\n")
-        for v in t.values:
-            fh.write(_fmt(v) + "\n")
+    head = (DENSE_MAGIC, t.shape.order, " ".join(map(str, t.shape.sizes)))
+    _write(path, head, map(repr, t.values.tolist()))
 
 
 def load_dense(path) -> DenseTensor:
@@ -158,12 +153,12 @@ def load_dense(path) -> DenseTensor:
 
 def save_model(path, cores: TTCores) -> None:
     """Write TT parameters: N, sizes, rank chain, then the flat vector one value per line."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{cores.shape.order}\n")
-        fh.write(" ".join(str(s) for s in cores.shape.sizes) + "\n")
-        fh.write(" ".join(str(r) for r in cores.rank.ranks) + "\n")
-        for v in flatten_params(cores):
-            fh.write(_fmt(v) + "\n")
+    head = (
+        cores.shape.order,
+        " ".join(map(str, cores.shape.sizes)),
+        " ".join(map(str, cores.rank.ranks)),
+    )
+    _write(path, head, map(repr, flatten_params(cores).tolist()))
 
 
 def load_model(path) -> TTCores:

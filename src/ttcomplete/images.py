@@ -3,15 +3,16 @@
 Images are DenseTensors of shape (height, width, 3) with values in [0, 255].
 The tensorization turns a 2^k x 2^k x 3 image into an order-(k+1) tensor of
 shape (4, ..., 4, 3) whose first mode enumerates a 2x2 pixel block and whose
-later modes cover progressively larger blocks. It is a lossless cell
-permutation; ``detensorize_image`` inverts it exactly.
+later modes cover progressively larger blocks (the ket augmentation of
+Bengua et al., IEEE TIP 2017). It is a lossless cell permutation;
+``detensorize_image`` inverts it exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import DenseTensor, TensorShape, permute, reshape, tensor_from_array
+from .core import DenseTensor, TensorShape, tensor_from_array
 from .data import MissingMask
 from .errors import FormatError, ShapeError
 
@@ -28,21 +29,23 @@ def _spatial_exponent(shape: TensorShape) -> int:
     return h.bit_length() - 1
 
 
-def interleave_order(k: int) -> tuple[int, ...]:
-    """Mode order (1, k+1, 2, k+2, ..., k, 2k, 2k+1) pairing row and column bits."""
-    order = []
-    for i in range(1, k + 1):
-        order.extend((i, k + i))
-    order.append(2 * k + 1)
-    return tuple(order)
+def _interleave(values: np.ndarray, k: int, inverse: bool = False) -> np.ndarray:
+    """Move the cells of a column-major (2^k, 2^k, 3) buffer to (4, ..., 4, 3) order.
+
+    0-based pixel (r, c, ch) lands at tensor index
+    (((r >> n) & 1) + 2 * ((c >> n) & 1) for n < k, ch): mode n pairs bit n of
+    the row with bit n of the column. ``inverse`` maps tensor cells back.
+    """
+    axes = [a for n in range(k) for a in (n, k + n)] + [2 * k]
+    if inverse:
+        axes = np.argsort(axes)
+    return values.reshape((2,) * (2 * k) + (3,), order="F").transpose(axes).ravel(order="F")
 
 
 def tensorize_image(img: DenseTensor) -> DenseTensor:
-    """Reshape to 2x2x...x2x3, interleave row/column modes, regroup into fours."""
+    """Lift a 2^k x 2^k x 3 image to the (4, ..., 4, 3) block tensor."""
     k = _spatial_exponent(img.shape)
-    split = reshape(img, TensorShape((2,) * (2 * k) + (3,)))
-    mixed = permute(split, interleave_order(k))
-    return reshape(mixed, TensorShape((4,) * k + (3,)))
+    return DenseTensor(TensorShape((4,) * k + (3,)), _interleave(img.values, k))
 
 
 def detensorize_image(t: DenseTensor) -> DenseTensor:
@@ -50,19 +53,13 @@ def detensorize_image(t: DenseTensor) -> DenseTensor:
     k = t.shape.order - 1
     if k < 1 or t.shape.sizes != (4,) * k + (3,):
         raise ShapeError(f"expected shape (4, ..., 4, 3), got {t.shape}")
-    split = reshape(t, TensorShape((2,) * (2 * k) + (3,)))
-    fwd = interleave_order(k)
-    inverse = [0] * len(fwd)
-    for out_mode, src_mode in enumerate(fwd, start=1):
-        inverse[src_mode - 1] = out_mode
-    unmixed = permute(split, inverse)
-    return reshape(unmixed, TensorShape((2**k, 2**k, 3)))
+    return DenseTensor(TensorShape((2**k, 2**k, 3)), _interleave(t.values, k, inverse=True))
 
 
-def tensorize_mask(mask: "MissingMask") -> "MissingMask":
+def tensorize_mask(mask: MissingMask) -> MissingMask:
     """Carry an image-domain missing mask through the tensorization bijection."""
-    flags = tensorize_image(DenseTensor(mask.shape, mask.observed.astype(np.float64)))
-    return MissingMask(flags.shape, flags.values != 0.0)
+    k = _spatial_exponent(mask.shape)
+    return MissingMask(TensorShape((4,) * k + (3,)), _interleave(mask.observed, k))
 
 
 def quantize(img: DenseTensor) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .core import DenseTensor, TensorShape, check_multi_index
 from .errors import CapacityError, ShapeError
 
-# Default ceiling for materializing a full tensor from its cores.
+# Largest element count tt_full will materialize.
 DEFAULT_FULL_LIMIT = 2**24
 
 
@@ -119,19 +119,19 @@ def tt_entry(cores: TTCores, idx: Sequence[int]) -> float:
     return float(row[0, 0])
 
 
-def check_full_capacity(shape: TensorShape, limit: int = DEFAULT_FULL_LIMIT) -> None:
+def check_full_capacity(shape: TensorShape) -> None:
     """Raise CapacityError if :func:`tt_full` would refuse ``shape``."""
     count = shape.element_count
-    if count > limit:
-        raise CapacityError(f"shape {shape} has {count} entries, over the limit of {limit}")
+    if count > DEFAULT_FULL_LIMIT:
+        raise CapacityError(f"shape {shape} has {count} entries, over the limit of {DEFAULT_FULL_LIMIT}")
 
 
-def tt_full(cores: TTCores, limit: int = DEFAULT_FULL_LIMIT) -> DenseTensor:
+def tt_full(cores: TTCores) -> DenseTensor:
     """Materialize the full tensor represented by the cores.
 
-    Refuses shapes with more than ``limit`` entries.
+    Refuses shapes with more than ``DEFAULT_FULL_LIMIT`` entries.
     """
-    check_full_capacity(cores.shape, limit)
+    check_full_capacity(cores.shape)
     # Left-to-right sweep: after mode n the rows of `left` enumerate the
     # column-major prefix indices (i_1, ..., i_n) and columns span r_n.
     left = np.ones((1, 1))

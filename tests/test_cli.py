@@ -12,6 +12,7 @@ from ttcomplete import (
     load_model,
     load_sparse,
     mask_random,
+    reconstruct,
     save_image,
     save_sparse,
     tensor_from_array,
@@ -71,6 +72,20 @@ class TestComplete:
 
         model = load_model(tmp_path / "run_model.txt")
         assert model.shape.sizes == (4, 4, 4)
+
+    def test_rse_observed_matches_reconstruct(self, tmp_path, capsys):
+        shape = TensorShape((5, 4, 6))
+        truth = gen_tt_random(shape, TTRank((1, 3, 3, 1)), seed=4)
+        obs = extract_observations(truth, mask_random(shape, 0.4, 4))
+        path = tmp_path / "obs.txt"
+        save_sparse(path, obs)
+        argv = ["complete", "--input", str(path), "--ranks", "1,1,1,1", "--max-iters", "10"]
+        assert main(argv + ["--out-prefix", str(tmp_path / "run")]) == 0
+        printed = float(capsys.readouterr().out.split("rse_observed=")[1].split()[0])
+        fitted = reconstruct(load_model(tmp_path / "run_model.txt"), obs.indices)
+        expected = np.linalg.norm(fitted - obs.values) / np.linalg.norm(obs.values)
+        assert expected > 1e-3
+        assert printed == pytest.approx(expected, rel=1e-12)
 
     def test_deterministic_trace(self, tmp_path):
         obs_path, _ = write_small_problem(tmp_path)
@@ -230,6 +245,68 @@ class TestComplete:
             ]
         )
         assert code == 3
+
+
+class TestUsageErrors:
+    """Each invalid combination exits 2 with its message on stderr and writes nothing."""
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--input", "{obs}", "--mask", "rows:1"], "--missing-rate/--mask apply only to --image inputs"),
+            (["--image", "{img}"], "an image input needs --missing-rate or --mask"),
+            (["--input", "{obs}", "--tensorize"], "--tensorize applies only to --image inputs"),
+            (
+                ["--image", "{img}", "--missing-rate", "0.5", "--mask", "rows:1"],
+                "--missing-rate and --mask are mutually exclusive",
+            ),
+            (["--image", "{img}", "--mask", "foo"], "--mask expects rows:... or block:..., got 'foo'"),
+            (["--image", "{img}", "--mask", "block:1,2,3"], "--mask block expects top,left,height,width"),
+            (["--image", "{img}", "--mask", "disk:1"], "unknown mask kind 'disk', expected rows or block"),
+            (
+                ["--input", "{obs}", "--ranks", "1,x,1"],
+                "--ranks expects a comma-separated integer list, got '1,x,1'",
+            ),
+        ],
+    )
+    def test_complete(self, tmp_path, capsys, extra, message):
+        paths = {"obs": str(write_small_problem(tmp_path)[0]), "img": str(write_test_image(tmp_path))}
+        before = sorted(p.name for p in tmp_path.iterdir())
+        argv = ["complete", "--ranks", "1,2,2,1", "--out-prefix", str(tmp_path / "x")]
+        assert main(argv + [a.format(**paths) for a in extra]) == 2
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seeds", "", "--seeds lists no seeds"),
+            ("--shapes", "4xq", "bad shape '4xq', expected e.g. 26x26x26"),
+        ],
+    )
+    def test_sweep(self, tmp_path, capsys, flag, value, message):
+        argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0", "--out", str(tmp_path / "s.csv")]
+        # the later occurrence of a flag wins
+        assert main(argv + [flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestMaskHeader:
+    @pytest.mark.parametrize(
+        "flags, header",
+        [
+            (["--missing-rate", "0.5"], "# mask=random:0.5"),
+            (["--mask", "rows:3,,7"], "# mask=rows:3,7"),
+            (["--mask", "block:5,6,8,10"], "# mask=block:5,6,8,10"),
+        ],
+    )
+    def test_describes_mask(self, tmp_path, flags, header):
+        img_path = write_test_image(tmp_path)
+        argv = ["complete", "--image", str(img_path), "--ranks", "1,4,4,1", "--max-iters", "2"]
+        assert main(argv + flags + ["--out-prefix", str(tmp_path / "run")]) == 0
+        lines = (tmp_path / "run.csv").read_text().splitlines()
+        assert header in lines
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttcomplete import (
+    DenseTensor,
     FormatError,
     SparseObservations,
     TTRank,
@@ -133,6 +134,12 @@ class TestDenseFormat:
         again = load_dense(path)
         assert again.shape.sizes == t.shape.sizes
         assert np.array_equal(again.values, t.values)
+
+    def test_bytes(self, tmp_path):
+        t = DenseTensor(TensorShape((5,)), np.array([0.1, -2.0, 1e-300, 5e-324, 1e16]))
+        path = tmp_path / "dense.txt"
+        save_dense(path, t)
+        assert path.read_bytes() == b"stto-dense v1\n1\n5\n0.1\n-2.0\n1e-300\n5e-324\n1e+16\n"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -95,6 +95,15 @@ class TestTensorize:
         assert back.shape.sizes == img.shape.sizes
         assert np.array_equal(back.values, img.values)
 
+    def test_closed_form_cell_map(self):
+        # pixel (r, c, ch) lands at (((r >> n) & 1) + 2 * ((c >> n) & 1) for n < k, ch)
+        side, k = 16, 4
+        pixels = np.arange(side * side * 3, dtype=float).reshape(side, side, 3)
+        t = tensorize_image(tensor_from_array(pixels)).as_array()
+        for r, c, ch in np.ndindex(side, side, 3):
+            idx = tuple(((r >> n) & 1) + 2 * ((c >> n) & 1) for n in range(k)) + (ch,)
+            assert t[idx] == pixels[r, c, ch]
+
     def test_first_mode_holds_pixel_blocks(self):
         # an image constant on each 2x2 pixel block collapses mode 1
         rng = np.random.default_rng(7)

@@ -138,10 +138,10 @@ class TestFullReconstruction:
             assert full[idx] == pytest.approx(tt_entry(cores, idx), rel=1e-12, abs=1e-14)
 
     def test_capacity_guard(self):
-        shape = TensorShape((2, 2))
-        cores = random_init(shape, TTRank((1, 2, 1)), seed=0)
-        with pytest.raises(CapacityError):
-            tt_full(cores, limit=3)
+        # 4097 * 4096 = 16,781,312 cells, one row over the 2**24 limit; the cores stay tiny
+        cores = random_init(TensorShape((4097, 4096)), TTRank((1, 1, 1)), seed=0)
+        with pytest.raises(CapacityError, match="over the limit of 16777216"):
+            tt_full(cores)
 
 
 class TestParameterPacking:
