@@ -44,21 +44,13 @@ from .images import (
     tensorize_mask,
 )
 from .metrics import psnr, rse
-from .optimize import (
-    METHOD_GD,
-    METHOD_NCG,
-    OptimizeConfig,
-    OptimizeReport,
-    hs_beta,
-    minimize,
-)
+from .optimize import OptimizeConfig, OptimizeReport, minimize
 from .ttmodel import (
     TTCores,
     TTRank,
     cap_ranks,
     flatten_params,
     random_init,
-    tt_entry,
     tt_full,
     unflatten_params,
     uniform_ranks,

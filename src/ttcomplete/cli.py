@@ -18,10 +18,10 @@ from .complete import complete_image, fit_cores
 from .core import TensorShape
 from .data import extract_observations, gen_oscillating, mask_block, mask_random, mask_rows
 from .errors import FormatError, NumericError
-from .fileio import load_dense, load_sparse, save_dense, save_model
+from .fileio import _write, load_dense, load_sparse, save_dense, save_model
 from .images import detensorize_image, load_image, save_image, tensorize_image
 from .metrics import psnr, rse
-from .optimize import METHOD_GD, METHOD_NCG, OptimizeConfig
+from .optimize import OptimizeConfig
 from .ttmodel import TTRank, check_full_capacity, tt_full, uniform_ranks
 
 
@@ -76,17 +76,7 @@ def _parse_shapes(text: str) -> list[TensorShape]:
 
 
 def _config(args) -> OptimizeConfig:
-    method = {"ncg": METHOD_NCG, "gd": METHOD_GD}[args.method]
-    return OptimizeConfig(method=method, max_iters=args.max_iters, grad_tol=args.grad_tol)
-
-
-def _write_csv(path, spec_pairs, header: str, rows) -> None:
-    """A CSV file led by one ``# key=value`` comment line per run setting."""
-    with open(path, "w", encoding="ascii") as fh:
-        for key, value in spec_pairs:
-            fh.write(f"# {key}={value}\n")
-        for line in (header, *rows):
-            fh.write(line + "\n")
+    return OptimizeConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
 
 
 def cmd_complete(args) -> int:
@@ -113,18 +103,21 @@ def cmd_complete(args) -> int:
         cores, report = fit_cores(obs, rank, config, args.seed)
         recovered = tt_full(cores)
 
-    spec_pairs = [
-        ("command", "complete"),
-        ("input", args.input or args.image),
-        ("ranks", ",".join(str(r) for r in cores.rank.ranks)),
-        ("mask", mask_text),
-        ("tensorize", int(args.tensorize)),
-        ("seed", args.seed),
-        *asdict(config).items(),
-        ("termination", report.reason),
+    head = [
+        "# command=complete",
+        f"# input={args.input or args.image}",
+        "# ranks=" + ",".join(str(r) for r in cores.rank.ranks),
+        f"# mask={mask_text}",
+        f"# tensorize={int(args.tensorize)}",
+        f"# seed={args.seed}",
+        *(f"# {key}={value}" for key, value in asdict(config).items()),
+        f"# termination={report.reason}",
+        "iter,objective,grad_norm,step,evals",
     ]
-    trace = (f"{i},{r.objective!r},{r.grad_norm!r},{r.step!r}" for i, r in enumerate(report.records))
-    _write_csv(f"{args.out_prefix}.csv", spec_pairs, "iter,objective,grad_norm,step", trace)
+    trace = (
+        f"{i},{r.objective!r},{r.grad_norm!r},{r.step!r},{r.evals}" for i, r in enumerate(report.records)
+    )
+    _write(f"{args.out_prefix}.csv", head, trace)
     save_model(f"{args.out_prefix}_model.txt", cores)
 
     if args.image is not None:
@@ -141,8 +134,7 @@ def cmd_complete(args) -> int:
         fit_rse = math.sqrt(2.0 * report.final_objective) / denom if denom > 0 else float("nan")
         metrics_line = f"objective={report.final_objective!r} rse_observed={fit_rse!r}"
 
-    with open(f"{args.out_prefix}_metrics.txt", "w", encoding="ascii") as fh:
-        fh.write(metrics_line + "\n")
+    _write(f"{args.out_prefix}_metrics.txt", [metrics_line], ())
     print(metrics_line)
     return 0
 
@@ -177,15 +169,16 @@ def cmd_sweep(args) -> int:
     grid = [(shape, rate, seed) for shape in shapes for rate in rates for seed in seeds]
     rows = [_sweep_point(*g, args.rank, config) for g in grid]
 
-    spec_pairs = [
-        ("command", "sweep"),
-        ("shapes", ",".join(str(s) for s in shapes)),
-        ("rates", ",".join(repr(r) for r in rates)),
-        ("seeds", ",".join(str(s) for s in seeds)),
-        ("rank", args.rank),
-        *asdict(config).items(),
+    head = [
+        "# command=sweep",
+        "# shapes=" + ",".join(str(s) for s in shapes),
+        "# rates=" + ",".join(repr(r) for r in rates),
+        "# seeds=" + ",".join(str(s) for s in seeds),
+        f"# rank={args.rank}",
+        *(f"# {key}={value}" for key, value in asdict(config).items()),
+        "shape,rate,seed,rank,iters,final_objective,rse,seconds",
     ]
-    _write_csv(args.out, spec_pairs, "shape,rate,seed,rank,iters,final_objective,rse,seconds", rows)
+    _write(args.out, head, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -202,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ttcomplete", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     fit = argparse.ArgumentParser(add_help=False)
-    fit.add_argument("--method", choices=("ncg", "gd"), default="ncg")
     fit.add_argument("--max-iters", type=int, default=200)
     fit.add_argument("--grad-tol", type=float, default=0.0)
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .errors import BoundsError, ShapeError
+from .errors import ShapeError
 
 # Largest element count we are willing to address with signed 64-bit offsets.
 MAX_ELEMENT_COUNT = 2**62
@@ -73,23 +72,8 @@ class DenseTensor:
         """View the buffer as an N-d numpy array (no copy)."""
         return self.values.reshape(self.shape.sizes, order="F")
 
-    def __getitem__(self, idx: Sequence[int]) -> float:
-        coords = check_multi_index(self.shape, idx)
-        return float(self.as_array()[tuple(c - 1 for c in coords)])
-
 
 def tensor_from_array(arr: np.ndarray) -> DenseTensor:
     """Wrap a numpy array as a DenseTensor (column-major copy if needed)."""
     arr = np.asarray(arr, dtype=np.float64)
     return DenseTensor(TensorShape(arr.shape), arr.ravel(order="F"))
-
-
-def check_multi_index(shape: TensorShape, idx: Sequence[int]) -> tuple[int, ...]:
-    """Validate a 1-based multi-index against ``shape`` and return it as a tuple."""
-    coords = tuple(int(c) for c in idx)
-    if len(coords) != shape.order:
-        raise BoundsError(f"index has {len(coords)} coordinates, shape {shape} has {shape.order} modes")
-    for n, (c, s) in enumerate(zip(coords, shape.sizes), start=1):
-        if not 1 <= c <= s:
-            raise BoundsError(f"coordinate {c} out of range [1, {s}] in mode {n}")
-    return coords

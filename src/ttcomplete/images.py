@@ -62,18 +62,13 @@ def tensorize_mask(mask: MissingMask) -> MissingMask:
     return MissingMask(TensorShape((4,) * k + (3,)), _interleave(mask.observed, k))
 
 
-def quantize(img: DenseTensor) -> np.ndarray:
-    """Clamp to [0, 255] and round half away from zero to uint8, (H, W, 3)."""
-    arr = np.clip(img.as_array(), 0.0, float(_MAXVAL))
-    return np.floor(arr + 0.5).astype(np.uint8)
-
-
 def save_image(path, img: DenseTensor) -> None:
-    """Write a binary PPM (P6, maxval 255); values are clamped and rounded."""
+    """Write a binary PPM (P6, maxval 255); values are clamped to [0, 255] and rounded half up."""
     if img.shape.order != 3 or img.shape.sizes[2] != 3:
         raise ShapeError(f"expected (height, width, 3), got {img.shape}")
     height, width = img.shape.sizes[0], img.shape.sizes[1]
-    payload = quantize(img).tobytes()
+    arr = np.clip(img.as_array(), 0.0, float(_MAXVAL))
+    payload = np.floor(arr + 0.5).astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n{_MAXVAL}\n".encode("ascii"))
         fh.write(payload)

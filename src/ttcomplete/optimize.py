@@ -1,9 +1,10 @@
-"""First-order minimizers over a flat parameter vector.
+"""Nonlinear conjugate gradient over a flat parameter vector.
 
-Two methods share one strong-Wolfe line search: plain gradient descent and
-nonlinear conjugate gradient with Hestenes-Stiefel direction updates. The
-callback returns objective and gradient together, so every line-search trial
-yields the directional derivative for free.
+Directions follow the Hestenes-Stiefel update, restarted to steepest descent
+every n iterations, and each step comes from a strong-Wolfe line search
+(c1 = 1e-4, c2 = 0.1, first trial step at most 1, 25 evaluations per search).
+The callback returns objective and gradient together, so every line-search
+trial yields the directional derivative for free.
 """
 
 from __future__ import annotations
@@ -15,46 +16,36 @@ import numpy as np
 
 from .errors import NumericError, ShapeError
 
-METHOD_NCG = "ncg-hs"
-METHOD_GD = "gradient-descent"
-
 _HS_DENOM_FLOOR = 1e-30
+_WOLFE_C1 = 1e-4
+_WOLFE_C2 = 0.1
+_INITIAL_STEP = 1.0
+_MAX_LINE_SEARCH_EVALS = 25
 
 
 @dataclass(frozen=True)
 class OptimizeConfig:
-    """Knobs for :func:`minimize`.
+    """The two stopping rules of :func:`minimize`.
 
-    ``grad_tol`` compares against the gradient infinity norm with <=, so an
-    exactly zero gradient stops the run even at the default tolerance of 0
-    (otherwise the maximum iteration count governs termination).
+    ``max_iters`` caps the accepted steps. ``grad_tol`` compares against the
+    gradient infinity norm with <=, so an exactly zero gradient stops the run
+    even at the default tolerance of 0.
     """
 
-    method: str = METHOD_NCG
     max_iters: int = 200
     grad_tol: float = 0.0
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.1
-    initial_step: float = 1.0
-    max_line_search_evals: int = 25
 
     def __post_init__(self):
-        if self.method not in (METHOD_NCG, METHOD_GD):
-            raise ValueError(f"unknown method {self.method!r}, expected {METHOD_NCG!r} or {METHOD_GD!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.grad_tol < 0:
             raise ValueError("grad_tol must be non-negative")
-        if not (0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0):
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.wolfe_c1}, c2={self.wolfe_c2}")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
-        if self.max_line_search_evals < 1:
-            raise ValueError("max_line_search_evals must be positive")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One trace row; ``evals`` counts the f+g calls spent to reach it (1 at the start)."""
+
     objective: float
     grad_norm: float
     step: float
@@ -77,19 +68,12 @@ class OptimizeReport:
         return self.records[-1].objective
 
 
-def hs_beta(g_new: np.ndarray, g_old: np.ndarray, d_old: np.ndarray) -> float:
+def _hs_beta(g_new: np.ndarray, g_old: np.ndarray, d_old: np.ndarray) -> float:
     """Hestenes-Stiefel mixing coefficient, clamped to be non-negative.
 
     beta = g_new . (g_new - g_old) / d_old . (g_new - g_old); a vanishing
     denominator or a negative value restarts toward steepest descent (0).
     """
-    g_new = np.asarray(g_new, dtype=np.float64)
-    g_old = np.asarray(g_old, dtype=np.float64)
-    d_old = np.asarray(d_old, dtype=np.float64)
-    if not (g_new.size == g_old.size == d_old.size):
-        raise ShapeError(
-            f"mismatched lengths {g_new.size}, {g_old.size}, {d_old.size} in direction update"
-        )
     diff = g_new - g_old
     denom = float(np.dot(d_old, diff))
     if abs(denom) < _HS_DENOM_FLOOR:
@@ -133,15 +117,14 @@ class _LineEvaluator:
     steps are re-validated by the driver.
     """
 
-    def __init__(self, fg, x, d, budget):
+    def __init__(self, fg, x, d):
         self.fg = fg
         self.x = x
         self.d = d
-        self.budget = budget
         self.calls = 0
 
     def exhausted(self) -> bool:
-        return self.calls >= self.budget
+        return self.calls >= _MAX_LINE_SEARCH_EVALS
 
     def __call__(self, alpha):
         self.calls += 1
@@ -154,7 +137,7 @@ class _LineEvaluator:
         return f, g, derphi
 
 
-def _zoom(ev, a_lo, f_lo, d_lo, a_hi, f_hi, f0, derphi0, c1, c2):
+def _zoom(ev, a_lo, f_lo, d_lo, a_hi, f_hi, f0, derphi0):
     """Shrink a bracketing interval until a strong-Wolfe point is found.
 
     The interval always contains a point satisfying both conditions; each
@@ -175,11 +158,11 @@ def _zoom(ev, a_lo, f_lo, d_lo, a_hi, f_hi, f0, derphi0, c1, c2):
                 a_j = a_lo + 0.5 * dalpha
 
         f_j, g_j, d_j = ev(a_j)
-        if f_j > f0 + c1 * a_j * derphi0 or f_j >= f_lo:
+        if f_j > f0 + _WOLFE_C1 * a_j * derphi0 or f_j >= f_lo:
             a_rec, f_rec = a_hi, f_hi
             a_hi, f_hi = a_j, f_j
         else:
-            if abs(d_j) <= -c2 * derphi0:
+            if abs(d_j) <= -_WOLFE_C2 * derphi0:
                 return a_j, f_j, g_j
             if d_j * dalpha >= 0:
                 a_rec, f_rec = a_hi, f_hi
@@ -190,47 +173,46 @@ def _zoom(ev, a_lo, f_lo, d_lo, a_hi, f_hi, f0, derphi0, c1, c2):
     return None
 
 
-def _first_trial_step(f, f_prev, derphi0, cap):
-    """Initial step for one line search, capped by the configured value.
+def _first_trial_step(f, f_prev, derphi0):
+    """Initial step for one line search, at most ``_INITIAL_STEP``.
 
     Scales the trial to the decrease a quadratic model expects: the first
     iteration aims at f = 0, later ones at repeating the previous drop.
-    Well-scaled problems hit the cap and start at exactly ``cap``.
+    Well-scaled problems hit the cap and start at exactly ``_INITIAL_STEP``.
     """
     if derphi0 >= 0.0 or not np.isfinite(derphi0):
-        return cap
+        return _INITIAL_STEP
     if f_prev is None:
         drop = f if f > 0 else 0.0
     else:
         drop = f_prev - f
     if drop <= 0.0:
-        return cap
+        return _INITIAL_STEP
     guess = 2.02 * drop / (-derphi0)
     if not np.isfinite(guess) or guess <= 0.0:
-        return cap
-    return min(cap, guess)
+        return _INITIAL_STEP
+    return min(_INITIAL_STEP, guess)
 
 
-def _line_search(ev, f0, derphi0, first_trial, cfg):
+def _line_search(ev, f0, derphi0, first_trial):
     """Find a step satisfying the strong Wolfe conditions.
 
     Brackets by stepping out from ``first_trial`` (doubling), then zooms.
     Returns (alpha, f_alpha, g_alpha) or None when the evaluation budget runs
     out first.
     """
-    c1, c2 = cfg.wolfe_c1, cfg.wolfe_c2
     a_prev, f_prev, d_prev = 0.0, f0, derphi0
     alpha = first_trial
     first = True
     while not ev.exhausted():
         f_a, g_a, d_a = ev(alpha)
-        armijo_fails = f_a > f0 + c1 * alpha * derphi0 or not np.isfinite(f_a)
+        armijo_fails = f_a > f0 + _WOLFE_C1 * alpha * derphi0 or not np.isfinite(f_a)
         if armijo_fails or (f_a >= f_prev and not first):
-            return _zoom(ev, a_prev, f_prev, d_prev, alpha, f_a, f0, derphi0, c1, c2)
-        if abs(d_a) <= -c2 * derphi0:
+            return _zoom(ev, a_prev, f_prev, d_prev, alpha, f_a, f0, derphi0)
+        if abs(d_a) <= -_WOLFE_C2 * derphi0:
             return alpha, f_a, g_a
         if d_a >= 0:
-            return _zoom(ev, alpha, f_a, d_a, a_prev, f_prev, f0, derphi0, c1, c2)
+            return _zoom(ev, alpha, f_a, d_a, a_prev, f_prev, f0, derphi0)
         a_prev, f_prev, d_prev = alpha, f_a, d_a
         alpha *= 2.0
         first = False
@@ -242,7 +224,7 @@ def minimize(
     x0: np.ndarray,
     cfg: OptimizeConfig | None = None,
 ) -> tuple[np.ndarray, OptimizeReport]:
-    """Drive the configured method from ``x0`` until a stopping rule fires.
+    """Run NCG-HS from ``x0`` until a stopping rule fires.
 
     Every accepted step satisfies the strong Wolfe conditions, so the
     recorded objective sequence is strictly non-increasing. A line search
@@ -276,9 +258,9 @@ def minimize(
         if derphi0 >= 0.0:
             d = -g
             derphi0 = float(np.dot(g, d))
-        first_trial = _first_trial_step(f, f_prev, derphi0, cfg.initial_step)
-        ev = _LineEvaluator(fg, x, d, cfg.max_line_search_evals)
-        hit = _line_search(ev, f, derphi0, first_trial, cfg)
+        first_trial = _first_trial_step(f, f_prev, derphi0)
+        ev = _LineEvaluator(fg, x, d)
+        hit = _line_search(ev, f, derphi0, first_trial)
         if hit is None:
             report.reason = "line-search-failure"
             return x, report
@@ -286,10 +268,7 @@ def minimize(
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             raise NumericError("objective or gradient is not finite at an accepted step")
         x = x + alpha * d
-        if cfg.method == METHOD_GD or k % restart_period == 0:
-            beta = 0.0
-        else:
-            beta = hs_beta(g_new, g, d)
+        beta = 0.0 if k % restart_period == 0 else _hs_beta(g_new, g, d)
         d = -g_new + beta * d
         f_prev, f, g = f, f_new, g_new
         report.records.append(IterationRecord(f, float(np.max(np.abs(g))), float(alpha), ev.calls))

@@ -1,4 +1,4 @@
-"""Tensor-train model: core storage, entry evaluation, and parameter packing.
+"""Tensor-train model: core storage, full reconstruction, and parameter packing.
 
 An order-N tensor is represented by N three-way cores; core n has shape
 (r_{n-1}, I_n, r_n) with boundary ranks r_0 = r_N = 1. The entry at
@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, TensorShape, check_multi_index
+from .core import DenseTensor, TensorShape
 from .errors import CapacityError, ShapeError
 
 # Largest element count tt_full will materialize.
@@ -104,19 +104,6 @@ def random_init(shape: TensorShape, rank: TTRank, seed: int, scale: float = 1.0)
         dims = (rank.ranks[n], shape.sizes[n], rank.ranks[n + 1])
         cores.append(scale * rng.standard_normal(dims))
     return TTCores(tuple(cores), shape, rank)
-
-
-def tt_entry(cores: TTCores, idx: Sequence[int]) -> float:
-    """Evaluate one tensor entry as the chained product of selected slices.
-
-    The product is accumulated left to right as a running row vector, so one
-    entry costs O(sum r_{n-1} r_n) instead of materializing N matrices.
-    """
-    coords = check_multi_index(cores.shape, idx)
-    row = cores.cores[0][:, coords[0] - 1, :]
-    for n in range(1, len(coords)):
-        row = row @ cores.cores[n][:, coords[n] - 1, :]
-    return float(row[0, 0])
 
 
 def check_full_capacity(shape: TensorShape) -> None:

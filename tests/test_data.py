@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from ttcomplete import (
     BoundsError,
     MissingMask,
+    OptimizeConfig,
     ShapeError,
     TTRank,
     TensorShape,
     default_init_scale,
     extract_observations,
+    fit_cores,
     gen_oscillating,
     gen_tt_random,
     mask_block,
@@ -20,16 +22,20 @@ from ttcomplete import (
     mask_rows,
     objective,
     random_init,
+    rse,
     tt_full,
+    uniform_ranks,
 )
 from oracles import outer_product
 
 
 class TestOscillating:
     def test_first_cell(self):
+        # x = 1/4 * 10 = 2.5
         t = gen_oscillating(TensorShape((4,)))
-        assert t.values[0] == math.sin(0.25) * math.cos(1.0)
-        assert t.values[0] == pytest.approx(0.1336729, abs=1e-7)
+        assert t.values[0] == math.sin(0.625) * math.cos(6.25)
+        assert t.values[0] == pytest.approx(0.5847751, abs=1e-7)
+        assert t.values[3] == pytest.approx(math.sin(2.5) * math.cos(100.0), rel=1e-15)
 
     def test_range(self):
         t = gen_oscillating(TensorShape((26, 26, 26)))
@@ -42,9 +48,16 @@ class TestOscillating:
         assert t.shape.element_count == 17576
         expected = np.empty(17576)
         for k in range(17576):
-            x = float(k + 1)
+            x = (k + 1) / 17576 * 10.0
             expected[k] = math.sin(x / 4.0) * math.cos(x * x)
         assert np.allclose(t.values, expected, rtol=1e-15, atol=1e-15)
+
+    def test_recoverable_at_half_missing(self):
+        shape = TensorShape((7, 7, 7, 7, 7))
+        truth = gen_oscillating(shape)
+        obs = extract_observations(truth, mask_random(shape, 0.5, seed=1))
+        cores, _ = fit_cores(obs, uniform_ranks(shape, 8), OptimizeConfig(max_iters=200), seed=1)
+        assert rse(tt_full(cores), truth) < 0.05
 
 
 class TestTTRandom:
@@ -72,11 +85,11 @@ class TestTTRandom:
 class TestRandomMask:
     def test_rate_zero_all_observed(self):
         mask = mask_random(TensorShape((5, 5)), 0.0, seed=0)
-        assert mask.observed_count == 25
+        assert np.count_nonzero(mask.observed) == 25
 
     def test_exact_count(self):
         mask = mask_random(TensorShape((10, 10)), 0.9, seed=1)
-        assert mask.observed_count == 10
+        assert np.count_nonzero(mask.observed) == 10
 
     def test_determinism_and_seed_sensitivity(self):
         shape = TensorShape((8, 8))
@@ -100,17 +113,17 @@ class TestRandomMask:
     def test_count_formula(self, seed, rate):
         shape = TensorShape((6, 7))
         mask = mask_random(shape, rate, seed)
-        assert mask.observed_count == int(round((1.0 - rate) * 42))
+        assert np.count_nonzero(mask.observed) == int(round((1.0 - rate) * 42))
 
 
 class TestStructuredMasks:
     def test_empty_row_list(self):
         mask = mask_rows(TensorShape((4, 4, 3)), [])
-        assert mask.observed_count == 48
+        assert np.count_nonzero(mask.observed) == 48
 
     def test_one_row_removes_width_times_channels(self):
         mask = mask_rows(TensorShape((256, 256, 3)), [10])
-        assert mask.observed_count == 256 * 256 * 3 - 256 * 3
+        assert np.count_nonzero(mask.observed) == 256 * 256 * 3 - 256 * 3
 
     def test_row_out_of_bounds(self):
         with pytest.raises(BoundsError):
@@ -118,7 +131,7 @@ class TestStructuredMasks:
 
     def test_block_counts(self):
         mask = mask_block(TensorShape((8, 8, 3)), 2, 3, 4, 2)
-        assert mask.observed_count == 8 * 8 * 3 - 4 * 2 * 3
+        assert np.count_nonzero(mask.observed) == 8 * 8 * 3 - 4 * 2 * 3
 
     def test_full_block_rejected(self):
         with pytest.raises(ValueError):
@@ -159,7 +172,7 @@ class TestExtractObservations:
         t = gen_oscillating(shape)
         mask = mask_random(shape, 0.3, seed=8)
         obs = extract_observations(t, mask)
-        assert obs.count == mask.observed_count
+        assert obs.count == np.count_nonzero(mask.observed)
 
     def test_shape_mismatch(self):
         t = gen_oscillating(TensorShape((3, 2)))

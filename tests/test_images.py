@@ -155,7 +155,7 @@ class TestTensorizeMask:
         mask = mask_random(shape, 0.6, seed=2)
         lifted = tensorize_mask(mask)
         assert lifted.shape.sizes == (4, 4, 4, 4, 3)
-        assert lifted.observed_count == mask.observed_count
+        assert np.count_nonzero(lifted.observed) == np.count_nonzero(mask.observed)
 
     def test_cells_track_values(self):
         # masking then tensorizing agrees with tensorizing then masking

@@ -14,7 +14,6 @@ from ttcomplete import (
     cap_ranks,
     flatten_params,
     random_init,
-    tt_entry,
     tt_full,
     unflatten_params,
     uniform_ranks,
@@ -77,6 +76,11 @@ class TestRandomInit:
             assert np.all(c == 0.0)
 
 
+def cell(cores, idx):
+    """The 1-based entry ``idx`` of the materialized tensor."""
+    return float(tt_full(cores).as_array()[tuple(i - 1 for i in idx)])
+
+
 class TestEntryEvaluation:
     def test_all_ones_rank_one(self):
         shape = TensorShape((2, 3, 2))
@@ -85,20 +89,20 @@ class TestEntryEvaluation:
             tuple(np.ones((1, s, 1)) for s in shape.sizes), shape, rank
         )
         for idx in itertools.product(range(1, 3), range(1, 4), range(1, 3)):
-            assert tt_entry(cores, idx) == 1.0
+            assert cell(cores, idx) == 1.0
 
     def test_two_mode_hand_values(self):
         cores = two_mode_example()
-        assert tt_entry(cores, (1, 1)) == 17.0
-        assert tt_entry(cores, (2, 2)) == 53.0
+        assert cell(cores, (1, 1)) == 17.0
+        assert cell(cores, (2, 2)) == 53.0
         for idx in itertools.product((1, 2), repeat=2):
-            assert tt_entry(cores, idx) == entry_by_matrix_chain(cores, idx)
+            assert cell(cores, idx) == entry_by_matrix_chain(cores, idx)
 
     def test_single_mode(self):
         cores = TTCores(
             (np.array([[[2.0], [5.0], [7.0]]]),), TensorShape((3,)), TTRank((1, 1))
         )
-        assert tt_entry(cores, (2,)) == 5.0
+        assert cell(cores, (2,)) == 5.0
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=20)
@@ -106,12 +110,12 @@ class TestEntryEvaluation:
         rng = np.random.default_rng(seed)
         cores = random_init(TensorShape((3, 2, 3)), TTRank((1, 2, 2, 1)), seed=seed)
         idx = tuple(rng.integers(1, s + 1) for s in cores.shape.sizes)
-        base = tt_entry(cores, idx)
+        base = cell(cores, idx)
         which = int(rng.integers(0, 3))
         scaled_cores = list(cores.cores)
         scaled_cores[which] = 2.5 * scaled_cores[which]
         scaled = TTCores(tuple(scaled_cores), cores.shape, cores.rank)
-        assert tt_entry(scaled, idx) == pytest.approx(2.5 * base, rel=1e-14)
+        assert cell(scaled, idx) == pytest.approx(2.5 * base, rel=1e-14)
 
 
 class TestFullReconstruction:
@@ -133,9 +137,10 @@ class TestFullReconstruction:
     def test_entry_full_agreement_exhaustive(self, seed):
         shape = TensorShape((4, 3, 4, 2))
         cores = random_init(shape, TTRank((1, 3, 2, 3, 1)), seed=seed)
-        full = tt_full(cores)
+        full = tt_full(cores).as_array()
         for idx in itertools.product(*(range(1, s + 1) for s in shape.sizes)):
-            assert full[idx] == pytest.approx(tt_entry(cores, idx), rel=1e-12, abs=1e-14)
+            expected = entry_by_matrix_chain(cores, idx)
+            assert full[tuple(i - 1 for i in idx)] == pytest.approx(expected, rel=1e-12, abs=1e-14)
 
     def test_capacity_guard(self):
         # 4097 * 4096 = 16,781,312 cells, one row over the 2**24 limit; the cores stay tiny
