@@ -102,6 +102,12 @@ def cmd_complete(args) -> int:
         check_full_capacity(obs.shape)
         cores, report = fit_cores(obs, rank, config, args.seed)
         recovered = tt_full(cores)
+    if report.reason == "line-search-failure":
+        print(
+            f"warning: line-search-failure after {report.iterations} iterations; "
+            "the outputs hold the last accepted step",
+            file=sys.stderr,
+        )
 
     head = [
         "# command=complete",
@@ -112,6 +118,7 @@ def cmd_complete(args) -> int:
         f"# seed={args.seed}",
         *(f"# {key}={value}" for key, value in asdict(config).items()),
         f"# termination={report.reason}",
+        f"# evals={report.evals}",
         "iter,objective,grad_norm,step,evals",
     ]
     trace = (

@@ -10,26 +10,46 @@ and the gradient of slice core_n[:, j, :] are
 where P_n[m] is the left partial product of slices 1..n-1 (a 1 x r_{n-1} row)
 and S_n[m] the right partial product of slices n+1..N (an r_n x 1 column).
 
-Observations that agree in (i_1, ..., i_n) share their left products, so the
-engine works on a trie of distinct prefixes. Depth n holds the K_n distinct
-prefixes of length n, K_n <= min(M, I_1 * ... * I_n), each with its parent at
-depth n-1 and its slice label i_n. The forward pass sets
-P[node] = P[parent] @ core_n[:, label, :]; the leaves give x. The backward pass
-is reverse mode over the same trie: a leaf's adjoint is the sum of its
-residuals x_m - y_m (repeated cells included), slice j's gradient sums
+The engine meets in the middle. It splits the modes at s and stores the
+observations as two tries. The prefix trie over modes 1..s holds at depth n
+the K_n distinct prefixes (i_1, ..., i_n), K_n <= min(M, I_1 * ... * I_n),
+each with its parent at depth n-1 and its slice label i_n. The suffix trie is
+the same structure over the reversed modes N, ..., s+1 and the transposed
+cores core_n.transpose(2, 1, 0); it holds the K'_n distinct suffixes
+(i_n, ..., i_N). The forward pass sets P[node] = P[parent] @ core_n[:, label, :]
+in each trie. The prefix leaves give the K_s x r_s rows L, the suffix leaves
+the K'_{s+1} x r_s rows R, and one dense block X = L @ R^T joins them:
+observation m, with prefix leaf a_m and suffix leaf b_m, predicts X[a_m, b_m].
+
+The backward pass is reverse mode. The residuals x_m - y_m are summed into a
+K_s x K'_{s+1} block E at (a_m, b_m) (one ``bincount``, repeated cells
+included). The prefix leaves receive the adjoint E @ R, the suffix leaves
+E^T @ L, and each trie runs its backward pass: slice j's gradient sums
 P[parent]^T @ adjoint[node] over the nodes labelled j, and a parent's adjoint
 sums adjoint[child] @ core_n[:, label, :]^T over its children. ``objective``
-runs only the forward pass, as does ``reconstruct`` over a trie of the
-requested cells. A fused objective+gradient call costs
-O(sum_n K_n * r_{n-1} * r_n).
+and ``reconstruct`` run only the forward pass.
 
-Evaluation is deterministic: observations are sorted stably and
-lexicographically by (i_1, ..., i_N) and reduced in that order, so permuting
+Cost rule. A fused call costs O(sum_{n<=s} K_n r_{n-1} r_n
++ sum_{n>s} K'_n r_{n-1} r_n + K_s K'_{s+1} r_s + M). The split s minimises
+the trie nodes sum_{n<=s} K_n + sum_{n>s} K'_n among the splits whose block
+holds at most ``_BLOCK_CELLS_PER_OBS`` * M cells. s = N, where the suffix trie
+is empty and R is the 1 x 1 matrix of ones, always qualifies; there every
+product is exact and the engine is a one-sided prefix trie. K_n and K'_n come
+from two sorts of the observations' linear offsets, so s depends only on the
+observed cells, and one cached structure serves the objective, the gradient
+and the duplicate check.
+
+Determinism: rows are kept in the stable lexicographic order of
+(i_1, ..., i_N), the suffix trie is built from the order of (i_N, ..., i_1),
+and trie nodes are stored by label and then in sorted order. Both orders are
+unique for distinct cells, and each block cell belongs to one distinct cell,
+so every reduction sees the same operands in the same order and permuting
 distinct stored entries changes no output bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -76,15 +96,14 @@ class SparseObservations:
 
     def repeated_rows(self) -> np.ndarray:
         """Ascending rows whose multi-index an earlier row already holds."""
-        trie, _ = self._trie()
-        return np.sort(trie.order[1:][trie.leaf[1:] == trie.leaf[:-1]])
+        return self._join()[0].repeated
 
-    def _trie(self):
-        """The prefix trie of the observations and their values in its row order."""
-        if "trie" not in self._cache:
-            trie = _Trie(self.indices, self.shape)
-            self._cache["trie"] = (trie, self.values[trie.order])
-        return self._cache["trie"]
+    def _join(self):
+        """The observations' two tries and their join, and the values in its row order."""
+        if "join" not in self._cache:
+            join = _Join(self.indices, self.shape)
+            self._cache["join"] = (join, self.values[join.order])
+        return self._cache["join"]
 
 
 def _check_bounds(indices: np.ndarray, shape: TensorShape, noun: str):
@@ -100,28 +119,65 @@ def _check_bounds(indices: np.ndarray, shape: TensorShape, noun: str):
         )
 
 
-class _Trie:
-    """Shared-prefix trie over the rows of 1-based ``indices`` into ``shape``.
+# The join block holds at most this many cells per observation. On img256 at
+# r = 8 (1 BLAS thread) a block cell costs about 3 ns per f+g (a gather, a
+# bincount and three r_s-wide matrix products: 0.5-0.65 ms for 196,608 cells)
+# and a trie node about 40 ns (2.1-2.4 ms for the one-sided trie's 54,564
+# nodes). A block at the cap so costs about one node per observation, which
+# the one-sided trie's last level alone spends. img256 needs 10 for s = 4; a
+# 1000^3 tensor with 5,000 cells would need about 1,000 and keeps s = N.
+_BLOCK_CELLS_PER_OBS = 16
 
-    ``order`` sorts the rows stably and lexicographically by (i_1, ..., i_N);
-    ``leaf[m]`` is the leaf of sorted row m. ``depths[n]`` is a pair
-    (segments, parents) for the distinct prefixes of length n + 1, stored
+
+def _sort_rows(indices: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Stable lexicographic order of the rows of 1-based ``indices``, their sorted offsets, K_1..K_N.
+
+    K_n counts the distinct length-n prefixes among the rows.
+    """
+    # Row-major offsets order cells lexicographically; TensorShape keeps them in int64.
+    lin = np.ravel_multi_index(tuple((indices - 1).T), sizes)
+    order = np.argsort(lin, kind="stable")
+    lin = lin[order]
+    strides = [math.prod(sizes[n:]) for n in range(1, len(sizes) + 1)]
+    return order, lin, [1 + int(np.count_nonzero(np.diff(lin // st))) for st in strides]
+
+
+def _best_split(prefix: Sequence[int], suffix: Sequence[int], m: int) -> int:
+    """The split s in 1..N for K_n = ``prefix[n-1]`` and K'_n = ``suffix[n-1]``.
+
+    Minimises the trie nodes sum_{n<=s} K_n + sum_{n>s} K'_n over the splits
+    whose join block K_s x K'_{s+1} (K'_{N+1} = 1) holds at most
+    ``_BLOCK_CELLS_PER_OBS`` * ``m`` cells; a tie goes to the larger s. s = N
+    always qualifies, since K_N <= m.
+    """
+    order = len(prefix)
+    best, fewest = order, sum(prefix)
+    for s in range(order - 1, 0, -1):
+        nodes = sum(prefix[:s]) + sum(suffix[s:])
+        if nodes < fewest and prefix[s - 1] * suffix[s] <= _BLOCK_CELLS_PER_OBS * m:
+            best, fewest = s, nodes
+    return best
+
+
+class _Trie:
+    """Shared-prefix trie over the first ``depth`` modes of sorted offsets ``lin`` into ``sizes``.
+
+    ``leaf[m]`` is the last-depth node of sorted row m, and ``leaves`` counts
+    those nodes (a trie of depth 0 is one root, node 0). ``depths[n]`` is a
+    pair (segments, parents) for the distinct prefixes of length n + 1, stored
     grouped by slice label: segments lists (label, node slice) in ascending
     label order, and parents[k] is the position of node k's parent at the
     previous depth. Within one segment the parents are distinct.
     """
 
-    def __init__(self, indices: np.ndarray, shape: TensorShape):
-        # Row-major offsets order cells lexicographically; TensorShape keeps them in int64.
-        lin = np.ravel_multi_index(tuple((indices - 1).T), shape.sizes)
-        self.order = np.argsort(lin, kind="stable")
-        lin = lin[self.order]
+    def __init__(self, lin: np.ndarray, sizes, depth: int):
         fresh = np.ones(lin.size, dtype=bool)  # sorted row starts a new prefix
         node = np.zeros(lin.size, dtype=np.int64)  # each row's node at the previous depth
-        stride = shape.element_count
+        stride = math.prod(sizes)
         self.depths = []
+        self.leaves = 1
         self._targets = {}
-        for size in shape.sizes:
+        for size in sizes[:depth]:
             stride //= size
             prefix = lin // stride
             np.not_equal(prefix[1:], prefix[:-1], out=fresh[1:])
@@ -136,10 +192,11 @@ class _Trie:
             place = np.empty_like(perm)
             place[perm] = np.arange(perm.size)
             node = place[np.cumsum(fresh) - 1]
+            self.leaves = perm.size
         self.leaf = node
 
     def forward(self, cores: Sequence[np.ndarray], keep: bool = False):
-        """Leaf values, plus each depth's gathered parent rows when ``keep``."""
+        """Leaf rows, plus each depth's gathered parent rows when ``keep``."""
         rows = np.ones((1, 1))
         gathered = []
         for core, (segments, parents) in zip(cores, self.depths):
@@ -149,13 +206,11 @@ class _Trie:
                 np.matmul(g[seg], core[:, j, :], out=rows[seg])
             if keep:
                 gathered.append(g)
-        return rows[:, 0], gathered
+        return rows, gathered
 
-    def backward(self, cores: Sequence[np.ndarray], gathered, resid: np.ndarray) -> np.ndarray:
-        """Flattened core gradients given the residual of each sorted row."""
-        # a leaf's adjoint sums the residuals of its rows, repeated cells included
-        adj = np.bincount(self.leaf, weights=resid, minlength=gathered[-1].shape[0])[:, None]
-        parts = []
+    def backward(self, cores: Sequence[np.ndarray], gathered, adj: np.ndarray) -> list:
+        """Core gradients in depth order, given the adjoint of each leaf row."""
+        grads = []
         for n in range(len(cores) - 1, -1, -1):
             core, g = cores[n], gathered[n]
             grad = np.zeros_like(core)
@@ -166,8 +221,8 @@ class _Trie:
                     np.matmul(adj[seg], core[:, j, :].T, out=up[seg])
             if n:
                 adj = self._sum_into_parents(n, up, gathered[n - 1].shape[0])
-            parts.append(grad.ravel(order="F"))
-        return np.concatenate(parts[::-1])
+            grads.append(grad)
+        return grads[::-1]
 
     def _sum_into_parents(self, n: int, rows: np.ndarray, count: int) -> np.ndarray:
         """Sum depth-n node rows into their ``count`` parents' rows, adding in storage order."""
@@ -179,13 +234,57 @@ class _Trie:
         return flat.reshape(count, width)
 
 
+class _Join:
+    """Rows of 1-based ``indices`` as a prefix trie and a suffix trie joined by one block.
+
+    ``order`` sorts the rows stably and lexicographically by (i_1, ..., i_N);
+    every per-row array is kept in that order. ``split`` is s; ``left`` is the
+    trie over modes 1..s and ``right`` the trie over modes N, ..., s+1. Sorted
+    row m sits at ``flat[m]`` of the flattened ``left.leaves`` x
+    ``right.leaves`` join block. ``repeated`` lists, ascending, the rows whose
+    multi-index an earlier row already holds.
+    """
+
+    def __init__(self, indices: np.ndarray, shape: TensorShape):
+        sizes, rsizes = shape.sizes, shape.sizes[::-1]
+        self.order, lin, prefix = _sort_rows(indices, sizes)
+        rorder, rlin, suffix = _sort_rows(indices[:, ::-1], rsizes)
+        self.repeated = np.sort(self.order[1:][lin[1:] == lin[:-1]])
+        self.split = _best_split(prefix, suffix[::-1], lin.size)
+        self.left = _Trie(lin, sizes, self.split)
+        self.right = _Trie(rlin, rsizes, len(sizes) - self.split)
+        right_leaf = np.empty_like(rorder)
+        right_leaf[rorder] = self.right.leaf
+        self.flat = self.left.leaf * self.right.leaves + right_leaf[self.order]
+
+    def forward(self, cores: Sequence[np.ndarray], keep: bool = False):
+        """Predictions of the sorted rows, and what ``backward`` needs."""
+        s = self.split
+        right_cores = [core.transpose(2, 1, 0) for core in cores[s:][::-1]]
+        left, left_kept = self.left.forward(cores[:s], keep)
+        right, right_kept = self.right.forward(right_cores, keep)
+        x = np.take((left @ right.T).ravel(), self.flat)
+        return x, (left, right, left_kept, right_kept, right_cores)
+
+    def backward(self, cores: Sequence[np.ndarray], kept, resid: np.ndarray) -> np.ndarray:
+        """Flattened core gradients given the residual of each sorted row."""
+        left, right, left_kept, right_kept, right_cores = kept
+        block = np.bincount(self.flat, weights=resid, minlength=left.shape[0] * right.shape[0])
+        block = block.reshape(left.shape[0], right.shape[0])
+        left_grads = self.left.backward(cores[: self.split], left_kept, block @ right)
+        right_grads = self.right.backward(right_cores, right_kept, (left.T @ block).T)
+        parts = [g.ravel(order="F") for g in left_grads]
+        parts += [g.transpose(2, 1, 0).ravel(order="F") for g in right_grads[::-1]]
+        return np.concatenate(parts)
+
+
 def _residuals(cores: TTCores, obs: SparseObservations, keep: bool = False):
-    """The trie, x_m - y_m in its row order, and the forward pass's kept rows."""
+    """The join, x_m - y_m in its row order, and what its backward pass needs."""
     if cores.shape.sizes != obs.shape.sizes:
         raise ShapeError(f"cores describe shape {cores.shape}, observations shape {obs.shape}")
-    trie, vals = obs._trie()
-    x, gathered = trie.forward(cores.cores, keep)
-    return trie, x[trie.leaf] - vals, gathered
+    join, vals = obs._join()
+    x, kept = join.forward(cores.cores, keep)
+    return join, x - vals, kept
 
 
 def objective(cores: TTCores, obs: SparseObservations) -> float:
@@ -200,8 +299,8 @@ def objective_and_gradient(cores: TTCores, obs: SparseObservations) -> tuple[flo
     The gradient layout matches :func:`ttcomplete.ttmodel.flatten_params`.
     Slices untouched by every observation keep an exactly zero gradient.
     """
-    trie, resid, gathered = _residuals(cores, obs, keep=True)
-    return 0.5 * float(np.dot(resid, resid)), trie.backward(cores.cores, gathered, resid)
+    join, resid, kept = _residuals(cores, obs, keep=True)
+    return 0.5 * float(np.dot(resid, resid)), join.backward(cores.cores, kept, resid)
 
 
 def gradient(cores: TTCores, obs: SparseObservations) -> np.ndarray:
@@ -217,8 +316,8 @@ def reconstruct(cores: TTCores, at) -> np.ndarray:
             f"indices of width {at.shape[1]} do not match order-{cores.shape.order} shape"
         )
     _check_bounds(at, cores.shape, "request")
-    trie = _Trie(at, cores.shape)
-    x, _ = trie.forward(cores.cores)
+    join = _Join(at, cores.shape)
+    x, _ = join.forward(cores.cores)
     out = np.empty(at.shape[0])
-    out[trie.order] = x[trie.leaf]
+    out[join.order] = x
     return out

@@ -140,7 +140,7 @@ def load_sparse(path) -> SparseObservations:
 def save_dense(path, t: DenseTensor) -> None:
     """Write a dense tensor: magic, N, sizes, then one value per line (column-major)."""
     head = (DENSE_MAGIC, t.shape.order, " ".join(map(str, t.shape.sizes)))
-    _write(path, head, map(repr, t.values.tolist()))
+    _write(path, head, map(float.__repr__, t.values.tolist()))
 
 
 def load_dense(path) -> DenseTensor:

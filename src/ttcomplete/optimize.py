@@ -54,10 +54,14 @@ class IterationRecord:
 
 @dataclass
 class OptimizeReport:
-    """Trace of one run: record 0 is the starting point, then one per accepted step."""
+    """Trace of one run: record 0 is the starting point, then one per accepted step.
+
+    ``evals`` counts every f+g call, those of a line search that failed included.
+    """
 
     records: list = field(default_factory=list)
     reason: str = ""
+    evals: int = 0
 
     @property
     def iterations(self) -> int:
@@ -233,8 +237,10 @@ def minimize(
     """
     cfg = cfg or OptimizeConfig()
     x = np.array(x0, dtype=np.float64).ravel()
+    report = OptimizeReport()
 
     def fg(z):
+        report.evals += 1
         f, g = f_and_g(z)
         g = np.asarray(g, dtype=np.float64).ravel()
         if g.size != x.size:
@@ -244,7 +250,6 @@ def minimize(
     f, g = fg(x)
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise NumericError("objective or gradient is not finite at the starting point")
-    report = OptimizeReport()
     report.records.append(IterationRecord(f, float(np.max(np.abs(g))), 0.0, 1))
     if float(np.max(np.abs(g))) <= cfg.grad_tol:
         report.reason = "grad-tol"

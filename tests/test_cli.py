@@ -73,6 +73,26 @@ class TestComplete:
         model = load_model(tmp_path / "run_model.txt")
         assert model.shape.sizes == (4, 4, 4)
 
+    def test_line_search_failure_reported_on_stderr(self, tmp_path, capsys):
+        # Pinned: the fully observed 4x4x4 problem of seed 0, fitted from seed 1,
+        # reaches f ~ 0 and then ends in a line search that finds no decrease.
+        obs_path, _ = write_small_problem(tmp_path)
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--seed", "1"]
+        assert main(argv + ["--max-iters", "400", "--out-prefix", str(tmp_path / "run")]) == 0
+        err = capsys.readouterr().err
+        assert "line-search-failure" in err
+        trace = (tmp_path / "run.csv").read_text().splitlines()
+        assert "# termination=line-search-failure" in trace
+        evals = int(next(l for l in trace if l.startswith("# evals=")).split("=")[1])
+        header_at = trace.index("iter,objective,grad_norm,step,evals")
+        recorded = sum(int(row.split(",")[4]) for row in trace[header_at + 1 :])
+        # the failed search's evaluations are in the total, not in any row
+        assert evals > recorded
+
+        assert main(argv + ["--max-iters", "3", "--out-prefix", str(tmp_path / "short")]) == 0
+        assert capsys.readouterr().err == ""
+        assert "# termination=max-iters" in (tmp_path / "short.csv").read_text().splitlines()
+
     def test_rse_observed_matches_reconstruct(self, tmp_path, capsys):
         shape = TensorShape((5, 4, 6))
         truth = gen_tt_random(shape, TTRank((1, 3, 3, 1)), seed=4)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttcomplete.engine as engine
 from ttcomplete import (
     BoundsError,
     DenseTensor,
@@ -19,10 +22,13 @@ from ttcomplete import (
     objective_and_gradient,
     random_init,
     reconstruct,
+    synthetic_scene,
+    tensorize_image,
+    tensorize_mask,
     tt_full,
     unflatten_params,
 )
-from oracles import central_difference_gradient, dense_weighted_objective
+from oracles import central_difference_gradient, dense_weighted_objective, full_by_entries
 from test_ttmodel import two_mode_example
 
 
@@ -41,9 +47,16 @@ def random_instance(seed, order=None):
     return cores, SparseObservations(shape, coords, values)
 
 
+def at_split(obs, s):
+    """``obs`` with its two tries built at split ``s``."""
+    with mock.patch.object(engine, "_best_split", return_value=s):
+        assert obs._join()[0].split == s
+    return obs
+
+
 @st.composite
 def trie_instances(draw):
-    """A random model, a random subset of observed cells, and a permutation of them."""
+    """A random model, a random subset of observed cells split at a random s, and a permutation."""
     order = draw(st.integers(2, 5))
     sizes = tuple(draw(st.lists(st.integers(1, 5), min_size=order, max_size=order)))
     inner = draw(st.lists(st.integers(1, 3), min_size=order - 1, max_size=order - 1))
@@ -56,7 +69,8 @@ def trie_instances(draw):
     cores = random_init(shape, TTRank((1, *inner, 1)), seed=seed)
     coords = np.stack(np.unravel_index(cells, sizes, order="F"), axis=1) + 1
     obs = SparseObservations(shape, coords, rng.standard_normal(len(cells)))
-    return cores, obs, rng.permutation(len(cells))
+    split = draw(st.integers(1, order))
+    return cores, at_split(obs, split), rng.permutation(len(cells))
 
 
 def _max_fd_error(cores, obs):
@@ -169,11 +183,13 @@ class TestGradient:
             [rng.integers(1, 5, 12), np.ones(12, dtype=int), rng.integers(1, 5, 12)], axis=1
         )
         coords = np.unique(coords, axis=0)
-        obs = SparseObservations(shape, coords, rng.standard_normal(coords.shape[0]))
-        g = gradient(cores, obs)
-        core2 = unflatten_params(cores, g).cores[1]
-        assert np.all(core2[:, 1:, :] == 0.0)
-        assert np.any(core2[:, 0, :] != 0.0)
+        values = rng.standard_normal(coords.shape[0])
+        for s in (1, 2, 3):
+            obs = at_split(SparseObservations(shape, coords, values), s)
+            g = gradient(cores, obs)
+            core2 = unflatten_params(cores, g).cores[1]
+            assert np.all(core2[:, 1:, :] == 0.0)
+            assert np.any(core2[:, 0, :] != 0.0)
 
 
 class TestFusedEvaluation:
@@ -255,10 +271,73 @@ class TestProperties:
     def test_bit_exact_under_permutation(self, instance):
         cores, obs, perm = instance
         shuffled = SparseObservations(obs.shape, obs.indices[perm], obs.values[perm])
+        at_split(shuffled, obs._join()[0].split)
         f0, g0 = objective_and_gradient(cores, obs)
         f1, g1 = objective_and_gradient(cores, shuffled)
         assert f0 == f1 == objective(cores, shuffled)
         assert np.array_equal(g0, g1)
+
+
+class TestSplit:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_split_matches_dense_oracle(self, seed):
+        cores, obs = random_instance(seed)
+        shape = obs.shape
+        cells = np.ravel_multi_index(tuple((obs.indices - 1).T), shape.sizes, order="F")
+        truth = np.zeros(shape.element_count)
+        truth[cells] = obs.values
+        observed = np.zeros(shape.element_count, dtype=bool)
+        observed[cells] = True
+        dense_val = dense_weighted_objective(cores, truth, observed)
+        g_ref = gradient(cores, at_split(SparseObservations(shape, obs.indices, obs.values), shape.order))
+        for s in range(1, shape.order + 1):
+            split = at_split(SparseObservations(shape, obs.indices, obs.values), s)
+            f, g = objective_and_gradient(cores, split)
+            assert f == pytest.approx(dense_val, rel=1e-12)
+            assert objective(cores, split) == f
+            assert np.allclose(g, g_ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(g_ref)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reconstruct_at_every_split(self, seed):
+        cores, obs = random_instance(seed)
+        full = full_by_entries(cores)[tuple((obs.indices - 1).T)]
+        for s in range(1, obs.shape.order + 1):
+            with mock.patch.object(engine, "_best_split", return_value=s):
+                assert np.allclose(reconstruct(cores, obs.indices), full, rtol=1e-12, atol=1e-14)
+
+    def test_best_split_from_counts(self):
+        # distinct prefixes and suffixes of a tensorized 256^2 image at 90% missing
+        prefix = [4, 16, 64, 256, 1024, 4067, 11745, 17747, 19661]
+        suffix = [19661, 16823, 9978, 3070, 768, 192, 48, 12, 3]
+        assert engine._best_split(prefix, suffix, 19661) == 4
+        # a block over the cap is never chosen: s = 4 needs 256 * 768 cells
+        assert engine._best_split(prefix, suffix, 256 * 768 // 16 - 1) != 4
+        assert engine._best_split([5, 25], [25, 5], 25) == 1
+        assert engine._best_split([3], [3], 3) == 1
+
+    def test_tensorized_image_splits_in_the_middle(self):
+        img = synthetic_scene(256, seed=1)
+        mask = mask_random(img.shape, 0.9, 1)
+        obs = extract_observations(tensorize_image(img), tensorize_mask(mask))
+        assert obs._join()[0].split == 4
+
+    def test_dense_sparse_cube_splits_early(self):
+        shape = TensorShape((48, 48, 48))
+        rng = np.random.default_rng(2)
+        obs = extract_observations(
+            DenseTensor(shape, rng.standard_normal(shape.element_count)), mask_random(shape, 0.6, 2)
+        )
+        assert obs._join()[0].split < 3
+
+    def test_block_over_cap_keeps_one_sided_trie(self):
+        shape = TensorShape((1000, 1000, 1000))
+        rng = np.random.default_rng(3)
+        cells = rng.choice(shape.element_count, size=5000, replace=False)
+        coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
+        obs = SparseObservations(shape, coords, rng.standard_normal(5000))
+        join = obs._join()[0]
+        assert join.split == 3
+        assert join.right.leaves == 1
 
 
 class TestReconstruct:

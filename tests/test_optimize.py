@@ -171,4 +171,17 @@ class TestMinimize:
 
         _, report = minimize(counted, np.array([2.0, -3.0]), OptimizeConfig(max_iters=10))
         assert report.records[0].evals == 1
-        assert sum(r.evals for r in report.records) == len(calls)
+        assert sum(r.evals for r in report.records) == len(calls) == report.evals
+
+    def test_failed_line_search_evaluations_counted(self):
+        calls = []
+
+        def linear(x):
+            calls.append(1)
+            return float(x[0]), np.array([1.0])
+
+        _, report = minimize(linear, np.array([0.0]), OptimizeConfig(max_iters=10))
+        assert report.reason == "line-search-failure"
+        # the start, then a search that spends its whole budget of 25
+        assert report.evals == len(calls) == 26
+        assert sum(r.evals for r in report.records) == 1
