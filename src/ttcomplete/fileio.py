@@ -2,13 +2,18 @@
 
 All formats are line-oriented ASCII. Floats are written with Python's
 shortest round-trip representation, so load(save(x)) reproduces x bit-exact.
-Every loader reads its header and records through one line reader and rejects
-any non-blank line after the last record with a line-numbered FormatError.
+
+Every number in every format goes through ``_LineReader.table``, so all loaders
+share one rule set: the file is ASCII; a block of n lines must be present before
+anything is stored for it; each line holds exactly its block's fields; integers
+parse as Python's ``int`` and fit in int64; floats parse as ``float`` and are
+finite; only blank lines follow the last record. A violation raises a
+FormatError naming the first bad line.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 
 import numpy as np
 
@@ -23,7 +28,7 @@ DENSE_MAGIC = "stto-dense v1"
 
 def _write(path, head, body) -> None:
     """Write the header lines, then stream the body lines; items carry no newline."""
-    with open(path, "w", encoding="ascii") as fh:
+    with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
         for lines in (head, body):
             fh.writelines(f"{line}\n" for line in lines)
 
@@ -32,57 +37,59 @@ class _LineReader:
     """Sequential line access that reports 1-based line numbers in errors."""
 
     def __init__(self, path):
-        with open(path, "r", encoding="ascii") as fh:
-            self.lines = fh.read().splitlines()
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                self.lines = fh.read().splitlines()
+        except UnicodeDecodeError as exc:
+            # exc.object is the whole file; count lines up to the bad byte as splitlines does
+            line = len((exc.object[: exc.start] + b"?").decode("ascii").splitlines())
+            raise FormatError(f"line {line}: non-ASCII byte {exc.object[exc.start]:#04x}") from None
         self.pos = 0
-
-    def next(self, what: str) -> str:
-        if self.pos >= len(self.lines):
-            raise FormatError(f"line {self.pos + 1}: missing {what}")
-        line = self.lines[self.pos].strip()
-        self.pos += 1
-        return line
 
     def error(self, message: str) -> FormatError:
         return FormatError(f"line {self.pos}: {message}")
 
-    def next_int(self, what: str) -> int:
-        line = self.next(what)
-        try:
-            return int(line)
-        except ValueError:
-            raise self.error(f"expected integer {what}, got {line!r}") from None
+    def table(self, what: str, n: int, ints: int = 0, value: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """Parse the next ``n`` lines of ``ints`` integers and then, if ``value``, one float.
 
-    def next_ints(self, what: str, n: int) -> list[int]:
-        parts = self.next(what).split()
-        if len(parts) != n:
-            raise self.error(f"expected {n} integers for {what}, got {len(parts)}")
-        try:
-            return [int(p) for p in parts]
-        except ValueError:
-            raise self.error(f"non-integer value in {what}") from None
-
-    def next_floats(self, what: str, n: int) -> np.ndarray:
-        """``n`` lines holding one number each."""
-        out = np.empty(n)
-        for i in range(n):
-            line = self.next(f"{what} {i + 1}")
+        Returns an (n, ints) int64 array and the n floats (none without ``value``).
+        """
+        start, stop = self.pos, self.pos + n
+        if stop > len(self.lines):
+            found = len(self.lines) - start
+            raise FormatError(f"line {len(self.lines) + 1}: missing {what} ({n} lines expected, {found} found)")
+        width = ints + value
+        int_out, float_out = array("q"), array("d")
+        for k in range(start, stop):
+            parts = self.lines[k].split()
+            if len(parts) != width:
+                raise FormatError(f"line {k + 1}: {what} has {len(parts)} fields, expected {width}")
             try:
-                out[i] = float(line)
-            except ValueError:
-                raise self.error(f"expected number for {what} {i + 1}, got {line!r}") from None
-        return out
+                if ints:
+                    int_out.extend(map(int, parts[:ints]))
+                if value:
+                    float_out.append(float(parts[ints]))
+            except (ValueError, OverflowError):
+                raise FormatError(f"line {k + 1}: malformed {what} {self.lines[k].strip()!r}") from None
+        self.pos = stop
+        values = np.frombuffer(float_out)
+        finite = np.isfinite(values)
+        if not finite.all():
+            k = start + int(finite.argmin())
+            raise FormatError(f"line {k + 1}: non-finite value in {what} {self.lines[k].strip()!r}")
+        return np.frombuffer(int_out, dtype=np.int64).reshape(n, ints), values
 
     def header(self, magic: str | None) -> TensorShape:
         """Read the optional magic line, the mode count and the mode sizes."""
         if magic is not None:
-            line = self.next("format magic")
+            self.pos = 1
+            line = self.lines[0].strip() if self.lines else ""
             if line != magic:
                 raise self.error(f"bad magic {line!r}, expected {magic!r}")
-        order = self.next_int("mode count")
+        order = self.table("mode count", 1, 1)[0].item()
         if order < 1:
             raise self.error(f"mode count must be positive, got {order}")
-        sizes = self.next_ints("mode sizes", order)
+        sizes = self.table("mode sizes", 1, order)[0][0].tolist()
         try:
             return TensorShape(tuple(sizes))
         except ValueError as exc:
@@ -106,25 +113,10 @@ def load_sparse(path) -> SparseObservations:
     """Parse a sparse observation file, rejecting malformed, non-finite or duplicate entries."""
     rd = _LineReader(path)
     shape = rd.header(SPARSE_MAGIC)
-    order = shape.order
-    m = rd.next_int("observation count")
+    m = rd.table("observation count", 1, 1)[0].item()
     if m < 1:
         raise rd.error(f"observation count must be positive, got {m}")
-    indices = np.empty((m, order), dtype=np.int64)
-    values = np.empty(m)
-    for i in range(m):
-        parts = rd.next(f"observation {i + 1}").split()
-        if len(parts) != order + 1:
-            raise rd.error(f"expected {order + 1} fields, got {len(parts)}")
-        try:
-            coords = [int(p) for p in parts[:order]]
-            value = float(parts[order])
-        except ValueError:
-            raise rd.error("malformed observation record") from None
-        if not math.isfinite(value):
-            raise rd.error(f"non-finite value {parts[order]!r}")
-        indices[i] = coords
-        values[i] = value
+    indices, values = rd.table("observation", m, shape.order, value=True)
     rd.end(f"{m} observations")
     try:
         obs = SparseObservations(shape, indices, values)
@@ -133,7 +125,7 @@ def load_sparse(path) -> SparseObservations:
     repeated = obs.repeated_rows()
     if repeated.size:
         dup = int(repeated[0])
-        raise FormatError(f"line {dup + 5}: duplicate multi-index {tuple(indices[dup])}")
+        raise FormatError(f"line {dup + 5}: duplicate multi-index {tuple(indices[dup].tolist())}")
     return obs
 
 
@@ -146,7 +138,7 @@ def save_dense(path, t: DenseTensor) -> None:
 def load_dense(path) -> DenseTensor:
     rd = _LineReader(path)
     shape = rd.header(DENSE_MAGIC)
-    values = rd.next_floats("value", shape.element_count)
+    _, values = rd.table("value", shape.element_count, value=True)
     rd.end(f"{shape.element_count} values")
     return DenseTensor(shape, values)
 
@@ -164,13 +156,13 @@ def save_model(path, cores: TTCores) -> None:
 def load_model(path) -> TTCores:
     rd = _LineReader(path)
     shape = rd.header(None)
-    ranks = rd.next_ints("rank chain", shape.order + 1)
+    ranks = rd.table("rank chain", 1, shape.order + 1)[0][0].tolist()
     try:
         rank = TTRank(tuple(ranks))
-        zeros = tuple(np.zeros((ranks[n], shape.sizes[n], ranks[n + 1])) for n in range(shape.order))
-        template = TTCores(zeros, shape, rank)
     except ValueError as exc:
         raise rd.error(str(exc)) from None
-    flat = rd.next_floats("parameter", template.param_count)
-    rd.end(f"{template.param_count} parameters")
-    return unflatten_params(template, flat)
+    count = sum(ranks[n] * size * ranks[n + 1] for n, size in enumerate(shape.sizes))
+    _, flat = rd.table("parameter", count, value=True)
+    rd.end(f"{count} parameters")
+    zeros = tuple(np.zeros((ranks[n], size, ranks[n + 1])) for n, size in enumerate(shape.sizes))
+    return unflatten_params(TTCores(zeros, shape, rank), flat)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DenseTensor, TensorShape, tensor_from_array
-from .data import MissingMask
+from .data import MissingMask, _check_image_shape
 from .errors import FormatError, ShapeError
 
 _MAXVAL = 255
@@ -21,8 +21,7 @@ _MAXVAL = 255
 
 def _spatial_exponent(shape: TensorShape) -> int:
     """k for a (2^k, 2^k, 3) image shape, rejecting anything else."""
-    if shape.order != 3 or shape.sizes[2] != 3:
-        raise ShapeError(f"expected (height, width, 3), got {shape}")
+    _check_image_shape(shape)
     h, w = shape.sizes[0], shape.sizes[1]
     if h != w or h < 2 or h & (h - 1):
         raise ShapeError(f"tensorization needs a square power-of-two image, got {h}x{w}")
@@ -64,8 +63,7 @@ def tensorize_mask(mask: MissingMask) -> MissingMask:
 
 def save_image(path, img: DenseTensor) -> None:
     """Write a binary PPM (P6, maxval 255); values are clamped to [0, 255] and rounded half up."""
-    if img.shape.order != 3 or img.shape.sizes[2] != 3:
-        raise ShapeError(f"expected (height, width, 3), got {img.shape}")
+    _check_image_shape(img.shape)
     height, width = img.shape.sizes[0], img.shape.sizes[1]
     arr = np.clip(img.as_array(), 0.0, float(_MAXVAL))
     payload = np.floor(arr + 0.5).astype(np.uint8).tobytes()

@@ -186,6 +186,24 @@ class TestComplete:
         assert code == 3
         assert "line 6" in capsys.readouterr().err
 
+    def test_non_ascii_byte_exit_3_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "accent.txt"
+        bad.write_bytes(b"stto-sparse v1\n2\n3 3\n2\n1 1 1.0\n2 2 1.\xc3\xa9\n")
+        argv = ["complete", "--input", str(bad), "--ranks", "1,2,1"]
+        assert main(argv + ["--out-prefix", str(tmp_path / "x")]) == 3
+        assert "line 6: non-ASCII byte 0xc3" in capsys.readouterr().err
+
+    def test_non_ascii_input_path_keeps_the_fit(self, tmp_path):
+        obs_path, _ = write_small_problem(tmp_path)
+        accented = obs_path.rename(tmp_path / "donn\u00e9es.txt")
+        prefix = tmp_path / "run"
+        argv = ["complete", "--input", str(accented), "--ranks", "1,2,2,1", "--max-iters", "5"]
+        assert main(argv + ["--out-prefix", str(prefix)]) == 0
+        for suffix in (".csv", "_model.txt", "_recovered.txt", "_metrics.txt"):
+            assert (tmp_path / f"run{suffix}").is_file()
+        trace = (tmp_path / "run.csv").read_text(encoding="ascii").splitlines()
+        assert trace[1] == f"# input={tmp_path}/donn\\xe9es.txt"
+
     def test_over_capacity_exit_2_before_fitting(self, tmp_path, capsys):
         # 300*300*300*2 = 54M cells, over the 2**24 cells tt_full will materialize
         shape = TensorShape((300, 300, 300, 2))
@@ -435,3 +453,11 @@ class TestTensorizeCommand:
         save_image(path, img)
         code = main(["tensorize", "--input", str(path), "--output", str(tmp_path / "t.txt")])
         assert code == 2
+
+    def test_inverse_of_oversized_dense_file_exit_3(self, tmp_path, capsys):
+        # declares 10^15 values in a 5-line file
+        path = tmp_path / "huge.txt"
+        path.write_text("stto-dense v1\n3\n100000 100000 100000\n1.0\n2.0\n")
+        argv = ["tensorize", "--direction", "inverse", "--input", str(path)]
+        assert main(argv + ["--output", str(tmp_path / "back.ppm")]) == 3
+        assert "line 6: missing value" in capsys.readouterr().err

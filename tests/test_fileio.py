@@ -194,3 +194,89 @@ class TestModelFormat:
             fh.write("garbage\n")
         with pytest.raises(FormatError, match=f"line {4 + cores.param_count}: trailing content"):
             load_model(path)
+
+
+# Each format as: loader, header lines declaring a block of n one-mode records,
+# and the record line holding value v at 1-based position i.
+FORMATS = {
+    "sparse": (load_sparse, lambda n: ["stto-sparse v1", "1", "3", str(n)], lambda i, v: f"{i} {v}"),
+    "dense": (load_dense, lambda n: ["stto-dense v1", "1", str(n)], lambda i, v: v),
+    "model": (load_model, lambda n: ["1", str(n), "1 1"], lambda i, v: v),
+}
+
+# case: (declared count, record values, bad line counted from the header's end, message)
+MALFORMED = {
+    "short block": (3, ["1.0", "2.0"], 3, "missing"),
+    "count far beyond the file": (10**15, ["1.0"], 2, "missing"),
+    "wrong field count": (2, ["1.0", "2.0 7"], 2, "has 3 fields, expected 2|has 2 fields, expected 1"),
+    "blank record": (2, ["1.0", ""], 2, "fields, expected"),
+    "bad number": (2, ["1.0", "2.0x"], 2, "malformed"),
+    "nan": (2, ["1.0", "nan"], 2, "non-finite"),
+    "inf": (2, ["inf", "2.0"], 1, "non-finite"),
+    "-inf": (2, ["1.0", "-inf"], 2, "non-finite"),
+    "trailing content": (2, ["1.0", "2.0", "3.0"], 3, "trailing content"),
+    "non-ASCII byte": (2, ["1.0", "2.é"], 2, "non-ASCII byte 0xc3"),
+}
+
+
+def _write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestMalformedEveryFormat:
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_well_formed_base(self, tmp_path, fmt):
+        load, header, record = FORMATS[fmt]
+        path = tmp_path / "ok.txt"
+        _write_lines(path, header(2) + [record(1, "1.0"), record(2, "2.0")])
+        loaded = load(path)
+        values = flatten_params(loaded) if fmt == "model" else loaded.values
+        assert values.tolist() == [1.0, 2.0]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_names_the_bad_line(self, tmp_path, fmt, case):
+        load, header, record = FORMATS[fmt]
+        count, values, offset, message = MALFORMED[case]
+        head = header(count)
+        path = tmp_path / "bad.txt"
+        _write_lines(path, head + [record(i, v) for i, v in enumerate(values, 1)])
+        with pytest.raises(FormatError, match=rf"^line {len(head) + offset}: .*({message})"):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize(
+        "order, sizes, bad, message",
+        [
+            ("1000000000000", "3 3", 2, "mode sizes has 2 fields"),
+            ("x", "3", 1, "malformed mode count"),
+            ("0", "3", 1, "mode count must be positive"),
+            ("1", "3.0", 2, "malformed mode sizes"),
+            ("1", "0", 2, "non-positive size"),
+            ("1", "99999999999999999999", 2, "malformed mode sizes"),
+        ],
+    )
+    def test_header_names_its_line(self, tmp_path, fmt, order, sizes, bad, message):
+        load, header, _ = FORMATS[fmt]
+        head = header(1)
+        at = 0 if fmt == "model" else 1  # index of the mode count line
+        head[at : at + 2] = [order, sizes]
+        path = tmp_path / "bad.txt"
+        _write_lines(path, head + ["1 1.0" if fmt == "sparse" else "1.0"])
+        with pytest.raises(FormatError, match=f"^line {at + bad}: .*{message}"):
+            load(path)
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ("99999999999999999999 1 1.0", "malformed"),
+            ("1.0 1 1.0", "malformed"),
+            ("1 1 1.0#", "malformed"),
+            ("1 1 1.0 # note", "has 5 fields"),
+        ],
+    )
+    def test_sparse_coordinates(self, tmp_path, record, message):
+        path = tmp_path / "bad.txt"
+        _write_lines(path, ["stto-sparse v1", "2", "3 3", "1", record])
+        with pytest.raises(FormatError, match=f"^line 5: .*{message}"):
+            load_sparse(path)
