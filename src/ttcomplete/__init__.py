@@ -22,6 +22,7 @@ from .data import (
 )
 from .engine import (
     SparseObservations,
+    evaluate,
     gradient,
     objective,
     objective_and_gradient,

@@ -119,6 +119,7 @@ def cmd_complete(args) -> int:
         *(f"# {key}={value}" for key, value in asdict(config).items()),
         f"# termination={report.reason}",
         f"# evals={report.evals}",
+        f"# gradients={report.gradients}",
         "iter,objective,grad_norm,step,evals",
     ]
     trace = (

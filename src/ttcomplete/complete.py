@@ -6,7 +6,7 @@ import numpy as np
 
 from .core import DenseTensor
 from .data import MissingMask, default_init_scale, extract_observations
-from .engine import SparseObservations, objective_and_gradient
+from .engine import SparseObservations, evaluate
 from .images import detensorize_image, tensorize_image, tensorize_mask
 from .optimize import OptimizeConfig, OptimizeReport, minimize
 from .ttmodel import TTCores, TTRank, cap_ranks, flatten_params, random_init, tt_full, unflatten_params
@@ -27,7 +27,7 @@ def fit_cores(
     template = random_init(obs.shape, rank, seed, scale=default_init_scale(obs, rank))
 
     def callback(flat: np.ndarray):
-        return objective_and_gradient(unflatten_params(template, flat), obs)
+        return evaluate(unflatten_params(template, flat), obs)
 
     final, report = minimize(callback, flatten_params(template), cfg)
     return unflatten_params(template, final), report

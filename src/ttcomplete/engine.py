@@ -26,8 +26,9 @@ K_s x K'_{s+1} block E at (a_m, b_m) (one ``bincount``, repeated cells
 included). The prefix leaves receive the adjoint E @ R, the suffix leaves
 E^T @ L, and each trie runs its backward pass: slice j's gradient sums
 P[parent]^T @ adjoint[node] over the nodes labelled j, and a parent's adjoint
-sums adjoint[child] @ core_n[:, label, :]^T over its children. ``objective``
-and ``reconstruct`` run only the forward pass.
+sums adjoint[child] @ core_n[:, label, :]^T over its children. ``evaluate``
+runs the backward pass only when its caller asks for the gradient;
+``objective`` and ``reconstruct`` run only the forward pass.
 
 Cost rule. A fused call costs O(sum_{n<=s} K_n r_{n-1} r_n
 + sum_{n>s} K'_n r_{n-1} r_n + K_s K'_{s+1} r_s + M). The split s minimises
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -293,14 +294,22 @@ def objective(cores: TTCores, obs: SparseObservations) -> float:
     return 0.5 * float(np.dot(resid, resid))
 
 
-def objective_and_gradient(cores: TTCores, obs: SparseObservations) -> tuple[float, np.ndarray]:
-    """Fused evaluation: objective plus the flattened core gradients.
+def evaluate(cores: TTCores, obs: SparseObservations) -> tuple[float, Callable[[], np.ndarray]]:
+    """The objective, and its gradient as a function: ``(f, gradient)``.
 
-    The gradient layout matches :func:`ttcomplete.ttmodel.flatten_params`.
-    Slices untouched by every observation keep an exactly zero gradient.
+    ``gradient()`` runs the backward pass on the state this forward pass kept,
+    so it returns the same bits whenever it runs. The layout matches
+    :func:`ttcomplete.ttmodel.flatten_params`; slices untouched by every
+    observation keep an exactly zero gradient.
     """
     join, resid, kept = _residuals(cores, obs, keep=True)
-    return 0.5 * float(np.dot(resid, resid)), join.backward(cores.cores, kept, resid)
+    return 0.5 * float(np.dot(resid, resid)), lambda: join.backward(cores.cores, kept, resid)
+
+
+def objective_and_gradient(cores: TTCores, obs: SparseObservations) -> tuple[float, np.ndarray]:
+    """Fused evaluation: :func:`evaluate` with its backward pass run at once."""
+    f, grad = evaluate(cores, obs)
+    return f, grad()
 
 
 def gradient(cores: TTCores, obs: SparseObservations) -> np.ndarray:

@@ -3,8 +3,10 @@
 Directions follow the Hestenes-Stiefel update, restarted to steepest descent
 every n iterations, and each step comes from a strong-Wolfe line search
 (c1 = 1e-4, c2 = 0.1, first trial step at most 1, 25 evaluations per search).
-The callback returns objective and gradient together, so every line-search
-trial yields the directional derivative for free.
+The callback returns the objective and a function that computes the
+gradient. The search rejects a trial that fails sufficient decrease on its
+objective alone, so it computes the gradient, and from it the directional
+derivative, only at the trials that pass.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ class OptimizeConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be non-negative")
+        if not self.grad_tol >= 0:  # NaN compares false, and would never stop a run
+            raise ValueError(f"grad_tol must be non-negative, got {self.grad_tol!r}")
 
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """One trace row; ``evals`` counts the f+g calls spent to reach it (1 at the start)."""
+    """One trace row; ``evals`` counts the evaluations spent to reach it (1 at the start)."""
 
     objective: float
     grad_norm: float
@@ -56,12 +58,15 @@ class IterationRecord:
 class OptimizeReport:
     """Trace of one run: record 0 is the starting point, then one per accepted step.
 
-    ``evals`` counts every f+g call, those of a line search that failed included.
+    ``evals`` counts every evaluation, those of a line search that failed
+    included. ``gradients`` counts the gradients computed: one at the start
+    and one at each trial that passed sufficient decrease.
     """
 
     records: list = field(default_factory=list)
     reason: str = ""
     evals: int = 0
+    gradients: int = 0
 
     @property
     def iterations(self) -> int:
@@ -114,11 +119,13 @@ def _quad_min(a, fa, fpa, b, fb):
 
 
 class _LineEvaluator:
-    """Evaluates f and g along x + alpha*d, counting calls against a budget.
+    """Evaluates f along x + alpha*d, and g there on request, counting calls against a budget.
 
-    NaN anywhere aborts the run. An infinite objective at a trial point is
-    tolerated (the caller rejects the step and shrinks the bracket); accepted
-    steps are re-validated by the driver.
+    A NaN objective at any trial aborts the run, and so does a NaN directional
+    derivative at a trial whose gradient the search reads; a trial rejected
+    on its objective computes no gradient. An infinite objective at a trial
+    point is tolerated (the caller rejects the step and shrinks the bracket);
+    accepted steps are re-validated by the driver.
     """
 
     def __init__(self, fg, x, d):
@@ -126,19 +133,27 @@ class _LineEvaluator:
         self.x = x
         self.d = d
         self.calls = 0
+        self._gradient = None
 
     def exhausted(self) -> bool:
         return self.calls >= _MAX_LINE_SEARCH_EVALS
 
-    def __call__(self, alpha):
+    def __call__(self, alpha) -> float:
+        """The objective at x + alpha*d."""
         self.calls += 1
-        f, g = self.fg(self.x + alpha * self.d)
+        self._gradient = None  # free the last trial's kept state before the next forward pass
+        f, self._gradient = self.fg(self.x + alpha * self.d)
         if f != f:
             raise NumericError("objective is NaN")
+        return f
+
+    def slope(self):
+        """The gradient at the last trial and its directional derivative along d."""
+        g = self._gradient()
         derphi = float(np.dot(g, self.d))
         if derphi != derphi:
             raise NumericError("gradient contains NaN")
-        return f, g, derphi
+        return g, derphi
 
 
 def _zoom(ev, a_lo, f_lo, d_lo, a_hi, f_hi, f0, derphi0):
@@ -161,11 +176,12 @@ def _zoom(ev, a_lo, f_lo, d_lo, a_hi, f_hi, f0, derphi0):
             if a_j is None or a_j > hi - qchk or a_j < lo + qchk:
                 a_j = a_lo + 0.5 * dalpha
 
-        f_j, g_j, d_j = ev(a_j)
+        f_j = ev(a_j)
         if f_j > f0 + _WOLFE_C1 * a_j * derphi0 or f_j >= f_lo:
             a_rec, f_rec = a_hi, f_hi
             a_hi, f_hi = a_j, f_j
         else:
+            g_j, d_j = ev.slope()
             if abs(d_j) <= -_WOLFE_C2 * derphi0:
                 return a_j, f_j, g_j
             if d_j * dalpha >= 0:
@@ -209,10 +225,11 @@ def _line_search(ev, f0, derphi0, first_trial):
     alpha = first_trial
     first = True
     while not ev.exhausted():
-        f_a, g_a, d_a = ev(alpha)
+        f_a = ev(alpha)
         armijo_fails = f_a > f0 + _WOLFE_C1 * alpha * derphi0 or not np.isfinite(f_a)
         if armijo_fails or (f_a >= f_prev and not first):
             return _zoom(ev, a_prev, f_prev, d_prev, alpha, f_a, f0, derphi0)
+        g_a, d_a = ev.slope()
         if abs(d_a) <= -_WOLFE_C2 * derphi0:
             return alpha, f_a, g_a
         if d_a >= 0:
@@ -224,11 +241,16 @@ def _line_search(ev, f0, derphi0, first_trial):
 
 
 def minimize(
-    f_and_g: Callable[[np.ndarray], tuple[float, np.ndarray]],
+    f_and_g: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],
     x0: np.ndarray,
     cfg: OptimizeConfig | None = None,
 ) -> tuple[np.ndarray, OptimizeReport]:
     """Run NCG-HS from ``x0`` until a stopping rule fires.
+
+    ``f_and_g(x)`` returns ``(f, gradient)``: the objective at x and a
+    zero-argument function that returns the gradient there. ``gradient`` is
+    called at most once, before the next evaluation, and only at the start
+    and at the line-search trials that pass sufficient decrease.
 
     Every accepted step satisfies the strong Wolfe conditions, so the
     recorded objective sequence is strictly non-increasing. A line search
@@ -241,13 +263,19 @@ def minimize(
 
     def fg(z):
         report.evals += 1
-        f, g = f_and_g(z)
-        g = np.asarray(g, dtype=np.float64).ravel()
-        if g.size != x.size:
-            raise ShapeError(f"callback returned gradient of length {g.size}, expected {x.size}")
-        return float(f), g
+        f, gradient = f_and_g(z)
 
-    f, g = fg(x)
+        def grad():
+            report.gradients += 1
+            g = np.asarray(gradient(), dtype=np.float64).ravel()
+            if g.size != x.size:
+                raise ShapeError(f"callback returned gradient of length {g.size}, expected {x.size}")
+            return g
+
+        return float(f), grad
+
+    f, grad = fg(x)
+    g = grad()
     if not np.isfinite(f) or not np.all(np.isfinite(g)):
         raise NumericError("objective or gradient is not finite at the starting point")
     report.records.append(IterationRecord(f, float(np.max(np.abs(g))), 0.0, 1))

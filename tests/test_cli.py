@@ -93,6 +93,17 @@ class TestComplete:
         assert capsys.readouterr().err == ""
         assert "# termination=max-iters" in (tmp_path / "short.csv").read_text().splitlines()
 
+    def test_gradients_counted_after_evals(self, tmp_path, capsys):
+        obs_path, _ = write_small_problem(tmp_path)
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--seed", "1"]
+        assert main(argv + ["--max-iters", "20", "--out-prefix", str(tmp_path / "run")]) == 0
+        trace = (tmp_path / "run.csv").read_text().splitlines()
+        at = next(i for i, l in enumerate(trace) if l.startswith("# evals="))
+        evals = int(trace[at].split("=")[1])
+        assert trace[at + 1].startswith("# gradients=")
+        # the start and each accepted step need a gradient; rejected trials do not
+        assert 21 <= int(trace[at + 1].split("=")[1]) < evals
+
     def test_rse_observed_matches_reconstruct(self, tmp_path, capsys):
         shape = TensorShape((5, 4, 6))
         truth = gen_tt_random(shape, TTRank((1, 3, 3, 1)), seed=4)
@@ -328,6 +339,7 @@ class TestUsageErrors:
         [
             ("--seeds", "", "--seeds lists no seeds"),
             ("--shapes", "4xq", "bad shape '4xq', expected e.g. 26x26x26"),
+            ("--grad-tol", "nan", "grad_tol must be non-negative, got nan"),
         ],
     )
     def test_sweep(self, tmp_path, capsys, flag, value, message):

@@ -10,14 +10,20 @@ from ttcomplete import (
     BoundsError,
     DenseTensor,
     MissingMask,
+    OptimizeConfig,
     ShapeError,
     SparseObservations,
     TTRank,
     TensorShape,
+    cap_ranks,
+    default_init_scale,
+    evaluate,
     extract_observations,
+    fit_cores,
     flatten_params,
     gradient,
     mask_random,
+    minimize,
     objective,
     objective_and_gradient,
     random_init,
@@ -217,6 +223,46 @@ class TestFusedEvaluation:
         f1, g1 = objective_and_gradient(cores, shuffled)
         assert f0 == f1
         assert np.array_equal(g0, g1)
+
+
+class TestGradientOnDemand:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_deferred_gradient_bit_equal(self, seed):
+        cores, obs = random_instance(seed)
+        other = random_init(cores.shape, cores.rank, seed=seed + 1)
+        f, grad = evaluate(cores, obs)
+        f_other, grad_other = evaluate(other, obs)
+        f_eager, g_eager = objective_and_gradient(cores, obs)
+        assert f == f_eager
+        assert np.array_equal(grad(), g_eager)
+        assert np.array_equal(grad_other(), objective_and_gradient(other, obs)[1])
+        assert f_other != f
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    def test_fit_matches_eager_gradients(self, seed):
+        # fit_cores defers each backward pass; a callback that computes every
+        # gradient up front must reach the same cores through the same records
+        cores, obs = random_instance(seed)
+        cfg = OptimizeConfig(max_iters=40)
+        fitted, report = fit_cores(obs, cores.rank, cfg, seed)
+
+        rank = cap_ranks(obs.shape, cores.rank.ranks)
+        template = random_init(obs.shape, rank, seed, scale=default_init_scale(obs, rank))
+
+        def eager(flat):
+            f, g = objective_and_gradient(unflatten_params(template, flat), obs)
+            return f, lambda: g
+
+        final, expected = minimize(eager, flatten_params(template), cfg)
+        assert report.records == expected.records
+        assert (report.reason, report.evals, report.gradients) == (
+            expected.reason,
+            expected.evals,
+            expected.gradients,
+        )
+        assert report.gradients < report.evals
+        for a, b in zip(fitted.cores, unflatten_params(template, final).cores):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestPrefixTrie:

@@ -5,8 +5,47 @@ from ttcomplete import NumericError, OptimizeConfig, minimize
 from ttcomplete.optimize import _WOLFE_C1, _WOLFE_C2, _hs_beta
 
 
+def eager(fg):
+    """An (f, g) function in minimize's callback contract, (f, gradient function)."""
+
+    def callback(x):
+        f, g = fg(x)
+        return f, lambda: g
+
+    return callback
+
+
 def quadratic_bowl(x):
     return 0.5 * float(np.dot(x, x)), x.copy()
+
+
+def rosenbrock(x):
+    a, b = 1.0, 100.0
+    f = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
+    g = np.array(
+        [
+            -2.0 * (a - x[0]) - 4.0 * b * x[0] * (x[1] - x[0] ** 2),
+            2.0 * b * (x[1] - x[0] ** 2),
+        ]
+    )
+    return float(f), g
+
+
+def recording(fg, log):
+    """Like ``eager``, and appends [x, f, gradient calls] to ``log`` for each evaluation."""
+
+    def callback(x):
+        f, g = fg(x)
+        entry = [x.copy(), f, 0]
+        log.append(entry)
+
+        def gradient():
+            entry[2] += 1
+            return g
+
+        return f, gradient
+
+    return callback
 
 
 def make_quadratic(a_matrix):
@@ -23,7 +62,7 @@ class TestConfig:
         cfg = OptimizeConfig()
         assert (cfg.max_iters, cfg.grad_tol) == (200, 0.0)
 
-    @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"grad_tol": -1.0}])
+    @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"grad_tol": -1.0}, {"grad_tol": float("nan")}])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OptimizeConfig(**kwargs)
@@ -60,13 +99,13 @@ class TestMinimize:
     def test_quadratic_bowl(self):
         x0 = np.array([3.0, -2.0, 0.5, 7.0])
         cfg = OptimizeConfig(max_iters=50, grad_tol=1e-12)
-        x, report = minimize(quadratic_bowl, x0, cfg)
+        x, report = minimize(eager(quadratic_bowl), x0, cfg)
         assert float(np.linalg.norm(x)) < 1e-8
         assert report.iterations <= 50
 
     def test_zero_gradient_start(self):
         x0 = np.zeros(3)
-        x, report = minimize(quadratic_bowl, x0, OptimizeConfig())
+        x, report = minimize(eager(quadratic_bowl), x0, OptimizeConfig())
         assert np.array_equal(x, x0)
         assert report.reason == "grad-tol"
         assert report.iterations == 0
@@ -75,26 +114,15 @@ class TestMinimize:
         # conjugate directions finish a 2-variable quadratic in two steps
         f = make_quadratic([[2.0, 0.0], [0.0, 10.0]])
         cfg = OptimizeConfig(max_iters=5, grad_tol=1e-10)
-        x, report = minimize(f, np.array([1.0, 1.0]), cfg)
+        x, report = minimize(eager(f), np.array([1.0, 1.0]), cfg)
         assert report.reason == "grad-tol"
         assert report.iterations <= 2
         assert float(np.max(np.abs(f(x)[1]))) < 1e-10
 
     def test_monotone_descent_and_wolfe(self):
         # nonquadratic objective: accepted steps must still satisfy strong Wolfe
-        def rosenbrock(x):
-            a, b = 1.0, 100.0
-            f = (a - x[0]) ** 2 + b * (x[1] - x[0] ** 2) ** 2
-            g = np.array(
-                [
-                    -2.0 * (a - x[0]) - 4.0 * b * x[0] * (x[1] - x[0] ** 2),
-                    2.0 * b * (x[1] - x[0] ** 2),
-                ]
-            )
-            return float(f), g
-
         cfg = OptimizeConfig(max_iters=60)
-        x, report = minimize(rosenbrock, np.array([-1.2, 1.0]), cfg)
+        x, report = minimize(eager(rosenbrock), np.array([-1.2, 1.0]), cfg)
         objectives = [rec.objective for rec in report.records]
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
@@ -103,7 +131,7 @@ class TestMinimize:
         # both strong Wolfe inequalities at every one of them
         f = make_quadratic([[3.0, 1.0], [1.0, 5.0]])
         cfg = OptimizeConfig(max_iters=10, grad_tol=1e-14)
-        _, report = minimize(f, np.array([2.0, -3.0]), cfg)
+        _, report = minimize(eager(f), np.array([2.0, -3.0]), cfg)
 
         x = np.array([2.0, -3.0])
         val, g = f(x)
@@ -126,8 +154,8 @@ class TestMinimize:
     def test_determinism(self):
         f = make_quadratic([[2.0, 0.3], [0.3, 4.0]])
         cfg = OptimizeConfig(max_iters=20)
-        x1, r1 = minimize(f, np.array([1.0, -1.0]), cfg)
-        x2, r2 = minimize(f, np.array([1.0, -1.0]), cfg)
+        x1, r1 = minimize(eager(f), np.array([1.0, -1.0]), cfg)
+        x2, r2 = minimize(eager(f), np.array([1.0, -1.0]), cfg)
         assert np.array_equal(x1, x2)
         assert r1.records == r2.records
         assert r1.reason == r2.reason
@@ -136,7 +164,7 @@ class TestMinimize:
         def linear(x):
             return float(x[0]), np.array([1.0])
 
-        x, report = minimize(linear, np.array([0.0]), OptimizeConfig(max_iters=10))
+        x, report = minimize(eager(linear), np.array([0.0]), OptimizeConfig(max_iters=10))
         assert report.reason == "line-search-failure"
         assert np.array_equal(x, [0.0])
 
@@ -145,19 +173,19 @@ class TestMinimize:
             return float("nan"), np.zeros(1)
 
         with pytest.raises(NumericError):
-            minimize(bad, np.array([1.0]), OptimizeConfig())
+            minimize(eager(bad), np.array([1.0]), OptimizeConfig())
 
     def test_inf_gradient_raises(self):
         def bad(x):
             return 1.0, np.array([np.inf])
 
         with pytest.raises(NumericError):
-            minimize(bad, np.array([1.0]), OptimizeConfig())
+            minimize(eager(bad), np.array([1.0]), OptimizeConfig())
 
     def test_max_iters_reason(self):
         f = make_quadratic([[2.0, 0.0], [0.0, 10.0]])
         cfg = OptimizeConfig(max_iters=1)
-        _, report = minimize(f, np.array([1.0, 1.0]), cfg)
+        _, report = minimize(eager(f), np.array([1.0, 1.0]), cfg)
         assert report.reason == "max-iters"
         assert report.iterations == 1
 
@@ -169,7 +197,7 @@ class TestMinimize:
             calls.append(1)
             return f(x)
 
-        _, report = minimize(counted, np.array([2.0, -3.0]), OptimizeConfig(max_iters=10))
+        _, report = minimize(eager(counted), np.array([2.0, -3.0]), OptimizeConfig(max_iters=10))
         assert report.records[0].evals == 1
         assert sum(r.evals for r in report.records) == len(calls) == report.evals
 
@@ -180,8 +208,45 @@ class TestMinimize:
             calls.append(1)
             return float(x[0]), np.array([1.0])
 
-        _, report = minimize(linear, np.array([0.0]), OptimizeConfig(max_iters=10))
+        _, report = minimize(eager(linear), np.array([0.0]), OptimizeConfig(max_iters=10))
         assert report.reason == "line-search-failure"
         # the start, then a search that spends its whole budget of 25
         assert report.evals == len(calls) == 26
         assert sum(r.evals for r in report.records) == 1
+
+
+class TestGradientOnDemand:
+    def test_gradients_count_backward_passes(self):
+        log = []
+        cfg = OptimizeConfig(max_iters=60)
+        _, report = minimize(recording(rosenbrock, log), np.array([-1.2, 1.0]), cfg)
+        assert report.evals == len(log)
+        assert report.gradients == sum(calls for _, _, calls in log)
+        assert max(calls for _, _, calls in log) == 1
+        assert report.gradients < report.evals
+
+    def test_rejected_trial_computes_no_gradient(self):
+        # f = 50 x^2 + 1000 from x = 1: the first trial aims at f = 0 and lands
+        # at x = -20.21, far above the sufficient-decrease line
+        def offset_bowl(x):
+            return 50.0 * float(x @ x) + 1000.0, 100.0 * x
+
+        log = []
+        x0 = np.array([1.0])
+        x, report = minimize(recording(offset_bowl, log), x0, OptimizeConfig(max_iters=1))
+        f0, g0 = offset_bowl(x0)
+        trials = log[1 : 1 + report.records[1].evals]
+        rejected = [calls for z, f, calls in trials if f > f0 + _WOLFE_C1 * float(np.dot(g0, z - x0))]
+        assert len(rejected) >= 1
+        assert rejected == [0] * len(rejected)
+        # the accepted trial is the last one, and its gradient was computed
+        assert trials[-1][2] == 1 and np.array_equal(trials[-1][0], x)
+
+    def test_nan_gradient_at_trial_passing_sufficient_decrease_raises(self):
+        # the first trial lands on x = 0, where f = 0 passes sufficient decrease
+        def nan_away_from_start(x):
+            g = x.copy() if x[0] == 1.0 else np.array([np.nan])
+            return 0.5 * float(x @ x), g
+
+        with pytest.raises(NumericError, match="gradient contains NaN"):
+            minimize(eager(nan_away_from_start), np.array([1.0]), OptimizeConfig())
