@@ -16,7 +16,7 @@ import numpy as np
 
 from .complete import complete_image, fit_cores
 from .core import TensorShape
-from .data import extract_observations, gen_oscillating, mask_block, mask_random, mask_rows
+from .data import extract_observations, gen_oscillating, mask_block, mask_random, mask_rows, observed_count
 from .errors import FormatError, NumericError
 from .fileio import _write, load_dense, load_sparse, save_dense, save_model
 from .images import detensorize_image, load_image, save_image, tensorize_image
@@ -174,6 +174,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--seeds lists no seeds")
     for shape in shapes:
         check_full_capacity(shape)
+        for rate in rates:
+            observed_count(shape, rate)
     grid = [(shape, rate, seed) for shape in shapes for rate in rates for seed in seeds]
     rows = [_sweep_point(*g, args.rank, config) for g in grid]
 

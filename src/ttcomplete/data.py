@@ -50,17 +50,23 @@ class MissingMask:
         return self.observed.reshape(self.shape.sizes, order="F")
 
 
-def mask_random(shape: TensorShape, missing_rate: float, seed: int) -> MissingMask:
-    """Withhold a seeded uniform sample of cells.
+def observed_count(shape: TensorShape, missing_rate: float) -> int:
+    """Cells a random mask at ``missing_rate`` keeps: round((1 - missing_rate) * element_count).
 
-    Exactly round((1 - missing_rate) * element_count) cells stay observed.
+    Raises ValueError unless the rate lies in [0, 1) and keeps at least one cell.
     """
     if not 0.0 <= missing_rate < 1.0:
         raise ValueError(f"missing_rate must lie in [0, 1), got {missing_rate}")
-    count = shape.element_count
-    n_obs = int(round((1.0 - missing_rate) * count))
+    n_obs = int(round((1.0 - missing_rate) * shape.element_count))
     if n_obs < 1:
         raise ValueError(f"missing_rate {missing_rate} leaves no observed cell in shape {shape}")
+    return n_obs
+
+
+def mask_random(shape: TensorShape, missing_rate: float, seed: int) -> MissingMask:
+    """Withhold a seeded uniform sample of cells; :func:`observed_count` cells stay observed."""
+    count = shape.element_count
+    n_obs = observed_count(shape, missing_rate)
     rng = np.random.default_rng(seed)
     observed = np.zeros(count, dtype=bool)
     observed[rng.permutation(count)[:n_obs]] = True

@@ -21,31 +21,44 @@ in each trie. The prefix leaves give the K_s x r_s rows L, the suffix leaves
 the K'_{s+1} x r_s rows R, and one dense block X = L @ R^T joins them:
 observation m, with prefix leaf a_m and suffix leaf b_m, predicts X[a_m, b_m].
 
+A trie depth is one of two kinds, read from the observed cells. It is
+complete when every parent has all I_n children (K_n = K_{n-1} * I_n), as on
+a tensorized image at 90% missing. Its K_{n-1} x r_{n-1} parent rows then
+meet the r_{n-1} x (I_n * r_n) reshaped core in one GEMM, a dense Kronecker
+step like the left-to-right sweep of TT-SVD. Any other depth is a segment
+depth: its nodes gather their parents' rows and run one matmul per slice
+label.
+
 The backward pass is reverse mode. The residuals x_m - y_m are summed into a
 K_s x K'_{s+1} block E at (a_m, b_m) (one ``bincount``, repeated cells
 included). The prefix leaves receive the adjoint E @ R, the suffix leaves
 E^T @ L, and each trie runs its backward pass: slice j's gradient sums
 P[parent]^T @ adjoint[node] over the nodes labelled j, and a parent's adjoint
-sums adjoint[child] @ core_n[:, label, :]^T over its children. ``evaluate``
-runs the backward pass only when its caller asks for the gradient;
-``objective`` and ``reconstruct`` run only the forward pass.
+sums adjoint[child] @ core_n[:, label, :]^T over its children (one GEMM each
+at a complete depth; per label and a ``bincount`` into the parents at a
+segment depth). ``evaluate`` runs the backward pass only when its caller asks
+for the gradient; ``objective`` and ``reconstruct`` run only the forward pass.
 
 Cost rule. A fused call costs O(sum_{n<=s} K_n r_{n-1} r_n
-+ sum_{n>s} K'_n r_{n-1} r_n + K_s K'_{s+1} r_s + M). The split s minimises
-the trie nodes sum_{n<=s} K_n + sum_{n>s} K'_n among the splits whose block
-holds at most ``_BLOCK_CELLS_PER_OBS`` * M cells. s = N, where the suffix trie
-is empty and R is the 1 x 1 matrix of ones, always qualifies; there every
-product is exact and the engine is a one-sided prefix trie. K_n and K'_n come
-from two sorts of the observations' linear offsets, so s depends only on the
-observed cells, and one cached structure serves the objective, the gradient
-and the duplicate check.
++ sum_{n>s} K'_n r_{n-1} r_n + K_s K'_{s+1} r_s + M) flops, in one GEMM per
+complete depth and pass (two backward) and one matmul per slice label at a
+segment depth. The split s minimises the trie nodes sum_{n<=s} K_n
++ sum_{n>s} K'_n among the splits whose block holds at most
+``_BLOCK_CELLS_PER_OBS`` * M cells. s = N, where the suffix trie is empty and
+R is the 1 x 1 matrix of ones, always qualifies; there every product is exact
+and the engine is a one-sided prefix trie. K_n and K'_n come from two sorts of
+the observations' linear offsets, so s depends only on the observed cells,
+and one cached structure serves the objective, the gradient and the
+duplicate check.
 
 Determinism: rows are kept in the stable lexicographic order of
-(i_1, ..., i_N), the suffix trie is built from the order of (i_N, ..., i_1),
-and trie nodes are stored by label and then in sorted order. Both orders are
-unique for distinct cells, and each block cell belongs to one distinct cell,
-so every reduction sees the same operands in the same order and permuting
-distinct stored entries changes no output bit.
+(i_1, ..., i_N), and the suffix trie is built from the order of
+(i_N, ..., i_1). A complete depth stores its nodes parent-major (child j of
+the parent at position p at row p * I_n + j); a segment depth stores them by
+label and then in sorted order. Both layouts, and which one a depth takes,
+depend only on the set of distinct cells, and each block cell belongs to one
+distinct cell, so every reduction sees the same operands in the same order
+and permuting distinct stored entries changes no output bit.
 """
 
 from __future__ import annotations
@@ -121,12 +134,16 @@ def _check_bounds(indices: np.ndarray, shape: TensorShape, noun: str):
 
 
 # The join block holds at most this many cells per observation. On img256 at
-# r = 8 (1 BLAS thread) a block cell costs about 3 ns per f+g (a gather, a
-# bincount and three r_s-wide matrix products: 0.5-0.65 ms for 196,608 cells)
-# and a trie node about 40 ns (2.1-2.4 ms for the one-sided trie's 54,564
-# nodes). A block at the cap so costs about one node per observation, which
-# the one-sided trie's last level alone spends. img256 needs 10 for s = 4; a
-# 1000^3 tensor with 5,000 cells would need about 1,000 and keeps s = N.
+# r = 8 (1 BLAS thread) a block cell costs about 3.5 ns per f+g (a gather, a
+# bincount and three r_s-wide matrix products: 0.68-0.71 ms for 196,608 cells)
+# and a node at a segment depth about 50 ns (2.8-2.9 ms for the one-sided
+# trie's 54,564 nodes, 53,220 of them at segment depths). Complete depths cost
+# far less per node: at s = 4 every depth is complete, and the tries' 1,363
+# nodes take about 0.13 ms of the 0.81 ms. The cap prices every node at the
+# segment rate, so a block at the cap costs about one segment node per
+# observation, which the one-sided trie's last level alone spends. img256 needs
+# 10 for s = 4; a 1000^3 tensor with 5,000 cells would need about 1,000 and
+# keeps s = N.
 _BLOCK_CELLS_PER_OBS = 16
 
 
@@ -164,11 +181,14 @@ class _Trie:
     """Shared-prefix trie over the first ``depth`` modes of sorted offsets ``lin`` into ``sizes``.
 
     ``leaf[m]`` is the last-depth node of sorted row m, and ``leaves`` counts
-    those nodes (a trie of depth 0 is one root, node 0). ``depths[n]`` is a
-    pair (segments, parents) for the distinct prefixes of length n + 1, stored
-    grouped by slice label: segments lists (label, node slice) in ascending
-    label order, and parents[k] is the position of node k's parent at the
-    previous depth. Within one segment the parents are distinct.
+    those nodes (a trie of depth 0 is one root, node 0). ``depths[n]``
+    describes the distinct prefixes of length n + 1, in one of two kinds. A
+    complete depth, where every parent has all I_{n+1} children, is ``None``:
+    child j of the parent at position p is stored at row p * I_{n+1} + j. Any
+    other depth is a triple (segments, parents, count), stored grouped by slice
+    label: segments lists (label, node slice) in ascending label order,
+    parents[k] is the position of node k's parent among the ``count`` nodes of
+    the previous depth, and within one segment the parents are distinct.
     """
 
     def __init__(self, lin: np.ndarray, sizes, depth: int):
@@ -185,43 +205,61 @@ class _Trie:
             starts = np.flatnonzero(fresh)
             # narrow labels let the stable sort use radix sort
             label = (prefix[starts] % size).astype(np.min_scalar_type(size))
-            perm = np.argsort(label, kind="stable")
-            labels, first = np.unique(label[perm], return_index=True)
-            bounds = np.append(first, perm.size)
-            segments = [(j, slice(bounds[t], bounds[t + 1])) for t, j in enumerate(labels)]
-            self.depths.append((segments, node[starts[perm]]))
-            place = np.empty_like(perm)
-            place[perm] = np.arange(perm.size)
+            parents = node[starts]
+            if starts.size == self.leaves * size:
+                self.depths.append(None)
+                place = parents * size + label
+            else:
+                perm = np.argsort(label, kind="stable")
+                labels, first = np.unique(label[perm], return_index=True)
+                bounds = np.append(first, perm.size)
+                segments = [(j, slice(bounds[t], bounds[t + 1])) for t, j in enumerate(labels)]
+                self.depths.append((segments, parents[perm], self.leaves))
+                place = np.empty_like(perm)
+                place[perm] = np.arange(perm.size)
             node = place[np.cumsum(fresh) - 1]
-            self.leaves = perm.size
+            self.leaves = starts.size
         self.leaf = node
 
     def forward(self, cores: Sequence[np.ndarray], keep: bool = False):
-        """Leaf rows, plus each depth's gathered parent rows when ``keep``."""
+        """Leaf rows, plus each depth's parent rows (per node at a segment depth) when ``keep``."""
         rows = np.ones((1, 1))
-        gathered = []
-        for core, (segments, parents) in zip(cores, self.depths):
-            g = np.take(rows, parents, axis=0)
-            rows = np.empty((g.shape[0], core.shape[2]))
-            for j, seg in segments:
-                np.matmul(g[seg], core[:, j, :], out=rows[seg])
+        kept = []
+        for core, level in zip(cores, self.depths):
+            if level is None:
+                g = rows
+                rows = (g @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+            else:
+                segments, parents, _ = level
+                g = np.take(rows, parents, axis=0)
+                rows = np.empty((g.shape[0], core.shape[2]))
+                for j, seg in segments:
+                    np.matmul(g[seg], core[:, j, :], out=rows[seg])
             if keep:
-                gathered.append(g)
-        return rows, gathered
+                kept.append(g)
+        return rows, kept
 
-    def backward(self, cores: Sequence[np.ndarray], gathered, adj: np.ndarray) -> list:
+    def backward(self, cores: Sequence[np.ndarray], kept, adj: np.ndarray) -> list:
         """Core gradients in depth order, given the adjoint of each leaf row."""
         grads = []
         for n in range(len(cores) - 1, -1, -1):
-            core, g = cores[n], gathered[n]
-            grad = np.zeros_like(core)
-            up = np.empty(g.shape)
-            for j, seg in self.depths[n][0]:
-                grad[:, j, :] = g[seg].T @ adj[seg]
+            core, g, level = cores[n], kept[n], self.depths[n]
+            if level is None:
+                # one GEMM each; the second also sums every parent's children
+                wide = adj.reshape(g.shape[0], -1)
+                grad = (g.T @ wide).reshape(core.shape)
                 if n:
-                    np.matmul(adj[seg], core[:, j, :].T, out=up[seg])
-            if n:
-                adj = self._sum_into_parents(n, up, gathered[n - 1].shape[0])
+                    adj = wide @ core.reshape(core.shape[0], -1).T
+            else:
+                segments, _, count = level
+                grad = np.zeros_like(core)
+                up = np.empty(g.shape)
+                for j, seg in segments:
+                    grad[:, j, :] = g[seg].T @ adj[seg]
+                    if n:
+                        np.matmul(adj[seg], core[:, j, :].T, out=up[seg])
+                if n:
+                    adj = self._sum_into_parents(n, up, count)
             grads.append(grad)
         return grads[::-1]
 

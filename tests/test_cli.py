@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ttcomplete import (
     tensor_from_array,
     TTRank,
 )
+import ttcomplete.cli as cli
 from ttcomplete.cli import main
 
 
@@ -340,12 +343,16 @@ class TestUsageErrors:
             ("--seeds", "", "--seeds lists no seeds"),
             ("--shapes", "4xq", "bad shape '4xq', expected e.g. 26x26x26"),
             ("--grad-tol", "nan", "grad_tol must be non-negative, got nan"),
+            ("--rates", "0.5,1.0", "missing_rate must lie in [0, 1), got 1.0"),
+            ("--shapes", "4x4,1x1", "missing_rate 0.5 leaves no observed cell in shape 1x1"),
         ],
     )
     def test_sweep(self, tmp_path, capsys, flag, value, message):
         argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0", "--out", str(tmp_path / "s.csv")]
-        # the later occurrence of a flag wins
-        assert main(argv + [flag, value]) == 2
+        # the later occurrence of a flag wins; no grid point is fitted
+        with mock.patch.object(cli, "fit_cores") as fit:
+            assert main(argv + [flag, value]) == 2
+        fit.assert_not_called()
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 

@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import ttcomplete.engine as engine
@@ -76,7 +76,14 @@ def trie_instances(draw):
     coords = np.stack(np.unravel_index(cells, sizes, order="F"), axis=1) + 1
     obs = SparseObservations(shape, coords, rng.standard_normal(len(cells)))
     split = draw(st.integers(1, order))
-    return cores, at_split(obs, split), rng.permutation(len(cells))
+    join = at_split(obs, split)._join()[0]
+    event("level kinds: " + " and ".join(sorted({*level_kinds(join.left), *level_kinds(join.right)})))
+    return cores, obs, rng.permutation(len(cells))
+
+
+def level_kinds(trie):
+    """The kind of each depth of ``trie``, root side first."""
+    return ["complete" if level is None else "segment" for level in trie.depths]
 
 
 def _max_fd_error(cores, obs):
@@ -365,7 +372,11 @@ class TestSplit:
         img = synthetic_scene(256, seed=1)
         mask = mask_random(img.shape, 0.9, 1)
         obs = extract_observations(tensorize_image(img), tensorize_mask(mask))
-        assert obs._join()[0].split == 4
+        join = obs._join()[0]
+        assert join.split == 4
+        # every parent has all its children: both tries are one GEMM per depth
+        assert level_kinds(join.left) == ["complete"] * 4
+        assert level_kinds(join.right) == ["complete"] * 5
 
     def test_dense_sparse_cube_splits_early(self):
         shape = TensorShape((48, 48, 48))
@@ -384,6 +395,64 @@ class TestSplit:
         join = obs._join()[0]
         assert join.split == 3
         assert join.right.leaves == 1
+
+
+class TestLevelKinds:
+    def test_mixed_trie_matches_dense_oracle_at_every_split(self):
+        # mode-1 label 3 never appears, (1, 1, 1) and every (i_1, 2, 4) are missing:
+        # the prefix depths are segment, complete, segment and the suffix depths
+        # (modes 3, 2, 1) complete, segment, segment
+        shape = TensorShape((3, 2, 4))
+        cells = [
+            (i, j, k)
+            for i in (1, 2)
+            for j in (1, 2)
+            for k in (1, 2, 3, 4)
+            if (i, j, k) != (1, 1, 1) and (j, k) != (2, 4)
+        ]
+        rng = np.random.default_rng(11)
+        cores = random_init(shape, TTRank((1, 2, 3, 1)), seed=11)
+        coords = np.array(cells)
+        values = rng.standard_normal(len(cells))
+        lin = np.ravel_multi_index(tuple((coords - 1).T), shape.sizes, order="F")
+        truth = np.zeros(shape.element_count)
+        truth[lin] = values
+        observed = np.zeros(shape.element_count, dtype=bool)
+        observed[lin] = True
+
+        def dense_f(flat):
+            return dense_weighted_objective(unflatten_params(cores, flat), truth, observed)
+
+        dense_g = central_difference_gradient(dense_f, flatten_params(cores), eps=1e-5)
+        perm = rng.permutation(len(cells))
+        kinds = {
+            1: (["segment"], ["complete", "segment"]),
+            2: (["segment", "complete"], ["complete"]),
+            3: (["segment", "complete", "segment"], []),
+        }
+        for s, (left, right) in kinds.items():
+            obs = at_split(SparseObservations(shape, coords, values), s)
+            join = obs._join()[0]
+            assert (level_kinds(join.left), level_kinds(join.right)) == (left, right)
+            f, g = objective_and_gradient(cores, obs)
+            assert f == pytest.approx(dense_f(flatten_params(cores)), rel=1e-12)
+            assert np.max(np.abs(g - dense_g) / np.maximum(np.abs(g), 1e-8)) < 1e-6
+            assert _max_fd_error(cores, obs) < 1e-6
+            shuffled = at_split(SparseObservations(shape, coords[perm], values[perm]), s)
+            f1, g1 = objective_and_gradient(cores, shuffled)
+            assert f1 == f
+            assert np.array_equal(g1, g)
+
+    def test_sparse_instance_keeps_segment_levels(self):
+        shape = TensorShape((20,) * 5)
+        rng = np.random.default_rng(0)
+        cells = rng.choice(shape.element_count, size=10_000, replace=False)
+        coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
+        obs = SparseObservations(shape, coords, rng.standard_normal(cells.size))
+        join = obs._join()[0]
+        kinds = level_kinds(join.left) + level_kinds(join.right)
+        assert kinds[:2] == ["complete", "complete"]
+        assert kinds.count("segment") >= 3
 
 
 class TestReconstruct:
