@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -79,6 +80,12 @@ def _config(args) -> OptimizeConfig:
     return OptimizeConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
 
 
+def _check_out_dir(path: str):
+    """Refuse an output path in a missing directory (exit 3) before any fit."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise OSError(f"the directory of output path {path!r} does not exist")
+
+
 def cmd_complete(args) -> int:
     if (args.input is None) == (args.image is None):
         raise UsageError("exactly one input source is required: --input or --image")
@@ -91,7 +98,10 @@ def cmd_complete(args) -> int:
         raise UsageError("--tensorize applies only to --image inputs")
     mask_text, build_mask = _parse_mask(args)
     rank = TTRank(tuple(_parse_list(args.ranks, "--ranks")))
+    if args.seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
     config = _config(args)
+    _check_out_dir(args.out_prefix)
     if args.image is not None:
         image = load_image(args.image)
         check_full_capacity(image.shape)
@@ -172,10 +182,13 @@ def cmd_sweep(args) -> int:
         raise UsageError("--rates lists no missing rates")
     if not seeds:
         raise UsageError("--seeds lists no seeds")
+    if min(seeds) < 0:
+        raise UsageError(f"--seeds must be non-negative, got {min(seeds)}")
     for shape in shapes:
         check_full_capacity(shape)
         for rate in rates:
             observed_count(shape, rate)
+    _check_out_dir(args.out)
     grid = [(shape, rate, seed) for shape in shapes for rate in rates for seed in seeds]
     rows = [_sweep_point(*g, args.rank, config) for g in grid]
 

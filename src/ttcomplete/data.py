@@ -24,9 +24,9 @@ def gen_oscillating(shape: TensorShape) -> DenseTensor:
     return DenseTensor(shape, np.sin(x / 4.0) * np.cos(x * x))
 
 
-def gen_tt_random(shape: TensorShape, rank: TTRank, seed: int, scale: float = 1.0) -> DenseTensor:
+def gen_tt_random(shape: TensorShape, rank: TTRank, seed: int) -> DenseTensor:
     """Ground truth with known train rank: materialize randomly drawn cores."""
-    return tt_full(random_init(shape, rank, seed, scale=scale))
+    return tt_full(random_init(shape, rank, seed))
 
 
 class MissingMask:
@@ -45,9 +45,6 @@ class MissingMask:
             raise ValueError("degenerate mask: no observed cells")
         self.shape = shape
         self.observed = observed
-
-    def as_array(self) -> np.ndarray:
-        return self.observed.reshape(self.shape.sizes, order="F")
 
 
 def observed_count(shape: TensorShape, missing_rate: float) -> int:

@@ -36,8 +36,9 @@ E^T @ L, and each trie runs its backward pass: slice j's gradient sums
 P[parent]^T @ adjoint[node] over the nodes labelled j, and a parent's adjoint
 sums adjoint[child] @ core_n[:, label, :]^T over its children (one GEMM each
 at a complete depth; per label and a ``bincount`` into the parents at a
-segment depth). ``evaluate`` runs the backward pass only when its caller asks
-for the gradient; ``objective`` and ``reconstruct`` run only the forward pass.
+segment depth). The forward pass always keeps each depth's parent rows;
+``evaluate`` runs the backward pass on them only when its caller asks for the
+gradient, and ``reconstruct`` never does.
 
 Cost rule. A fused call costs O(sum_{n<=s} K_n r_{n-1} r_n
 + sum_{n>s} K'_n r_{n-1} r_n + K_s K'_{s+1} r_s + M) flops, in one GEMM per
@@ -102,7 +103,15 @@ class SparseObservations:
             raise ShapeError(f"{indices.shape[0]} indices but {values.size} values")
         if values.size < 1:
             raise ShapeError("at least one observation is required")
-        _check_bounds(indices, self.shape, "observation")
+        sizes = np.array(self.shape.sizes)
+        bad = np.flatnonzero(((indices < 1) | (indices > sizes)).ravel())
+        if bad.size:
+            m, n = divmod(int(bad[0]), self.shape.order)
+            raise BoundsError(
+                f"observation {m + 1}: coordinate {indices[m, n]} out of range [1, {sizes[n]}] "
+                f"in mode {n + 1}",
+                row=m,
+            )
 
     @property
     def count(self) -> int:
@@ -118,19 +127,6 @@ class SparseObservations:
             join = _Join(self.indices, self.shape)
             self._cache["join"] = (join, self.values[join.order])
         return self._cache["join"]
-
-
-def _check_bounds(indices: np.ndarray, shape: TensorShape, noun: str):
-    """Raise BoundsError naming the first row of 1-based ``indices`` outside ``shape``."""
-    sizes = np.array(shape.sizes)
-    bad = np.flatnonzero(((indices < 1) | (indices > sizes)).ravel())
-    if bad.size:
-        m, n = divmod(int(bad[0]), shape.order)
-        raise BoundsError(
-            f"{noun} {m + 1}: coordinate {indices[m, n]} out of range [1, {sizes[n]}] "
-            f"in mode {n + 1}",
-            row=m,
-        )
 
 
 # The join block holds at most this many cells per observation. On img256 at
@@ -221,8 +217,8 @@ class _Trie:
             self.leaves = starts.size
         self.leaf = node
 
-    def forward(self, cores: Sequence[np.ndarray], keep: bool = False):
-        """Leaf rows, plus each depth's parent rows (per node at a segment depth) when ``keep``."""
+    def forward(self, cores: Sequence[np.ndarray]):
+        """Leaf rows, and each depth's parent rows (per node at a segment depth) for ``backward``."""
         rows = np.ones((1, 1))
         kept = []
         for core, level in zip(cores, self.depths):
@@ -235,8 +231,7 @@ class _Trie:
                 rows = np.empty((g.shape[0], core.shape[2]))
                 for j, seg in segments:
                     np.matmul(g[seg], core[:, j, :], out=rows[seg])
-            if keep:
-                kept.append(g)
+            kept.append(g)
         return rows, kept
 
     def backward(self, cores: Sequence[np.ndarray], kept, adj: np.ndarray) -> list:
@@ -296,12 +291,12 @@ class _Join:
         right_leaf[rorder] = self.right.leaf
         self.flat = self.left.leaf * self.right.leaves + right_leaf[self.order]
 
-    def forward(self, cores: Sequence[np.ndarray], keep: bool = False):
+    def forward(self, cores: Sequence[np.ndarray]):
         """Predictions of the sorted rows, and what ``backward`` needs."""
         s = self.split
         right_cores = [core.transpose(2, 1, 0) for core in cores[s:][::-1]]
-        left, left_kept = self.left.forward(cores[:s], keep)
-        right, right_kept = self.right.forward(right_cores, keep)
+        left, left_kept = self.left.forward(cores[:s])
+        right, right_kept = self.right.forward(right_cores)
         x = np.take((left @ right.T).ravel(), self.flat)
         return x, (left, right, left_kept, right_kept, right_cores)
 
@@ -317,31 +312,26 @@ class _Join:
         return np.concatenate(parts)
 
 
-def _residuals(cores: TTCores, obs: SparseObservations, keep: bool = False):
-    """The join, x_m - y_m in its row order, and what its backward pass needs."""
-    if cores.shape.sizes != obs.shape.sizes:
-        raise ShapeError(f"cores describe shape {cores.shape}, observations shape {obs.shape}")
-    join, vals = obs._join()
-    x, kept = join.forward(cores.cores, keep)
-    return join, x - vals, kept
-
-
-def objective(cores: TTCores, obs: SparseObservations) -> float:
-    """Half the squared residual over the observed entries."""
-    _, resid, _ = _residuals(cores, obs)
-    return 0.5 * float(np.dot(resid, resid))
-
-
 def evaluate(cores: TTCores, obs: SparseObservations) -> tuple[float, Callable[[], np.ndarray]]:
     """The objective, and its gradient as a function: ``(f, gradient)``.
 
-    ``gradient()`` runs the backward pass on the state this forward pass kept,
-    so it returns the same bits whenever it runs. The layout matches
+    f is half the squared residual over the observed entries. ``gradient()``
+    runs the backward pass on the state this forward pass kept, so it returns
+    the same bits whenever it runs. The layout matches
     :func:`ttcomplete.ttmodel.flatten_params`; slices untouched by every
     observation keep an exactly zero gradient.
     """
-    join, resid, kept = _residuals(cores, obs, keep=True)
+    if cores.shape.sizes != obs.shape.sizes:
+        raise ShapeError(f"cores describe shape {cores.shape}, observations shape {obs.shape}")
+    join, vals = obs._join()
+    x, kept = join.forward(cores.cores)
+    resid = x - vals
     return 0.5 * float(np.dot(resid, resid)), lambda: join.backward(cores.cores, kept, resid)
+
+
+def objective(cores: TTCores, obs: SparseObservations) -> float:
+    """Half the squared residual over the observed entries: :func:`evaluate`'s f."""
+    return evaluate(cores, obs)[0]
 
 
 def objective_and_gradient(cores: TTCores, obs: SparseObservations) -> tuple[float, np.ndarray]:
@@ -352,19 +342,13 @@ def objective_and_gradient(cores: TTCores, obs: SparseObservations) -> tuple[flo
 
 def gradient(cores: TTCores, obs: SparseObservations) -> np.ndarray:
     """Flattened gradient of the objective with respect to every core entry."""
-    return objective_and_gradient(cores, obs)[1]
+    return evaluate(cores, obs)[1]()
 
 
 def reconstruct(cores: TTCores, at) -> np.ndarray:
-    """Model predictions at the requested multi-indices, in the given order."""
+    """Model predictions at the requested multi-indices (checked as observations), in order."""
     at = np.atleast_2d(np.asarray(at, dtype=np.int64))
-    if at.shape[1] != cores.shape.order:
-        raise BoundsError(
-            f"indices of width {at.shape[1]} do not match order-{cores.shape.order} shape"
-        )
-    _check_bounds(at, cores.shape, "request")
-    join = _Join(at, cores.shape)
-    x, _ = join.forward(cores.cores)
+    join, _ = SparseObservations(cores.shape, at, np.zeros(at.shape[0]))._join()
     out = np.empty(at.shape[0])
-    out[join.order] = x
+    out[join.order] = join.forward(cores.cores)[0]
     return out

@@ -307,6 +307,27 @@ class TestComplete:
         assert code == 3
 
 
+class TestMissingOutputDirectory:
+    """A missing output directory exits 3 before any fit and writes nothing."""
+
+    def test_complete(self, tmp_path, capsys):
+        obs_path, _ = write_small_problem(tmp_path)
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1"]
+        with mock.patch.object(cli, "fit_cores") as fit:
+            assert main(argv + ["--out-prefix", str(tmp_path / "no" / "such" / "run")]) == 3
+        fit.assert_not_called()
+        assert "does not exist" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.txt"]
+
+    def test_sweep(self, tmp_path, capsys):
+        argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0,1"]
+        with mock.patch.object(cli, "fit_cores") as fit:
+            assert main(argv + ["--out", str(tmp_path / "no" / "such.csv")]) == 3
+        fit.assert_not_called()
+        assert "does not exist" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestUsageErrors:
     """Each invalid combination exits 2 with its message on stderr and writes nothing."""
 
@@ -327,10 +348,17 @@ class TestUsageErrors:
                 ["--input", "{obs}", "--ranks", "1,x,1"],
                 "--ranks expects a comma-separated integer list, got '1,x,1'",
             ),
+            # refused before the (missing) input file is read, which would exit 3
+            (["--input", "{absent}", "--seed", "-1"], "--seed must be non-negative, got -1"),
+            (["--image", "{absent}", "--missing-rate", "0.5", "--seed", "-3"], "--seed must be non-negative, got -3"),
         ],
     )
     def test_complete(self, tmp_path, capsys, extra, message):
-        paths = {"obs": str(write_small_problem(tmp_path)[0]), "img": str(write_test_image(tmp_path))}
+        paths = {
+            "obs": str(write_small_problem(tmp_path)[0]),
+            "img": str(write_test_image(tmp_path)),
+            "absent": str(tmp_path / "absent.txt"),
+        }
         before = sorted(p.name for p in tmp_path.iterdir())
         argv = ["complete", "--ranks", "1,2,2,1", "--out-prefix", str(tmp_path / "x")]
         assert main(argv + [a.format(**paths) for a in extra]) == 2
@@ -345,6 +373,7 @@ class TestUsageErrors:
             ("--grad-tol", "nan", "grad_tol must be non-negative, got nan"),
             ("--rates", "0.5,1.0", "missing_rate must lie in [0, 1), got 1.0"),
             ("--shapes", "4x4,1x1", "missing_rate 0.5 leaves no observed cell in shape 1x1"),
+            ("--seeds", "0,-2", "--seeds must be non-negative, got -2"),
         ],
     )
     def test_sweep(self, tmp_path, capsys, flag, value, message):

@@ -143,7 +143,7 @@ class TestStructuredMasks:
 
     def test_masked_cells_are_the_named_rows(self):
         mask = mask_rows(TensorShape((4, 5, 3)), [2, 4])
-        arr = mask.as_array()
+        arr = mask.observed.reshape(mask.shape.sizes, order="F")
         assert not arr[[1, 3], :, :].any()
         assert arr[[0, 2], :, :].all()
 
@@ -214,7 +214,7 @@ class TestInitScale:
         # the whole point of the formula: random starts predict at data scale
         shape = TensorShape((4,) * 6)
         rank = TTRank((1, 4, 4, 4, 4, 4, 1))
-        truth = gen_tt_random(shape, rank, seed=1, scale=2.0)
+        truth = tt_full(random_init(shape, rank, seed=1, scale=2.0))
         obs = extract_observations(truth, mask_random(shape, 0.5, seed=1))
         scale = default_init_scale(obs, rank)
         start = random_init(shape, rank, seed=2, scale=scale)

@@ -479,8 +479,12 @@ class TestReconstruct:
 
     def test_bounds_error(self):
         cores = two_mode_example()
-        with pytest.raises(BoundsError):
+        with pytest.raises(BoundsError, match="observation 1: coordinate 3 out of range"):
             reconstruct(cores, [[1, 3]])
+
+    def test_width_mismatch_is_a_shape_error(self):
+        with pytest.raises(ShapeError):
+            reconstruct(two_mode_example(), [[1, 1, 1]])
 
 
 def _full_mask(shape):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ttcomplete import NumericError, OptimizeConfig, minimize
+from ttcomplete import optimize
 from ttcomplete.optimize import _WOLFE_C1, _WOLFE_C2, _hs_beta
 
 
@@ -175,6 +176,24 @@ class TestMinimize:
         with pytest.raises(NumericError):
             minimize(eager(bad), np.array([1.0]), OptimizeConfig())
 
+    def test_nan_objective_at_trial_raises(self):
+        def nan_away_from_start(x):
+            return (0.5 if x[0] == 1.0 else float("nan")), x.copy()
+
+        with pytest.raises(NumericError, match="objective is NaN"):
+            minimize(eager(nan_away_from_start), np.array([1.0]), OptimizeConfig())
+
+    def test_minus_inf_objective_at_accepted_step_raises(self):
+        # -inf fails the first trial's finiteness test; with a zero gradient
+        # the zoom's trial then meets both Wolfe conditions and is accepted
+        def minus_inf_away_from_start(x):
+            if x[0] == 1.0:
+                return 0.5, x.copy()
+            return -np.inf, np.zeros(1)
+
+        with pytest.raises(NumericError, match="not finite at an accepted step"):
+            minimize(eager(minus_inf_away_from_start), np.array([1.0]), OptimizeConfig())
+
     def test_inf_gradient_raises(self):
         def bad(x):
             return 1.0, np.array([np.inf])
@@ -250,3 +269,28 @@ class TestGradientOnDemand:
 
         with pytest.raises(NumericError, match="gradient contains NaN"):
             minimize(eager(nan_away_from_start), np.array([1.0]), OptimizeConfig())
+
+
+class TestSteepestDescentReset:
+    def test_non_descent_direction_restarts_along_minus_gradient(self, monkeypatch):
+        # this beta makes g_new . (-g_new + beta * d_old) = |g_new|^2 > 0
+        def uphill_beta(g_new, g_old, d_old):
+            return 2.0 * float(g_new @ g_new) / float(g_new @ d_old)
+
+        searches = []
+
+        class RecordingEvaluator(optimize._LineEvaluator):
+            def __init__(self, fg, x, d):
+                super().__init__(fg, x, d)
+                searches.append((x, d))
+
+        monkeypatch.setattr(optimize, "_hs_beta", uphill_beta)
+        monkeypatch.setattr(optimize, "_LineEvaluator", RecordingEvaluator)
+        f = make_quadratic(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        # four iterations stay inside the restart period of n = 5
+        _, report = minimize(eager(f), np.ones(5), OptimizeConfig(max_iters=4))
+        assert report.iterations == len(searches) == 4
+        for x, d in searches:
+            assert np.array_equal(d, -f(x)[1])
+        objectives = [r.objective for r in report.records]
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
