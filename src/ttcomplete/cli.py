@@ -108,8 +108,7 @@ def cmd_complete(args) -> int:
         mask = build_mask(image.shape, args.seed)
         recovered, cores, report = complete_image(image, mask, rank, config, args.seed, args.tensorize)
     else:
-        obs = load_sparse(args.input)
-        check_full_capacity(obs.shape)
+        obs = load_sparse(args.input, check_full_capacity)
         cores, report = fit_cores(obs, rank, config, args.seed)
         recovered = tt_full(cores)
     if report.reason == "line-search-failure":

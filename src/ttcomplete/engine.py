@@ -20,6 +20,12 @@ cores core_n.transpose(2, 1, 0); it holds the K'_n distinct suffixes
 in each trie. The prefix leaves give the K_s x r_s rows L, the suffix leaves
 the K'_{s+1} x r_s rows R, and one dense block X = L @ R^T joins them:
 observation m, with prefix leaf a_m and suffix leaf b_m, predicts X[a_m, b_m].
+The block is never whole in memory. Its rows are cut into equal tiles of
+about ``_TILE_CELLS`` cells (512 KiB, inside a core's L2) and at least
+``_TILE_MIN_ROWS`` rows; a block of at most ``_TILE_CELLS`` cells, or of
+fewer than 2 * ``_TILE_MIN_ROWS`` rows, is one tile. The observations are
+kept in block-row order, so tile t owns one contiguous run of them, and the
+forward pass forms X_t = L_t @ R^T (one GEMM) and gathers that run's cells.
 
 A trie depth is one of two kinds, read from the observed cells. It is
 complete when every parent has all I_n children (K_n = K_{n-1} * I_n), as on
@@ -29,22 +35,27 @@ step like the left-to-right sweep of TT-SVD. Any other depth is a segment
 depth: its nodes gather their parents' rows and run one matmul per slice
 label.
 
-The backward pass is reverse mode. The residuals x_m - y_m are summed into a
-K_s x K'_{s+1} block E at (a_m, b_m) (one ``bincount``, repeated cells
-included). The prefix leaves receive the adjoint E @ R, the suffix leaves
-E^T @ L, and each trie runs its backward pass: slice j's gradient sums
-P[parent]^T @ adjoint[node] over the nodes labelled j, and a parent's adjoint
-sums adjoint[child] @ core_n[:, label, :]^T over its children (one GEMM each
-at a complete depth; per label and a ``bincount`` into the parents at a
-segment depth). The forward pass always keeps each depth's parent rows;
-``evaluate`` runs the backward pass on them only when its caller asks for the
-gradient, and ``reconstruct`` never does.
+The backward pass is reverse mode. Tile by tile, the residuals x_m - y_m of
+its run are summed into its rows E_t of the block E at (a_m, b_m) (one
+``bincount``, repeated cells included); E_t @ R is written into the tile's
+rows of the prefix leaves' adjoint, and R's adjoint E^T @ L gains
+E_t^T @ L_t (the first tile's product is taken as is, so a one-tile block
+computes E @ R and L^T @ E exactly as one GEMM each). Each trie then runs its
+backward pass: slice j's gradient sums P[parent]^T @ adjoint[node] over the
+nodes labelled j, and a parent's adjoint sums adjoint[child] @
+core_n[:, label, :]^T over its children (one GEMM each at a complete depth;
+per label and a ``bincount`` into the parents at a segment depth). The
+forward pass always keeps each depth's parent rows; ``evaluate`` runs the
+backward pass on them only when its caller asks for the gradient, and
+``reconstruct`` never does.
 
 Cost rule. A fused call costs O(sum_{n<=s} K_n r_{n-1} r_n
 + sum_{n>s} K'_n r_{n-1} r_n + K_s K'_{s+1} r_s + M) flops, in one GEMM per
-complete depth and pass (two backward) and one matmul per slice label at a
-segment depth. The split s minimises the trie nodes sum_{n<=s} K_n
-+ sum_{n>s} K'_n among the splits whose block holds at most
+complete depth and pass (two backward), one matmul per slice label at a
+segment depth, and three GEMMs per block tile; each tile after the first adds
+K'_{s+1} r_s flops to R's adjoint. The block's working memory is one tile,
+not K_s K'_{s+1} cells. The split s minimises the trie nodes
+sum_{n<=s} K_n + sum_{n>s} K'_n among the splits whose block holds at most
 ``_BLOCK_CELLS_PER_OBS`` * M cells. s = N, where the suffix trie is empty and
 R is the 1 x 1 matrix of ones, always qualifies; there every product is exact
 and the engine is a one-sided prefix trie. K_n and K'_n come from two sorts of
@@ -52,14 +63,16 @@ the observations' linear offsets, so s depends only on the observed cells,
 and one cached structure serves the objective, the gradient and the
 duplicate check.
 
-Determinism: rows are kept in the stable lexicographic order of
-(i_1, ..., i_N), and the suffix trie is built from the order of
-(i_N, ..., i_1). A complete depth stores its nodes parent-major (child j of
-the parent at position p at row p * I_n + j); a segment depth stores them by
-label and then in sorted order. Both layouts, and which one a depth takes,
-depend only on the set of distinct cells, and each block cell belongs to one
-distinct cell, so every reduction sees the same operands in the same order
-and permuting distinct stored entries changes no output bit.
+Determinism: rows are kept in the stable order of their prefix leaf, and
+within one leaf in the stable lexicographic order of (i_1, ..., i_N); when
+every prefix depth is complete that is the lexicographic order itself. The
+suffix trie is built from the order of (i_N, ..., i_1). A complete depth
+stores its nodes parent-major (child j of the parent at position p at row
+p * I_n + j); a segment depth stores them by label and then in sorted order.
+Both layouts, which one a depth takes, and the tiles depend only on the set
+of distinct cells, and each block cell belongs to one distinct cell, so every
+reduction sees the same operands in the same order and permuting distinct
+stored entries changes no output bit.
 """
 
 from __future__ import annotations
@@ -130,17 +143,27 @@ class SparseObservations:
 
 
 # The join block holds at most this many cells per observation. On img256 at
-# r = 8 (1 BLAS thread) a block cell costs about 3.5 ns per f+g (a gather, a
-# bincount and three r_s-wide matrix products: 0.68-0.71 ms for 196,608 cells)
-# and a node at a segment depth about 50 ns (2.8-2.9 ms for the one-sided
-# trie's 54,564 nodes, 53,220 of them at segment depths). Complete depths cost
-# far less per node: at s = 4 every depth is complete, and the tries' 1,363
-# nodes take about 0.13 ms of the 0.81 ms. The cap prices every node at the
+# r = 8 (1 BLAS thread, 2 vCPU, three tiles) a block cell costs about 1.5 ns
+# per f+g (a gather, a bincount and three r_s-wide matrix products: 0.29 of
+# the 0.34 ms f+g for 196,608 cells; 2.0 ns as one untiled block) and a node
+# at a segment depth about 27 ns (1.41-1.47 ms for the one-sided trie's 54,604
+# nodes, 53,240 of them at segment depths; scene and mask seed 1). Complete
+# depths cost far less per node: at s = 4 every depth is complete, and the
+# tries' 1,363 nodes take about 0.045 ms. The cap prices every node at the
 # segment rate, so a block at the cap costs about one segment node per
 # observation, which the one-sided trie's last level alone spends. img256 needs
 # 10 for s = 4; a 1000^3 tensor with 5,000 cells would need about 1,000 and
 # keeps s = N.
 _BLOCK_CELLS_PER_OBS = 16
+
+# The join block is computed in row tiles of about this many cells: 512 KiB of
+# float64, inside a 2 MiB L2. A 1024 x 1024 block at r = 8 runs f+g in 1.7 ms
+# in 64-row tiles, 2.3 ms in 128-row tiles and 3.2 ms whole.
+_TILE_CELLS = 2**16
+# A tile keeps at least this many rows: thinner tiles re-accumulate R's
+# K'_{s+1} x r_s adjoint too often for too little work (img256 at missing
+# 0.95, a 16 x 6,912 block, ran f+g 11% slower in two 9-row tiles).
+_TILE_MIN_ROWS = 32
 
 
 def _sort_rows(indices: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -271,12 +294,14 @@ class _Trie:
 class _Join:
     """Rows of 1-based ``indices`` as a prefix trie and a suffix trie joined by one block.
 
-    ``order`` sorts the rows stably and lexicographically by (i_1, ..., i_N);
-    every per-row array is kept in that order. ``split`` is s; ``left`` is the
-    trie over modes 1..s and ``right`` the trie over modes N, ..., s+1. Sorted
-    row m sits at ``flat[m]`` of the flattened ``left.leaves`` x
-    ``right.leaves`` join block. ``repeated`` lists, ascending, the rows whose
-    multi-index an earlier row already holds.
+    ``order`` sorts the rows stably by block row (prefix leaf) and within one
+    lexicographically by (i_1, ..., i_N); every per-row array is kept in that
+    order. ``split`` is s; ``left`` is the trie over modes 1..s and ``right``
+    the trie over modes N, ..., s+1. ``tiles`` lists, per row tile of the
+    ``left.leaves`` x ``right.leaves`` join block, the slice of its block rows
+    and the slice of sorted rows that fall in it; sorted row m sits at
+    ``cell[m]`` of its flattened tile. ``repeated`` lists, ascending, the rows
+    whose multi-index an earlier row already holds.
     """
 
     def __init__(self, indices: np.ndarray, shape: TensorShape):
@@ -289,7 +314,16 @@ class _Join:
         self.right = _Trie(rlin, rsizes, len(sizes) - self.split)
         right_leaf = np.empty_like(rorder)
         right_leaf[rorder] = self.right.leaf
-        self.flat = self.left.leaf * self.right.leaves + right_leaf[self.order]
+        # rows by block row; a no-op when every prefix depth is complete
+        by_row = np.argsort(self.left.leaf, kind="stable")
+        self.order, row = self.order[by_row], self.left.leaf[by_row]
+        height, width = self.left.leaves, self.right.leaves
+        count = max(1, min(-(-height * width // _TILE_CELLS), height // _TILE_MIN_ROWS))
+        rows = -(-height // count)
+        starts = range(0, height, rows)
+        bounds = np.searchsorted(row, [*starts, height])
+        self.tiles = [(slice(r, r + rows), slice(a, b)) for r, a, b in zip(starts, bounds[:-1], bounds[1:])]
+        self.cell = row % rows * width + right_leaf[self.order]
 
     def forward(self, cores: Sequence[np.ndarray]):
         """Predictions of the sorted rows, and what ``backward`` needs."""
@@ -297,16 +331,26 @@ class _Join:
         right_cores = [core.transpose(2, 1, 0) for core in cores[s:][::-1]]
         left, left_kept = self.left.forward(cores[:s])
         right, right_kept = self.right.forward(right_cores)
-        x = np.take((left @ right.T).ravel(), self.flat)
+        x = np.empty(self.cell.size)
+        for rows, obs in self.tiles:
+            np.take((left[rows] @ right.T).ravel(), self.cell[obs], out=x[obs], mode="clip")
         return x, (left, right, left_kept, right_kept, right_cores)
 
     def backward(self, cores: Sequence[np.ndarray], kept, resid: np.ndarray) -> np.ndarray:
         """Flattened core gradients given the residual of each sorted row."""
         left, right, left_kept, right_kept, right_cores = kept
-        block = np.bincount(self.flat, weights=resid, minlength=left.shape[0] * right.shape[0])
-        block = block.reshape(left.shape[0], right.shape[0])
-        left_grads = self.left.backward(cores[: self.split], left_kept, block @ right)
-        right_grads = self.right.backward(right_cores, right_kept, (left.T @ block).T)
+        left_adj = np.empty_like(left)
+        for rows, obs in self.tiles:
+            tile = left[rows]
+            block = np.bincount(self.cell[obs], weights=resid[obs], minlength=tile.shape[0] * right.shape[0])
+            block = block.reshape(tile.shape[0], right.shape[0])
+            np.matmul(block, right, out=left_adj[rows])
+            if rows.start:
+                right_adj += tile.T @ block
+            else:
+                right_adj = tile.T @ block
+        left_grads = self.left.backward(cores[: self.split], left_kept, left_adj)
+        right_grads = self.right.backward(right_cores, right_kept, right_adj.T)
         parts = [g.ravel(order="F") for g in left_grads]
         parts += [g.transpose(2, 1, 0).ravel(order="F") for g in right_grads[::-1]]
         return np.concatenate(parts)

@@ -109,10 +109,16 @@ def save_sparse(path, obs: SparseObservations) -> None:
     _write(path, head, (f"{' '.join(map(str, idx))} {val!r}" for idx, val in rows))
 
 
-def load_sparse(path) -> SparseObservations:
-    """Parse a sparse observation file, rejecting malformed, non-finite or duplicate entries."""
+def load_sparse(path, check_shape=None) -> SparseObservations:
+    """Parse a sparse observation file, rejecting malformed, non-finite or duplicate entries.
+
+    ``check_shape``, if given, is called with the header's shape before any
+    record is parsed; whatever it raises propagates.
+    """
     rd = _LineReader(path)
     shape = rd.header(SPARSE_MAGIC)
+    if check_shape is not None:
+        check_shape(shape)
     m = rd.table("observation count", 1, 1)[0].item()
     if m < 1:
         raise rd.error(f"observation count must be positive, got {m}")

@@ -116,16 +116,27 @@ def check_full_capacity(shape: TensorShape) -> None:
 def tt_full(cores: TTCores) -> DenseTensor:
     """Materialize the full tensor represented by the cores.
 
-    Refuses shapes with more than ``DEFAULT_FULL_LIMIT`` entries.
+    Meets in the middle: a left-to-right sweep over modes 1..s gives the
+    (I_1 * ... * I_s) x r_s prefix rows, a right-to-left sweep over modes
+    N..s+1 the r_s x (I_{s+1} * ... * I_N) suffix columns (one column of ones
+    when s = N), both in column-major index order, and one GEMM joins them;
+    their product raveled in F order is the tensor. s makes the larger of the
+    two counts as small as it can be, about the square root of the element
+    count. Refuses shapes with more than ``DEFAULT_FULL_LIMIT`` entries.
     """
     check_full_capacity(cores.shape)
-    # Left-to-right sweep: after mode n the rows of `left` enumerate the
-    # column-major prefix indices (i_1, ..., i_n) and columns span r_n.
+    sizes = cores.shape.sizes
+    s = min(range(1, len(sizes) + 1), key=lambda n: max(math.prod(sizes[:n]), math.prod(sizes[n:])))
     left = np.ones((1, 1))
-    for n, core in enumerate(cores.cores):
+    for size, core in zip(sizes[:s], cores.cores[:s]):
         grown = np.tensordot(left, core, axes=(1, 0))
-        left = grown.reshape((left.shape[0] * cores.shape.sizes[n], core.shape[2]), order="F")
-    return DenseTensor(cores.shape, left[:, 0])
+        left = grown.reshape((left.shape[0] * size, core.shape[2]), order="F")
+    right = np.ones((1, 1))
+    for size, core in zip(sizes[s:][::-1], cores.cores[s:][::-1]):
+        grown = np.tensordot(core, right, axes=(2, 0))
+        right = grown.reshape((core.shape[0], size * right.shape[1]), order="F")
+    # the product's transpose in C order is the product in F order, without a strided copy
+    return DenseTensor(cores.shape, (right.T @ left.T).ravel())
 
 
 def flatten_params(cores: TTCores) -> np.ndarray:

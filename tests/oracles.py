@@ -30,6 +30,19 @@ def full_by_entries(cores):
     return out
 
 
+def full_by_sweep(cores):
+    """Flat column-major tensor by one left-to-right sweep over all N modes.
+
+    After mode n the rows of ``left`` enumerate the column-major prefix
+    indices (i_1, ..., i_n) and its columns span r_n.
+    """
+    left = np.ones((1, 1))
+    for size, core in zip(cores.shape.sizes, cores.cores):
+        grown = np.tensordot(left, core, axes=(1, 0))
+        left = grown.reshape((left.shape[0] * size, core.shape[2]), order="F")
+    return left[:, 0]
+
+
 def outer_product(vectors):
     """Rank-1 tensor from per-mode vectors."""
     out = np.array(1.0)

@@ -235,6 +235,15 @@ class TestComplete:
         assert "over the limit" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
 
+    def test_over_capacity_header_refused_before_records(self, tmp_path, capsys):
+        # 100^4 = 1e8 cells; the malformed second record is never parsed
+        path = tmp_path / "big.txt"
+        path.write_text("stto-sparse v1\n4\n100 100 100 100\n2\n1 1 1 1 1.0\n1 1 x 1 2.0\n")
+        argv = ["complete", "--input", str(path), "--ranks", "1,2,2,2,1"]
+        assert main(argv + ["--out-prefix", str(tmp_path / "big")]) == 2
+        assert "over the limit" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
+
     def test_image_output_matches_complete_image(self, tmp_path):
         img_path = write_test_image(tmp_path)
         prefix = str(tmp_path / "run")

@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -79,6 +80,31 @@ def trie_instances(draw):
     join = at_split(obs, split)._join()[0]
     event("level kinds: " + " and ".join(sorted({*level_kinds(join.left), *level_kinds(join.right)})))
     return cores, obs, rng.permutation(len(cells))
+
+
+def one_row_tiles():
+    """While active, joins are built with one block row per tile."""
+    return mock.patch.multiple(engine, _TILE_CELLS=1, _TILE_MIN_ROWS=1)
+
+
+def tiled(obs, like=None):
+    """``obs`` rebuilt with one-row tiles, at the split of ``like`` (default ``obs``)."""
+    split = (like or obs)._join()[0].split
+    with one_row_tiles():
+        fresh = at_split(SparseObservations(obs.shape, obs.indices, obs.values), split)
+    join = fresh._join()[0]
+    assert len(join.tiles) == join.left.leaves
+    return fresh
+
+
+def dense_oracle_f(cores, obs):
+    """The objective of ``obs`` as the dense masked loss, entry by entry."""
+    cells = np.ravel_multi_index(tuple((obs.indices - 1).T), obs.shape.sizes, order="F")
+    truth = np.zeros(obs.shape.element_count)
+    truth[cells] = obs.values
+    observed = np.zeros(obs.shape.element_count, dtype=bool)
+    observed[cells] = True
+    return dense_weighted_objective(cores, truth, observed)
 
 
 def level_kinds(trie):
@@ -331,17 +357,71 @@ class TestProperties:
         assert np.array_equal(g0, g1)
 
 
+class TestTiles:
+    # One-row tiles split every block with more than one row; the properties
+    # above must hold tile by tile.
+    @given(trie_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_oracle_and_one_tile(self, instance):
+        cores, obs, _ = instance
+        f, g = objective_and_gradient(cores, tiled(obs))
+        f_ref, g_ref = objective_and_gradient(cores, obs)
+        assert f == pytest.approx(dense_oracle_f(cores, obs), rel=1e-12)
+        assert f == pytest.approx(f_ref, rel=1e-12)
+        assert np.allclose(g, g_ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(g_ref)))
+
+    @given(trie_instances())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_gradient_matches_finite_differences(self, instance):
+        cores, obs, _ = instance
+        assert _max_fd_error(cores, tiled(obs)) < 1e-6
+
+    @given(trie_instances())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_exact_under_permutation(self, instance):
+        cores, obs, perm = instance
+        shuffled = tiled(SparseObservations(obs.shape, obs.indices[perm], obs.values[perm]), obs)
+        obs = tiled(obs)
+        f0, g0 = objective_and_gradient(cores, obs)
+        f1, g1 = objective_and_gradient(cores, shuffled)
+        assert f0 == f1 == objective(cores, shuffled)
+        assert np.array_equal(g0, g1)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_reconstruct_at_every_split(self, seed):
+        cores, obs = random_instance(seed)
+        at = np.concatenate([obs.indices[::-1], obs.indices[:5]])
+        full = full_by_entries(cores)[tuple((at - 1).T)]
+        for s in range(1, obs.shape.order + 1):
+            with one_row_tiles(), mock.patch.object(engine, "_best_split", return_value=s):
+                assert np.allclose(reconstruct(cores, at), full, rtol=1e-12, atol=1e-14)
+
+    def test_peak_memory_well_under_the_block(self):
+        # a 1024 x 1024 block (8 MiB) for 100k observations at rank 8
+        shape = TensorShape((1024, 1024))
+        rng = np.random.default_rng(5)
+        cells = rng.choice(shape.element_count, size=100_000, replace=False)
+        coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
+        obs = SparseObservations(shape, coords, rng.standard_normal(cells.size))
+        cores = random_init(shape, cap_ranks(shape, (1, 8, 1)), seed=5)
+        join = obs._join()[0]
+        block_bytes = 8 * join.left.leaves * join.right.leaves
+        assert block_bytes == 8 * 2**20
+        tracemalloc.start()
+        try:
+            objective_and_gradient(cores, obs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < block_bytes / 2
+
+
 class TestSplit:
     @pytest.mark.parametrize("seed", range(8))
     def test_every_split_matches_dense_oracle(self, seed):
         cores, obs = random_instance(seed)
         shape = obs.shape
-        cells = np.ravel_multi_index(tuple((obs.indices - 1).T), shape.sizes, order="F")
-        truth = np.zeros(shape.element_count)
-        truth[cells] = obs.values
-        observed = np.zeros(shape.element_count, dtype=bool)
-        observed[cells] = True
-        dense_val = dense_weighted_objective(cores, truth, observed)
+        dense_val = dense_oracle_f(cores, obs)
         g_ref = gradient(cores, at_split(SparseObservations(shape, obs.indices, obs.values), shape.order))
         for s in range(1, shape.order + 1):
             split = at_split(SparseObservations(shape, obs.indices, obs.values), s)

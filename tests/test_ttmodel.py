@@ -18,7 +18,7 @@ from ttcomplete import (
     unflatten_params,
     uniform_ranks,
 )
-from oracles import entry_by_matrix_chain, full_by_entries, outer_product
+from oracles import entry_by_matrix_chain, full_by_entries, full_by_sweep, outer_product
 
 
 def two_mode_example():
@@ -141,6 +141,31 @@ class TestFullReconstruction:
         for idx in itertools.product(*(range(1, s + 1) for s in shape.sizes)):
             expected = entry_by_matrix_chain(cores, idx)
             assert full[tuple(i - 1 for i in idx)] == pytest.approx(expected, rel=1e-12, abs=1e-14)
+
+    # tt_full meets in the middle at s = 1 for orders 1 and 2 (at order 1 the suffix
+    # is empty); at s = 1, 2 for (9, 2, 2), (2, 2, 9); at s = 1, 2, 3 for (5, 2, 2, 2),
+    # (2, 3, 2, 3), (2, 2, 2, 5); at s = 1..4 for the last four order-5 shapes.
+    # Interior rank 1 is a rank-1 chain.
+    @pytest.mark.parametrize("interior", [1, 3])
+    @pytest.mark.parametrize(
+        "sizes",
+        [
+            (4,), (1,), (3, 4), (1, 6), (6, 1), (9, 2, 2), (2, 2, 9), (1, 1, 1),
+            (5, 2, 2, 2), (2, 3, 2, 3), (2, 2, 2, 5), (1, 2, 1, 4),
+            (3, 1, 2, 1, 3), (2, 2, 3, 2, 2), (2, 2, 2, 2, 6), (2, 2, 2, 2, 20),
+        ],
+    )
+    def test_every_split_matches_entries(self, sizes, interior):
+        shape = TensorShape(sizes)
+        cores = random_init(shape, uniform_ranks(shape, interior), seed=len(sizes) + interior)
+        ref = full_by_entries(cores)
+        assert np.allclose(tt_full(cores).as_array(), ref, rtol=1e-12, atol=1e-14 * np.max(np.abs(ref)))
+
+    def test_image_shape_matches_sweep(self):
+        shape = TensorShape((4,) * 8 + (3,))
+        cores = random_init(shape, uniform_ranks(shape, 8), seed=3)
+        ref = full_by_sweep(cores)
+        assert np.max(np.abs(tt_full(cores).values - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_capacity_guard(self):
         # 4097 * 4096 = 16,781,312 cells, one row over the 2**24 limit; the cores stay tiny
