@@ -8,6 +8,7 @@ treated as immutable after construction and are safe to share across threads.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,14 @@ from .errors import ShapeError
 MAX_ELEMENT_COUNT = 2**62
 
 
+def whole(value, error: type[Exception], what: str) -> int:
+    """``value`` as an int; anything but an int, a numpy integer or an integral float raises ``error``."""
+    with contextlib.suppress(TypeError, ValueError, OverflowError):
+        if int(value) == value:
+            return int(value)
+    raise error(f"{what} {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class TensorShape:
     """Mode sizes I_1..I_N of an N-way tensor."""
@@ -26,7 +35,7 @@ class TensorShape:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(whole(s, ShapeError, "mode size") for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) < 1:
             raise ShapeError("a tensor shape needs at least one mode")

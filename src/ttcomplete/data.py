@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import DenseTensor, TensorShape
+from .core import DenseTensor, TensorShape, whole
 from .engine import SparseObservations
 from .errors import BoundsError, ShapeError
 from .ttmodel import TTRank, random_init, tt_full
@@ -79,13 +79,12 @@ def mask_rows(image_shape: TensorShape, missing_row_indices) -> MissingMask:
     """Withhold whole image rows (every column, every channel); rows are 1-based."""
     _check_image_shape(image_shape)
     height = image_shape.sizes[0]
-    rows = [int(r) for r in missing_row_indices]
+    rows = [whole(r, BoundsError, "row") for r in missing_row_indices]
     for r in rows:
         if not 1 <= r <= height:
             raise BoundsError(f"row {r} out of range [1, {height}]")
     observed = np.ones(image_shape.sizes, dtype=bool)
-    if rows:
-        observed[np.array(rows) - 1, :, :] = False
+    observed[np.array(rows, dtype=np.int64) - 1] = False
     return MissingMask(image_shape, observed.ravel(order="F"))
 
 

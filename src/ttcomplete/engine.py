@@ -77,8 +77,9 @@ stored entries changes no output bit.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -94,19 +95,16 @@ class SparseObservations:
 
     ``indices`` is an (M, N) int array of 1-based multi-indices, ``values``
     the matching float array. Treated as immutable after construction;
-    derived lookup structures are cached lazily.
+    the join built from them is cached lazily.
     """
 
     shape: TensorShape
     indices: np.ndarray
     values: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, init=False)
 
     def __post_init__(self):
-        indices = np.atleast_2d(np.asarray(self.indices, dtype=np.int64))
-        values = np.asarray(self.values, dtype=np.float64).ravel()
-        self.indices = indices
-        self.values = values
+        indices = np.atleast_2d(np.asarray(self.indices))
+        self.values = values = np.asarray(self.values, dtype=np.float64).ravel()
         if indices.ndim != 2 or indices.shape[1] != self.shape.order:
             raise ShapeError(
                 f"index array of shape {indices.shape} does not match order-{self.shape.order} "
@@ -117,14 +115,16 @@ class SparseObservations:
         if values.size < 1:
             raise ShapeError("at least one observation is required")
         sizes = np.array(self.shape.sizes)
-        bad = np.flatnonzero(((indices < 1) | (indices > sizes)).ravel())
+        bad = (indices < 1) | (indices > sizes)
+        if indices.dtype.kind == "f":
+            bad |= indices != np.round(indices)  # NaN included
+        bad = np.flatnonzero(bad.ravel())
         if bad.size:
             m, n = divmod(int(bad[0]), self.shape.order)
-            raise BoundsError(
-                f"observation {m + 1}: coordinate {indices[m, n]} out of range [1, {sizes[n]}] "
-                f"in mode {n + 1}",
-                row=m,
-            )
+            v = indices[m, n]
+            problem = f"out of range [1, {sizes[n]}]" if float(v).is_integer() else "is not an integer"
+            raise BoundsError(f"observation {m + 1}: coordinate {v} {problem} in mode {n + 1}", row=m)
+        self.indices = indices.astype(np.int64, copy=False)
 
     @property
     def count(self) -> int:
@@ -132,14 +132,12 @@ class SparseObservations:
 
     def repeated_rows(self) -> np.ndarray:
         """Ascending rows whose multi-index an earlier row already holds."""
-        return self._join()[0].repeated
+        return self._join.repeated
 
-    def _join(self):
-        """The observations' two tries and their join, and the values in its row order."""
-        if "join" not in self._cache:
-            join = _Join(self.indices, self.shape)
-            self._cache["join"] = (join, self.values[join.order])
-        return self._cache["join"]
+    @functools.cached_property
+    def _join(self) -> _Join:
+        """The observations' two tries and their join."""
+        return _Join(self.indices, self.values, self.shape)
 
 
 # The join block holds at most this many cells per observation. On img256 at
@@ -295,16 +293,16 @@ class _Join:
     """Rows of 1-based ``indices`` as a prefix trie and a suffix trie joined by one block.
 
     ``order`` sorts the rows stably by block row (prefix leaf) and within one
-    lexicographically by (i_1, ..., i_N); every per-row array is kept in that
-    order. ``split`` is s; ``left`` is the trie over modes 1..s and ``right``
-    the trie over modes N, ..., s+1. ``tiles`` lists, per row tile of the
-    ``left.leaves`` x ``right.leaves`` join block, the slice of its block rows
-    and the slice of sorted rows that fall in it; sorted row m sits at
-    ``cell[m]`` of its flattened tile. ``repeated`` lists, ascending, the rows
-    whose multi-index an earlier row already holds.
+    lexicographically by (i_1, ..., i_N); every per-row array, ``values``
+    among them, is kept in that order. ``split`` is s; ``left`` is the trie
+    over modes 1..s and ``right`` the trie over modes N, ..., s+1. ``tiles``
+    lists, per row tile of the ``left.leaves`` x ``right.leaves`` join block,
+    the slice of its block rows and the slice of sorted rows that fall in it;
+    sorted row m sits at ``cell[m]`` of its flattened tile. ``repeated``
+    lists, ascending, the rows whose multi-index an earlier row already holds.
     """
 
-    def __init__(self, indices: np.ndarray, shape: TensorShape):
+    def __init__(self, indices: np.ndarray, values: np.ndarray, shape: TensorShape):
         sizes, rsizes = shape.sizes, shape.sizes[::-1]
         self.order, lin, prefix = _sort_rows(indices, sizes)
         rorder, rlin, suffix = _sort_rows(indices[:, ::-1], rsizes)
@@ -324,6 +322,7 @@ class _Join:
         bounds = np.searchsorted(row, [*starts, height])
         self.tiles = [(slice(r, r + rows), slice(a, b)) for r, a, b in zip(starts, bounds[:-1], bounds[1:])]
         self.cell = row % rows * width + right_leaf[self.order]
+        self.values = values[self.order]
 
     def forward(self, cores: Sequence[np.ndarray]):
         """Predictions of the sorted rows, and what ``backward`` needs."""
@@ -367,9 +366,9 @@ def evaluate(cores: TTCores, obs: SparseObservations) -> tuple[float, Callable[[
     """
     if cores.shape.sizes != obs.shape.sizes:
         raise ShapeError(f"cores describe shape {cores.shape}, observations shape {obs.shape}")
-    join, vals = obs._join()
+    join = obs._join
     x, kept = join.forward(cores.cores)
-    resid = x - vals
+    resid = x - join.values
     return 0.5 * float(np.dot(resid, resid)), lambda: join.backward(cores.cores, kept, resid)
 
 
@@ -391,8 +390,8 @@ def gradient(cores: TTCores, obs: SparseObservations) -> np.ndarray:
 
 def reconstruct(cores: TTCores, at) -> np.ndarray:
     """Model predictions at the requested multi-indices (checked as observations), in order."""
-    at = np.atleast_2d(np.asarray(at, dtype=np.int64))
-    join, _ = SparseObservations(cores.shape, at, np.zeros(at.shape[0]))._join()
+    at = np.atleast_2d(at)
+    join = SparseObservations(cores.shape, at, np.zeros(at.shape[0]))._join
     out = np.empty(at.shape[0])
     out[join.order] = join.forward(cores.cores)[0]
     return out

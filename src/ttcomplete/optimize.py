@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from .core import whole
 from .errors import NumericError, ShapeError
 
 _HS_DENOM_FLOOR = 1e-30
@@ -38,6 +39,7 @@ class OptimizeConfig:
     grad_tol: float = 0.0
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iters", whole(self.max_iters, ValueError, "max_iters"))
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if not self.grad_tol >= 0:  # NaN compares false, and would never stop a run
@@ -119,21 +121,24 @@ def _quad_min(a, fa, fpa, b, fb):
 
 
 class _LineEvaluator:
-    """Evaluates f along x + alpha*d, and g there on request, counting calls against a budget.
+    """The one caller of a run's ``f_and_g``: f along x + alpha*d, and g there on request.
 
-    A NaN objective at any trial aborts the run, and so does a NaN directional
+    ``search(x, d)`` starts a line and resets ``calls``, its evaluation
+    budget; the run's report counts every evaluation and gradient. A NaN
+    objective at any trial aborts the run, and so does a NaN directional
     derivative at a trial whose gradient the search reads; a trial rejected
     on its objective computes no gradient. An infinite objective at a trial
-    point is tolerated (the caller rejects the step and shrinks the bracket);
-    accepted steps are re-validated by the driver.
+    is tolerated (the caller rejects the step and shrinks the bracket);
+    :func:`minimize` checks the accepted points.
     """
 
-    def __init__(self, fg, x, d):
-        self.fg = fg
-        self.x = x
-        self.d = d
-        self.calls = 0
-        self._gradient = None
+    def __init__(self, f_and_g, report: OptimizeReport):
+        self.f_and_g = f_and_g
+        self.report = report
+
+    def search(self, x, d):
+        """Evaluate along x + alpha*d from now on, with a fresh budget."""
+        self.x, self.d, self.calls = x, d, 0
 
     def exhausted(self) -> bool:
         return self.calls >= _MAX_LINE_SEARCH_EVALS
@@ -141,15 +146,25 @@ class _LineEvaluator:
     def __call__(self, alpha) -> float:
         """The objective at x + alpha*d."""
         self.calls += 1
+        self.report.evals += 1
         self._gradient = None  # free the last trial's kept state before the next forward pass
-        f, self._gradient = self.fg(self.x + alpha * self.d)
+        f, self._gradient = self.f_and_g(self.x + alpha * self.d)
+        f = float(f)
         if f != f:
             raise NumericError("objective is NaN")
         return f
 
+    def gradient(self) -> np.ndarray:
+        """The gradient at the last trial, as a flat float64 vector the size of x."""
+        self.report.gradients += 1
+        g = np.asarray(self._gradient(), dtype=np.float64).ravel()
+        if g.size != self.x.size:
+            raise ShapeError(f"callback returned gradient of length {g.size}, expected {self.x.size}")
+        return g
+
     def slope(self):
         """The gradient at the last trial and its directional derivative along d."""
-        g = self._gradient()
+        g = self.gradient()
         derphi = float(np.dot(g, self.d))
         if derphi != derphi:
             raise NumericError("gradient contains NaN")
@@ -200,18 +215,11 @@ def _first_trial_step(f, f_prev, derphi0):
     iteration aims at f = 0, later ones at repeating the previous drop.
     Well-scaled problems hit the cap and start at exactly ``_INITIAL_STEP``.
     """
-    if derphi0 >= 0.0 or not np.isfinite(derphi0):
+    if derphi0 >= 0.0:
         return _INITIAL_STEP
-    if f_prev is None:
-        drop = f if f > 0 else 0.0
-    else:
-        drop = f_prev - f
-    if drop <= 0.0:
-        return _INITIAL_STEP
-    guess = 2.02 * drop / (-derphi0)
-    if not np.isfinite(guess) or guess <= 0.0:
-        return _INITIAL_STEP
-    return min(_INITIAL_STEP, guess)
+    drop = max(f, 0.0) if f_prev is None else f_prev - f
+    guess = 2.02 * drop / (-derphi0)  # <= 0 when there is no drop to repeat
+    return min(_INITIAL_STEP, guess) if guess > 0.0 else _INITIAL_STEP
 
 
 def _line_search(ev, f0, derphi0, first_trial):
@@ -248,65 +256,50 @@ def minimize(
     """Run NCG-HS from ``x0`` until a stopping rule fires.
 
     ``f_and_g(x)`` returns ``(f, gradient)``: the objective at x and a
-    zero-argument function that returns the gradient there. ``gradient`` is
-    called at most once, before the next evaluation, and only at the start
-    and at the line-search trials that pass sufficient decrease.
+    zero-argument function that returns the gradient there. One
+    :class:`_LineEvaluator` makes every call, and calls ``gradient`` at most
+    once, before the next evaluation, only at the start and at the
+    line-search trials that pass sufficient decrease.
 
-    Every accepted step satisfies the strong Wolfe conditions, so the
-    recorded objective sequence is strictly non-increasing. A line search
-    that exhausts its budget ends the run with reason "line-search-failure";
-    non-finite objective or gradient values abort with NumericError.
+    Iteration 0 is the start, taken as step 0 along d = 0; iteration k >= 1 is
+    the step the k-th line search accepts. Each iteration checks that f and g
+    are finite (else NumericError), moves x, sets the next direction, appends
+    its record and tests the stopping rules. Accepted steps satisfy the strong
+    Wolfe conditions, so the recorded objectives never increase. A line search
+    that exhausts its budget ends the run with reason "line-search-failure".
     """
     cfg = cfg or OptimizeConfig()
     x = np.array(x0, dtype=np.float64).ravel()
     report = OptimizeReport()
-
-    def fg(z):
-        report.evals += 1
-        f, gradient = f_and_g(z)
-
-        def grad():
-            report.gradients += 1
-            g = np.asarray(gradient(), dtype=np.float64).ravel()
-            if g.size != x.size:
-                raise ShapeError(f"callback returned gradient of length {g.size}, expected {x.size}")
-            return g
-
-        return float(f), grad
-
-    f, grad = fg(x)
-    g = grad()
-    if not np.isfinite(f) or not np.all(np.isfinite(g)):
-        raise NumericError("objective or gradient is not finite at the starting point")
-    report.records.append(IterationRecord(f, float(np.max(np.abs(g))), 0.0, 1))
-    if float(np.max(np.abs(g))) <= cfg.grad_tol:
-        report.reason = "grad-tol"
-        return x, report
-
-    d = -g
-    f_prev = None
+    ev = _LineEvaluator(f_and_g, report)
+    d = np.zeros_like(x)
+    ev.search(x, d)
+    hit = 0.0, ev(0.0), ev.gradient()
+    f = g = None
     restart_period = max(x.size, 1)
-    for k in range(1, cfg.max_iters + 1):
-        derphi0 = float(np.dot(g, d))
-        if derphi0 >= 0.0:
-            d = -g
-            derphi0 = float(np.dot(g, d))
-        first_trial = _first_trial_step(f, f_prev, derphi0)
-        ev = _LineEvaluator(fg, x, d)
-        hit = _line_search(ev, f, derphi0, first_trial)
-        if hit is None:
-            report.reason = "line-search-failure"
-            return x, report
+    for k in range(cfg.max_iters + 1):
         alpha, f_new, g_new = hit
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
-            raise NumericError("objective or gradient is not finite at an accepted step")
+            where = "an accepted step" if k else "the starting point"
+            raise NumericError(f"objective or gradient is not finite at {where}")
         x = x + alpha * d
         beta = 0.0 if k % restart_period == 0 else _hs_beta(g_new, g, d)
         d = -g_new + beta * d
         f_prev, f, g = f, f_new, g_new
         report.records.append(IterationRecord(f, float(np.max(np.abs(g))), float(alpha), ev.calls))
-        if float(np.max(np.abs(g))) <= cfg.grad_tol:
+        if report.records[-1].grad_norm <= cfg.grad_tol:
             report.reason = "grad-tol"
+            return x, report
+        if k == cfg.max_iters:
+            break
+        derphi0 = float(np.dot(g, d))
+        if derphi0 >= 0.0:
+            d = -g
+            derphi0 = float(np.dot(g, d))
+        ev.search(x, d)
+        hit = _line_search(ev, f, derphi0, _first_trial_step(f, f_prev, derphi0))
+        if hit is None:
+            report.reason = "line-search-failure"
             return x, report
     report.reason = "max-iters"
     return x, report

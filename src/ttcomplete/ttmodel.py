@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DenseTensor, TensorShape
+from .core import DenseTensor, TensorShape, whole
 from .errors import CapacityError, ShapeError
 
 # Largest element count tt_full will materialize.
@@ -28,7 +28,7 @@ class TTRank:
     ranks: tuple[int, ...]
 
     def __post_init__(self):
-        ranks = tuple(int(r) for r in self.ranks)
+        ranks = tuple(whole(r, ShapeError, "rank") for r in self.ranks)
         object.__setattr__(self, "ranks", ranks)
         if len(ranks) < 2:
             raise ShapeError("a rank chain needs at least two entries")
@@ -74,20 +74,16 @@ def cap_ranks(shape: TensorShape, ranks: Sequence[int]) -> TTRank:
 
     Rank r_n can never usefully exceed min(I_1*...*I_n, I_{n+1}*...*I_N).
     """
-    ranks = [int(r) for r in ranks]
+    ranks = [whole(r, ShapeError, "rank") for r in ranks]
     if len(ranks) != shape.order + 1:
         raise ShapeError(f"rank chain length {len(ranks)} does not fit order-{shape.order} shape {shape}")
-    capped = []
-    for n, r in enumerate(ranks):
-        left = math.prod(shape.sizes[:n]) if n > 0 else 1
-        right = math.prod(shape.sizes[n:]) if n < shape.order else 1
-        capped.append(min(r, left, right))
-    return TTRank(tuple(capped))
+    sizes = shape.sizes
+    return TTRank(tuple(min(r, math.prod(sizes[:n]), math.prod(sizes[n:])) for n, r in enumerate(ranks)))
 
 
 def uniform_ranks(shape: TensorShape, interior: int) -> TTRank:
     """Rank chain (1, r, ..., r, 1) capped by the shape."""
-    return cap_ranks(shape, (1,) + (int(interior),) * (shape.order - 1) + (1,))
+    return cap_ranks(shape, (1,) + (interior,) * (shape.order - 1) + (1,))
 
 
 def random_init(shape: TensorShape, rank: TTRank, seed: int, scale: float = 1.0) -> TTCores:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ttcomplete import (
+    NumericError,
     OptimizeConfig,
     SparseObservations,
     complete_image,
@@ -378,6 +379,7 @@ class TestUsageErrors:
         "flag, value, message",
         [
             ("--seeds", "", "--seeds lists no seeds"),
+            ("--shapes", ",", "--shapes lists no shapes"),
             ("--shapes", "4xq", "bad shape '4xq', expected e.g. 26x26x26"),
             ("--grad-tol", "nan", "grad_tol must be non-negative, got nan"),
             ("--rates", "0.5,1.0", "missing_rate must lie in [0, 1), got 1.0"),
@@ -393,6 +395,18 @@ class TestUsageErrors:
         fit.assert_not_called()
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+
+class TestNumericFailure:
+    def test_exits_4_and_writes_nothing(self, tmp_path, capsys):
+        obs_path, _ = write_small_problem(tmp_path)
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1"]
+        argv += ["--out-prefix", str(tmp_path / "x")]
+        failure = NumericError("objective or gradient is not finite at the starting point")
+        with mock.patch.object(cli, "fit_cores", side_effect=failure):
+            assert main(argv) == 4
+        assert "error: objective or gradient is not finite at the starting point" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["obs.txt"]
 
 
 class TestMaskHeader:

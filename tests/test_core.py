@@ -17,6 +17,16 @@ class TestTensorShape:
         with pytest.raises(ShapeError):
             TensorShape(bad)
 
+    @pytest.mark.parametrize("bad", [(2.5, 3), (3, float("nan")), (float("inf"),), ("3",)])
+    def test_non_integral_sizes_rejected(self, bad):
+        with pytest.raises(ShapeError, match="is not an integer"):
+            TensorShape(bad)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        shape = TensorShape((2.0, np.int32(3), np.uint8(4)))
+        assert shape.sizes == (2, 3, 4)
+        assert all(type(s) is int for s in shape.sizes)
+
     def test_oversized_count_rejected(self):
         with pytest.raises(ShapeError):
             TensorShape((2**31, 2**31, 2**31))

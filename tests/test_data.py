@@ -129,6 +129,14 @@ class TestStructuredMasks:
         with pytest.raises(BoundsError):
             mask_rows(TensorShape((4, 4, 3)), [5])
 
+    def test_non_integral_row_rejected(self):
+        with pytest.raises(BoundsError, match="row 1.5 is not an integer"):
+            mask_rows(TensorShape((4, 4, 3)), [1.5])
+
+    def test_integral_rows_accepted(self):
+        mask = mask_rows(TensorShape((4, 5, 3)), [2.0, np.int64(4)])
+        assert np.array_equal(mask.observed, mask_rows(TensorShape((4, 5, 3)), [2, 4]).observed)
+
     def test_block_counts(self):
         mask = mask_block(TensorShape((8, 8, 3)), 2, 3, 4, 2)
         assert np.count_nonzero(mask.observed) == 8 * 8 * 3 - 4 * 2 * 3

@@ -57,7 +57,7 @@ def random_instance(seed, order=None):
 def at_split(obs, s):
     """``obs`` with its two tries built at split ``s``."""
     with mock.patch.object(engine, "_best_split", return_value=s):
-        assert obs._join()[0].split == s
+        assert obs._join.split == s
     return obs
 
 
@@ -77,7 +77,7 @@ def trie_instances(draw):
     coords = np.stack(np.unravel_index(cells, sizes, order="F"), axis=1) + 1
     obs = SparseObservations(shape, coords, rng.standard_normal(len(cells)))
     split = draw(st.integers(1, order))
-    join = at_split(obs, split)._join()[0]
+    join = at_split(obs, split)._join
     event("level kinds: " + " and ".join(sorted({*level_kinds(join.left), *level_kinds(join.right)})))
     return cores, obs, rng.permutation(len(cells))
 
@@ -89,10 +89,10 @@ def one_row_tiles():
 
 def tiled(obs, like=None):
     """``obs`` rebuilt with one-row tiles, at the split of ``like`` (default ``obs``)."""
-    split = (like or obs)._join()[0].split
+    split = (like or obs)._join.split
     with one_row_tiles():
         fresh = at_split(SparseObservations(obs.shape, obs.indices, obs.values), split)
-    join = fresh._join()[0]
+    join = fresh._join
     assert len(join.tiles) == join.left.leaves
     return fresh
 
@@ -129,6 +129,30 @@ class TestObservations:
         shape = TensorShape((2, 2))
         with pytest.raises(BoundsError, match="mode 2"):
             SparseObservations(shape, np.array([[1, 3]]), np.array([1.0]))
+
+    @pytest.mark.parametrize(
+        "coords, row, message",
+        [
+            ([[1.7, 2.2]], 0, "observation 1: coordinate 1.7 is not an integer in mode 1"),
+            ([[1, 1], [2, 2.5]], 1, "observation 2: coordinate 2.5 is not an integer in mode 2"),
+            ([[1, 1], [np.nan, 1]], 1, "observation 2: coordinate nan is not an integer in mode 1"),
+        ],
+    )
+    def test_non_integral_index_names_its_row(self, coords, row, message):
+        shape = TensorShape((3, 3))
+        with pytest.raises(BoundsError, match=message) as info:
+            SparseObservations(shape, np.array(coords), np.ones(len(coords)))
+        assert info.value.row == row
+
+    def test_integral_float_indices_accepted(self):
+        shape = TensorShape((3, 3))
+        obs = SparseObservations(shape, np.array([[1.0, 3.0], [2.0, 2.0]]), np.array([1.0, 2.0]))
+        assert obs.indices.dtype == np.int64
+        assert obs.indices.tolist() == [[1, 3], [2, 2]]
+
+    def test_index_and_value_counts_must_match(self):
+        with pytest.raises(ShapeError, match="2 indices but 1 values"):
+            SparseObservations(TensorShape((3, 3)), np.array([[1, 1], [2, 2]]), np.array([1.0]))
 
     def test_at_least_one_entry(self):
         shape = TensorShape((2, 2))
@@ -350,7 +374,7 @@ class TestProperties:
     def test_bit_exact_under_permutation(self, instance):
         cores, obs, perm = instance
         shuffled = SparseObservations(obs.shape, obs.indices[perm], obs.values[perm])
-        at_split(shuffled, obs._join()[0].split)
+        at_split(shuffled, obs._join.split)
         f0, g0 = objective_and_gradient(cores, obs)
         f1, g1 = objective_and_gradient(cores, shuffled)
         assert f0 == f1 == objective(cores, shuffled)
@@ -404,7 +428,7 @@ class TestTiles:
         coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
         obs = SparseObservations(shape, coords, rng.standard_normal(cells.size))
         cores = random_init(shape, cap_ranks(shape, (1, 8, 1)), seed=5)
-        join = obs._join()[0]
+        join = obs._join
         block_bytes = 8 * join.left.leaves * join.right.leaves
         assert block_bytes == 8 * 2**20
         tracemalloc.start()
@@ -452,7 +476,7 @@ class TestSplit:
         img = synthetic_scene(256, seed=1)
         mask = mask_random(img.shape, 0.9, 1)
         obs = extract_observations(tensorize_image(img), tensorize_mask(mask))
-        join = obs._join()[0]
+        join = obs._join
         assert join.split == 4
         # every parent has all its children: both tries are one GEMM per depth
         assert level_kinds(join.left) == ["complete"] * 4
@@ -464,7 +488,7 @@ class TestSplit:
         obs = extract_observations(
             DenseTensor(shape, rng.standard_normal(shape.element_count)), mask_random(shape, 0.6, 2)
         )
-        assert obs._join()[0].split < 3
+        assert obs._join.split < 3
 
     def test_block_over_cap_keeps_one_sided_trie(self):
         shape = TensorShape((1000, 1000, 1000))
@@ -472,7 +496,7 @@ class TestSplit:
         cells = rng.choice(shape.element_count, size=5000, replace=False)
         coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
         obs = SparseObservations(shape, coords, rng.standard_normal(5000))
-        join = obs._join()[0]
+        join = obs._join
         assert join.split == 3
         assert join.right.leaves == 1
 
@@ -512,7 +536,7 @@ class TestLevelKinds:
         }
         for s, (left, right) in kinds.items():
             obs = at_split(SparseObservations(shape, coords, values), s)
-            join = obs._join()[0]
+            join = obs._join
             assert (level_kinds(join.left), level_kinds(join.right)) == (left, right)
             f, g = objective_and_gradient(cores, obs)
             assert f == pytest.approx(dense_f(flatten_params(cores)), rel=1e-12)
@@ -529,7 +553,7 @@ class TestLevelKinds:
         cells = rng.choice(shape.element_count, size=10_000, replace=False)
         coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
         obs = SparseObservations(shape, coords, rng.standard_normal(cells.size))
-        join = obs._join()[0]
+        join = obs._join
         kinds = level_kinds(join.left) + level_kinds(join.right)
         assert kinds[:2] == ["complete", "complete"]
         assert kinds.count("segment") >= 3
@@ -561,6 +585,12 @@ class TestReconstruct:
         cores = two_mode_example()
         with pytest.raises(BoundsError, match="observation 1: coordinate 3 out of range"):
             reconstruct(cores, [[1, 3]])
+
+    def test_non_integral_index_refused(self):
+        cores = two_mode_example()
+        with pytest.raises(BoundsError, match="coordinate 1.9 is not an integer in mode 1"):
+            reconstruct(cores, [[1.9, 1]])
+        assert np.array_equal(reconstruct(cores, [[2.0, 2.0]]), [53.0])
 
     def test_width_mismatch_is_a_shape_error(self):
         with pytest.raises(ShapeError):

@@ -62,6 +62,12 @@ class TestSparseFormat:
         with pytest.raises(FormatError, match="line 7"):
             load_sparse(path)
 
+    def test_zero_observations_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("stto-sparse v1\n2\n3 3\n0\n")
+        with pytest.raises(FormatError, match="^line 4: observation count must be positive, got 0"):
+            load_sparse(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "v2.txt"
         path.write_text("stto-sparse v2\n1\n3\n1\n1 1.0\n")

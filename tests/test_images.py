@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,22 @@ class TestPPM:
         p = tmp_path / "bad.ppm"
         p.write_bytes(b"P6\n2 2\n255\n\x00\x00\x00")
         with pytest.raises(FormatError, match="truncated"):
+            load_image(p)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"P6\n1 1", "unexpected end of PPM header"),
+            (b"P6\n1 x\n255\n\x00\x00\x00", "non-integer height field b'x'"),
+            (b"P6\n0 1\n255\n", "invalid dimensions 0x1"),
+            (b"P6\n1 1\n255", "missing whitespace between header and pixel data"),
+            (b"P6\n1 1\n255\n\x00\x00\x00\x00", "trailing bytes after pixel data: 1"),
+        ],
+    )
+    def test_malformed_refused(self, tmp_path, data, message):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(data)
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_image(p)
 
     def test_header_comment_tolerated(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ttcomplete import NumericError, OptimizeConfig, minimize
+from ttcomplete import NumericError, OptimizeConfig, ShapeError, minimize
 from ttcomplete import optimize
 from ttcomplete.optimize import _WOLFE_C1, _WOLFE_C2, _hs_beta
 
@@ -67,6 +67,17 @@ class TestConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OptimizeConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_iters", [2.5, float("nan"), float("inf")])
+    def test_non_integral_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="max_iters .* is not an integer"):
+            OptimizeConfig(max_iters=max_iters)
+
+    def test_integral_max_iters_accepted(self):
+        cfg = OptimizeConfig(max_iters=2.0)
+        assert cfg == OptimizeConfig(max_iters=np.int64(2)) == OptimizeConfig(max_iters=2)
+        _, report = minimize(eager(quadratic_bowl), np.array([1.0, -2.0]), cfg)
+        assert report.iterations <= 2
 
 
 class TestHSBeta:
@@ -194,6 +205,22 @@ class TestMinimize:
         with pytest.raises(NumericError, match="not finite at an accepted step"):
             minimize(eager(minus_inf_away_from_start), np.array([1.0]), OptimizeConfig())
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_gradient_of_wrong_length_raises(self, size):
+        def wrong_length(x):
+            return 0.5 * float(x @ x), np.ones(size)
+
+        with pytest.raises(ShapeError, match=f"callback returned gradient of length {size}, expected 2"):
+            minimize(eager(wrong_length), np.array([1.0, 2.0]), OptimizeConfig())
+
+    @pytest.mark.parametrize("f, g", [(np.inf, [0.0]), (1.0, [np.inf]), (-np.inf, [np.nan])])
+    def test_not_finite_start_is_named(self, f, g):
+        def bad(x):
+            return f, np.array(g)
+
+        with pytest.raises(NumericError, match="not finite at the starting point"):
+            minimize(eager(bad), np.array([1.0]), OptimizeConfig())
+
     def test_inf_gradient_raises(self):
         def bad(x):
             return 1.0, np.array([np.inf])
@@ -278,14 +305,14 @@ class TestSteepestDescentReset:
             return 2.0 * float(g_new @ g_new) / float(g_new @ d_old)
 
         searches = []
+        line_search = optimize._line_search
 
-        class RecordingEvaluator(optimize._LineEvaluator):
-            def __init__(self, fg, x, d):
-                super().__init__(fg, x, d)
-                searches.append((x, d))
+        def recording_line_search(ev, *args):
+            searches.append((ev.x, ev.d))
+            return line_search(ev, *args)
 
         monkeypatch.setattr(optimize, "_hs_beta", uphill_beta)
-        monkeypatch.setattr(optimize, "_LineEvaluator", RecordingEvaluator)
+        monkeypatch.setattr(optimize, "_line_search", recording_line_search)
         f = make_quadratic(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
         # four iterations stay inside the restart period of n = 5
         _, report = minimize(eager(f), np.ones(5), OptimizeConfig(max_iters=4))

@@ -50,6 +50,20 @@ class TestRankChains:
         with pytest.raises(ShapeError):
             random_init(TensorShape((3, 3, 3)), TTRank((1, 2, 1)), seed=0)
 
+    def test_non_integral_ranks_rejected(self):
+        shape = TensorShape((3, 3, 3))
+        with pytest.raises(ShapeError, match="rank 2.7 is not an integer"):
+            TTRank((1, 2.7, 1))
+        with pytest.raises(ShapeError, match="rank 2.5 is not an integer"):
+            uniform_ranks(shape, 2.5)
+        with pytest.raises(ShapeError, match="rank 0.5 is not an integer"):
+            cap_ranks(TensorShape((1, 3)), (1, 0.5, 1))  # capped to 1 if truncated
+
+    def test_integral_ranks_accepted(self):
+        shape = TensorShape((3, 3, 3))
+        assert TTRank((1.0, np.int64(2), 1)).ranks == (1, 2, 1)
+        assert uniform_ranks(shape, 2.0) == uniform_ranks(shape, np.int16(2)) == TTRank((1, 2, 2, 1))
+
     def test_cap_ranks(self):
         shape = TensorShape((4,) * 8 + (3,))
         capped = cap_ranks(shape, (1,) + (16,) * 8 + (1,))
