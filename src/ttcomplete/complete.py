@@ -7,7 +7,7 @@ import numpy as np
 from .core import DenseTensor
 from .data import MissingMask, default_init_scale, extract_observations
 from .engine import SparseObservations, evaluate
-from .images import detensorize_image, tensorize_image, tensorize_mask
+from .images import detensorize_image, tensorized_observations
 from .optimize import OptimizeConfig, OptimizeReport, minimize
 from .ttmodel import TTCores, TTRank, cap_ranks, flatten_params, random_init, tt_full, unflatten_params
 
@@ -47,12 +47,7 @@ def complete_image(
     mapped back afterwards; ``rank`` must have the working shape's order and is
     capped by that shape.
     """
-    if tensorize:
-        work = tensorize_image(img)
-        work_mask = tensorize_mask(mask)
-    else:
-        work, work_mask = img, mask
-    obs = extract_observations(work, work_mask)
+    obs = tensorized_observations(img, mask) if tensorize else extract_observations(img, mask)
     cores, report = fit_cores(obs, rank, cfg, seed)
     recovered = tt_full(cores)
     if tensorize:

@@ -4,8 +4,10 @@ Images are DenseTensors of shape (height, width, 3) with values in [0, 255].
 The tensorization turns a 2^k x 2^k x 3 image into an order-(k+1) tensor of
 shape (4, ..., 4, 3) whose first mode enumerates a 2x2 pixel block and whose
 later modes cover progressively larger blocks (the ket augmentation of
-Bengua et al., IEEE TIP 2017). It is a lossless cell permutation;
-``detensorize_image`` inverts it exactly.
+Bengua et al., IEEE TIP 2017). It is a lossless cell permutation, one
+closed-form map of cell offsets (``_tensor_cells``) that ``detensorize_image``
+inverts exactly. A fit maps only the observed cells through it
+(``tensorized_observations``) and never builds the tensorized image or mask.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DenseTensor, TensorShape, tensor_from_array
-from .data import MissingMask, _check_image_shape
+from .data import MissingMask, _check_image_shape, _observations
+from .engine import SparseObservations
 from .errors import FormatError, ShapeError
 
 _MAXVAL = 255
@@ -28,23 +31,27 @@ def _spatial_exponent(shape: TensorShape) -> int:
     return h.bit_length() - 1
 
 
-def _interleave(values: np.ndarray, k: int, inverse: bool = False) -> np.ndarray:
-    """Move the cells of a column-major (2^k, 2^k, 3) buffer to (4, ..., 4, 3) order.
+def _tensor_cells(k: int) -> np.ndarray:
+    """Column-major offset in the (4, ..., 4, 3) tensor of each column-major (2^k, 2^k, 3) cell.
 
     0-based pixel (r, c, ch) lands at tensor index
-    (((r >> n) & 1) + 2 * ((c >> n) & 1) for n < k, ch): mode n pairs bit n of
-    the row with bit n of the column. ``inverse`` maps tensor cells back.
+    (((r >> n) & 1) + 2 * ((c >> n) & 1) for n < k, ch), that is at offset
+    spread(r) + 2 * spread(c) + 4^k * ch, where spread(x) moves bit n of x
+    to bit 2n.
     """
-    axes = [a for n in range(k) for a in (n, k + n)] + [2 * k]
-    if inverse:
-        axes = np.argsort(axes)
-    return values.reshape((2,) * (2 * k) + (3,), order="F").transpose(axes).ravel(order="F")
+    x = np.arange(2**k, dtype=np.int64)
+    spread = np.zeros_like(x)
+    for n in range(k):
+        spread |= ((x >> n) & 1) << (2 * n)
+    return ((4**k * np.arange(3))[:, None, None] + 2 * spread[:, None] + spread).ravel()
 
 
 def tensorize_image(img: DenseTensor) -> DenseTensor:
     """Lift a 2^k x 2^k x 3 image to the (4, ..., 4, 3) block tensor."""
     k = _spatial_exponent(img.shape)
-    return DenseTensor(TensorShape((4,) * k + (3,)), _interleave(img.values, k))
+    values = np.empty(img.values.size)
+    values[_tensor_cells(k)] = img.values
+    return DenseTensor(TensorShape((4,) * k + (3,)), values)
 
 
 def detensorize_image(t: DenseTensor) -> DenseTensor:
@@ -52,13 +59,32 @@ def detensorize_image(t: DenseTensor) -> DenseTensor:
     k = t.shape.order - 1
     if k < 1 or t.shape.sizes != (4,) * k + (3,):
         raise ShapeError(f"expected shape (4, ..., 4, 3), got {t.shape}")
-    return DenseTensor(TensorShape((2**k, 2**k, 3)), _interleave(t.values, k, inverse=True))
+    return DenseTensor(TensorShape((2**k, 2**k, 3)), t.values[_tensor_cells(k)])
 
 
 def tensorize_mask(mask: MissingMask) -> MissingMask:
     """Carry an image-domain missing mask through the tensorization bijection."""
     k = _spatial_exponent(mask.shape)
-    return MissingMask(TensorShape((4,) * k + (3,)), _interleave(mask.observed, k))
+    observed = np.empty(mask.observed.size, dtype=bool)
+    observed[_tensor_cells(k)] = mask.observed
+    return MissingMask(TensorShape((4,) * k + (3,)), observed)
+
+
+def tensorized_observations(img: DenseTensor, mask: MissingMask) -> SparseObservations:
+    """``extract_observations(tensorize_image(img), tensorize_mask(mask))``, read from the image.
+
+    Only the observed cells are mapped. They are put in the tensor's
+    column-major order, as ``extract_observations`` gives them, so that
+    :func:`ttcomplete.data.default_init_scale` sums the same values in the
+    same order.
+    """
+    if img.shape.sizes != mask.shape.sizes:
+        raise ShapeError(f"image shape {img.shape} does not match mask shape {mask.shape}")
+    k = _spatial_exponent(img.shape)
+    observed = np.flatnonzero(mask.observed)
+    cells = _tensor_cells(k)[observed]
+    order = np.argsort(cells)  # the offsets are distinct, so the order is unique
+    return _observations(TensorShape((4,) * k + (3,)), cells[order], img.values[observed[order]])
 
 
 def save_image(path, img: DenseTensor) -> None:

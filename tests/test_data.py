@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ttcomplete import (
     BoundsError,
+    DenseTensor,
     MissingMask,
     OptimizeConfig,
     ShapeError,
@@ -145,6 +146,16 @@ class TestStructuredMasks:
         with pytest.raises(ValueError):
             mask_block(TensorShape((256, 256, 3)), 1, 1, 256, 256)
 
+    def test_non_integral_block_rejected(self):
+        with pytest.raises(BoundsError, match="top 1.5 is not an integer"):
+            mask_block(TensorShape((8, 8, 3)), 1.5, 1, 2, 2)
+        with pytest.raises(BoundsError, match="width 2.5 is not an integer"):
+            mask_block(TensorShape((8, 8, 3)), 1, 1, 2, 2.5)
+
+    def test_integral_block_accepted(self):
+        mask = mask_block(TensorShape((8, 8, 3)), 2.0, np.int64(1), 2, 2.0)
+        assert np.array_equal(mask.observed, mask_block(TensorShape((8, 8, 3)), 2, 1, 2, 2).observed)
+
     def test_block_out_of_bounds(self):
         with pytest.raises(BoundsError):
             mask_block(TensorShape((8, 8, 3)), 6, 1, 4, 2)
@@ -164,6 +175,13 @@ class TestExtractObservations:
         obs = extract_observations(t, mask)
         assert obs.count == 6
         assert np.array_equal(obs.values, t.values)
+
+    def test_indices_match_unravel_index(self):
+        shape = TensorShape((3, 5, 2, 7))
+        mask = mask_random(shape, 0.4, seed=3)
+        obs = extract_observations(gen_oscillating(shape), mask)
+        coords = np.unravel_index(np.flatnonzero(mask.observed), shape.sizes, order="F")
+        assert np.array_equal(obs.indices, np.stack(coords, axis=1) + 1)
 
     def test_single_cell(self):
         shape = TensorShape((3, 2))
@@ -236,3 +254,27 @@ class TestInitScale:
 
         obs = SparseObservations(shape, np.array([[1, 1], [2, 2]]), np.array([4.0, 4.0]))
         assert default_init_scale(obs, TTRank((1, 1, 1))) == pytest.approx(4.0 ** (1.0 / 2.0))
+
+    @pytest.mark.parametrize("magnitude", [1e-3, 1.0, 255.0, 1e5])
+    def test_ordinary_scale_keeps_the_usual_form(self, magnitude):
+        shape = TensorShape((5, 4, 6))
+        rank = TTRank((1, 3, 2, 1))
+        truth = DenseTensor(shape, gen_oscillating(shape).values * magnitude + magnitude / 3)
+        obs = extract_observations(truth, mask_random(shape, 0.3, seed=2))
+        spread = float(np.std(obs.values))
+        assert default_init_scale(obs, rank) == (spread * spread / 6) ** (0.5 / 3)
+
+    @pytest.mark.parametrize("magnitude", [1e300, 1e-300])
+    def test_extreme_values_give_a_finite_start(self, magnitude):
+        # the usual form overflows (or underflows to 0) in spread * spread
+        shape = TensorShape((4, 4, 4))
+        rank = uniform_ranks(shape, 2)
+        signs = np.where(np.random.default_rng(4).random(64) < 0.5, -1.0, 1.0)
+        truth = DenseTensor(shape, signs * magnitude)
+        obs = extract_observations(truth, MissingMask(shape, np.ones(64, dtype=bool)))
+        scale = default_init_scale(obs, rank)
+        assert 0.0 < scale < math.inf
+        assert scale == pytest.approx((float(np.std(signs)) * magnitude) ** (1 / 3) / 4 ** (1 / 6), rel=1e-12)
+        start = tt_full(random_init(shape, rank, seed=0, scale=scale)).values
+        assert np.all(np.isfinite(start))
+        assert 0.1 < float(np.sqrt(np.mean((start / magnitude) ** 2))) < 10.0

@@ -9,16 +9,24 @@ from ttcomplete import (
     DenseTensor,
     FormatError,
     MissingMask,
+    OptimizeConfig,
     ShapeError,
     TensorShape,
+    complete_image,
     detensorize_image,
+    extract_observations,
+    fit_cores,
     load_image,
+    mask_block,
     mask_random,
+    mask_rows,
     save_image,
     tensor_from_array,
     tensorize_image,
     tensorize_mask,
+    uniform_ranks,
 )
+from ttcomplete.images import _tensor_cells, tensorized_observations
 
 
 def random_image(rng, side=16):
@@ -185,3 +193,57 @@ class TestTensorizeMask:
         kept_before = np.sort(img.values[mask.observed])
         kept_after = np.sort(img_t.values[lifted.observed])
         assert np.array_equal(kept_before, kept_after)
+
+
+class TestCellMap:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_permutation_matching_the_closed_form(self, k):
+        side = 2**k
+        cells = _tensor_cells(k)
+        assert np.array_equal(np.sort(cells), np.arange(3 * 4**k))
+        r, c, ch = (a.ravel(order="F") for a in np.indices((side, side, 3)))
+        want = 4**k * ch
+        for n in range(k):
+            want += (((r >> n) & 1) + 2 * ((c >> n) & 1)) * 4**n
+        assert np.array_equal(cells, want)
+
+    @staticmethod
+    def masks(side):
+        shape = TensorShape((side, side, 3))
+        return [
+            mask_random(shape, 0.7, seed=side),
+            mask_rows(shape, range(2, side, 3)),
+            mask_block(shape, side // 4, side // 3, side // 2, side // 4),
+        ]
+
+    @pytest.mark.parametrize("side", [16, 64])
+    def test_observations_read_from_the_image(self, side):
+        # same rows in the same order: the init scale sums the values in order
+        img = random_image(np.random.default_rng(side), side=side)
+        for mask in self.masks(side):
+            direct = tensorized_observations(img, mask)
+            lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
+            assert direct.shape == lifted.shape
+            assert np.array_equal(direct.indices, lifted.indices)
+            assert direct.values.tobytes() == lifted.values.tobytes()
+
+    @pytest.mark.parametrize("side", [16, 64])
+    def test_fits_on_both_observation_sets_agree(self, side):
+        img = random_image(np.random.default_rng(side + 1), side=side)
+        mask = self.masks(side)[0]
+        direct = tensorized_observations(img, mask)
+        lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
+        rank = uniform_ranks(direct.shape, 3)
+        cfg = OptimizeConfig(max_iters=3)
+        (a, report_a), (b, report_b) = (fit_cores(obs, rank, cfg) for obs in (direct, lifted))
+        assert report_a.records == report_b.records
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.cores, b.cores))
+
+    def test_complete_image_checks_shapes(self):
+        img = random_image(np.random.default_rng(5), side=16)
+        rank = uniform_ranks(TensorShape((4, 4, 4, 4, 3)), 2)
+        with pytest.raises(ShapeError, match="does not match mask shape"):
+            complete_image(img, mask_random(TensorShape((8, 8, 3)), 0.5, seed=1), rank)
+        wide = tensor_from_array(np.zeros((16, 32, 3)))
+        with pytest.raises(ShapeError, match="square power-of-two"):
+            complete_image(wide, mask_random(wide.shape, 0.5, seed=1), rank)
