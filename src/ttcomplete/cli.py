@@ -23,7 +23,7 @@ from .fileio import _write, load_dense, load_sparse, save_dense, save_model
 from .images import detensorize_image, load_image, save_image, tensorize_image
 from .metrics import psnr, rse
 from .optimize import OptimizeConfig
-from .ttmodel import TTRank, check_full_capacity, tt_full, uniform_ranks
+from .ttmodel import TTRank, cap_ranks, check_full_capacity, tt_full, uniform_ranks
 
 
 class UsageError(Exception):
@@ -108,7 +108,11 @@ def cmd_complete(args) -> int:
         mask = build_mask(image.shape, args.seed)
         recovered, cores, report = complete_image(image, mask, rank, config, args.seed, args.tensorize)
     else:
-        obs = load_sparse(args.input, check_full_capacity)
+        def check_shape(shape):
+            check_full_capacity(shape)
+            cap_ranks(shape, rank.ranks)
+
+        obs = load_sparse(args.input, check_shape)
         cores, report = fit_cores(obs, rank, config, args.seed)
         recovered = tt_full(cores)
     if report.reason == "line-search-failure":
@@ -147,7 +151,7 @@ def cmd_complete(args) -> int:
     else:
         save_dense(f"{args.out_prefix}_recovered.txt", recovered)
         # final_objective is 0.5 * ||fitted - y||^2 at the returned cores
-        denom = float(np.linalg.norm(obs.values))
+        denom = float(np.linalg.norm(np.sort(obs.values)))  # sorted: independent of record order
         fit_rse = math.sqrt(2.0 * report.final_objective) / denom if denom > 0 else float("nan")
         metrics_line = f"objective={report.final_objective!r} rse_observed={fit_rse!r}"
 

@@ -166,13 +166,13 @@ def default_init_scale(obs: SparseObservations, rank: TTRank) -> float:
     s^(2N) * prod(interior ranks), so s = (var(y) / prod(r))^(1/(2N)) makes
     the initial predictions the same size as the data (and reduces to
     std(y)^(1/N) for rank-1 chains). Constant observations fall back to
-    their mean magnitude (or 1). The moments are taken of the values divided
-    by a power of two near their largest magnitude: the division is exact,
-    so they keep their bits and cannot overflow. Where var(y) / prod(r)
-    overflows or underflows to 0, s is std(y)^(1/N) / prod(r)^(1/(2N)).
+    their mean magnitude (or 1). The moments are taken of the sorted values,
+    so s ignores their order, over a power of two near the largest magnitude;
+    the exact division keeps their bits and cannot overflow. Where var(y) /
+    prod(r) overflows or underflows to 0, s is std(y)^(1/N) / prod(r)^(1/(2N)).
     """
     unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(obs.values))))[1])
-    scaled = obs.values / unit
+    scaled = np.sort(obs.values) / unit
     spread = float(np.std(scaled)) * unit
     if spread == 0.0:
         spread = max(abs(float(np.mean(scaled))) * unit, 1.0)

@@ -58,18 +58,19 @@ not K_s K'_{s+1} cells. The split s minimises the trie nodes
 sum_{n<=s} K_n + sum_{n>s} K'_n among the splits whose block holds at most
 ``_BLOCK_CELLS_PER_OBS`` * M cells. s = N, where the suffix trie is empty and
 R is the 1 x 1 matrix of ones, always qualifies; there every product is exact
-and the engine is a one-sided prefix trie. K_n and K'_n come from two sorts of
-the observations' linear offsets, so s depends only on the observed cells,
-and one cached structure serves the objective, the gradient and the
-duplicate check.
+and the engine is a one-sided prefix trie. K_n, K'_n and each trie depth's
+node starts come from one prefix-start table per sort of the observations'
+linear offsets (two sorts), so s depends only on the observed cells, and one
+cached structure serves the objective, the gradient and the duplicate check.
 
 Determinism: rows are sorted lexicographically by (i_1, ..., i_N), as their
 row-major offsets, with numpy's default introsort. Distinct offsets have one
 sorted order, so the sort needs to be stable only when a cell repeats; then
-it is redone stably, keeping the rows of one cell in input order. The rows
-are then grouped stably by prefix leaf; when every prefix depth is complete
-that is the lexicographic order itself. The suffix trie is built from the
-order of (i_N, ..., i_1), sorted the same way. A complete depth
+it is redone stably, keeping the rows of one cell in input order; the
+prefix-start table reads only the sorted offsets, so it holds for either. The
+rows are then grouped stably by prefix leaf; when every prefix depth is
+complete that is the lexicographic order itself. The suffix trie is built
+from the order of (i_N, ..., i_1), sorted the same way. A complete depth
 stores its nodes parent-major (child j of the parent at position p at row
 p * I_n + j); a segment depth stores them by label and then in sorted order.
 Both layouts, which one a depth takes, and the tiles depend only on the set
@@ -167,10 +168,10 @@ _TILE_CELLS = 2**16
 _TILE_MIN_ROWS = 32
 
 
-def _sort_rows(indices: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """Stable lexicographic order of the rows of 1-based ``indices``, their sorted offsets, K_1..K_N.
+def _sort_rows(indices: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows of 1-based ``indices``, and its prefix-start table.
 
-    K_n counts the distinct length-n prefixes among the rows.
+    ``fresh[n, m]`` is true when sorted row m starts a new length-(n + 1) prefix: K_{n+1} flags.
     """
     # Row-major offsets order cells lexicographically; TensorShape keeps them in
     # int64. Horner's rule on the checked indices runs about 2.4x faster than
@@ -179,14 +180,17 @@ def _sort_rows(indices: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray, list
     for n in range(1, len(sizes)):
         lin *= sizes[n]
         lin += indices[:, n] - 1
-    # Distinct offsets have one sorted order, which introsort finds fastest;
-    # only a repeated cell needs the stable sort to keep its rows in row order.
     order = np.argsort(lin)
     ordered = lin[order]
-    if np.any(ordered[1:] == ordered[:-1]):
+    fresh = np.ones((len(sizes), lin.size), dtype=bool)
+    for n, row in enumerate(fresh):
+        prefix = ordered // math.prod(sizes[n + 1 :])
+        np.not_equal(prefix[1:], prefix[:-1], out=row[1:])
+    # Distinct offsets have one sorted order, which introsort finds fastest;
+    # only a repeated cell needs the stable sort to keep its rows in row order.
+    if not fresh[-1].all():
         order = np.argsort(lin, kind="stable")
-    strides = [math.prod(sizes[n:]) for n in range(1, len(sizes) + 1)]
-    return order, ordered, [1 + int(np.count_nonzero(np.diff(ordered // st))) for st in strides]
+    return order, fresh
 
 
 def _best_split(prefix: Sequence[int], suffix: Sequence[int], m: int) -> int:
@@ -207,7 +211,7 @@ def _best_split(prefix: Sequence[int], suffix: Sequence[int], m: int) -> int:
 
 
 class _Trie:
-    """Shared-prefix trie over the first ``depth`` modes of sorted offsets ``lin`` into ``sizes``.
+    """Shared-prefix trie over the first ``len(fresh)`` modes, from :func:`_sort_rows`'s ``order``, ``fresh``.
 
     ``leaf[m]`` is the last-depth node of sorted row m, and ``leaves`` counts
     those nodes (a trie of depth 0 is one root, node 0). ``depths[n]``
@@ -220,20 +224,15 @@ class _Trie:
     the previous depth, and within one segment the parents are distinct.
     """
 
-    def __init__(self, lin: np.ndarray, sizes, depth: int):
-        fresh = np.ones(lin.size, dtype=bool)  # sorted row starts a new prefix
-        node = np.zeros(lin.size, dtype=np.int64)  # each row's node at the previous depth
-        stride = math.prod(sizes)
+    def __init__(self, indices: np.ndarray, order: np.ndarray, fresh: np.ndarray, sizes):
+        node = np.zeros(order.size, dtype=np.int64)  # each row's node at the previous depth
         self.depths = []
         self.leaves = 1
         self._targets = {}
-        for size in sizes[:depth]:
-            stride //= size
-            prefix = lin // stride
-            np.not_equal(prefix[1:], prefix[:-1], out=fresh[1:])
-            starts = np.flatnonzero(fresh)
+        for column, size, new in zip(indices.T, sizes, fresh):
+            starts = np.flatnonzero(new)
             # narrow labels let the stable sort use radix sort
-            label = (prefix[starts] % size).astype(np.min_scalar_type(size))
+            label = (column[order[starts]] - 1).astype(np.min_scalar_type(size))
             parents = node[starts]
             if starts.size == self.leaves * size:
                 self.depths.append(None)
@@ -246,7 +245,7 @@ class _Trie:
                 self.depths.append((segments, parents[perm], self.leaves))
                 place = np.empty_like(perm)
                 place[perm] = np.arange(perm.size)
-            node = place[np.cumsum(fresh) - 1]
+            node = place[np.cumsum(new) - 1]
             self.leaves = starts.size
         self.leaf = node
 
@@ -316,12 +315,13 @@ class _Join:
 
     def __init__(self, indices: np.ndarray, values: np.ndarray, shape: TensorShape):
         sizes, rsizes = shape.sizes, shape.sizes[::-1]
-        self.order, lin, prefix = _sort_rows(indices, sizes)
-        rorder, rlin, suffix = _sort_rows(indices[:, ::-1], rsizes)
-        self.repeated = np.sort(self.order[1:][lin[1:] == lin[:-1]])
-        self.split = _best_split(prefix, suffix[::-1], lin.size)
-        self.left = _Trie(lin, sizes, self.split)
-        self.right = _Trie(rlin, rsizes, len(sizes) - self.split)
+        self.order, fresh = _sort_rows(indices, sizes)
+        rorder, rfresh = _sort_rows(indices[:, ::-1], rsizes)
+        self.repeated = np.sort(self.order[1:][~fresh[-1, 1:]])
+        prefix, suffix = np.count_nonzero(fresh, axis=1), np.count_nonzero(rfresh, axis=1)
+        self.split = _best_split(prefix.tolist(), suffix[::-1].tolist(), values.size)
+        self.left = _Trie(indices, self.order, fresh[: self.split], sizes)
+        self.right = _Trie(indices[:, ::-1], rorder, rfresh[: len(sizes) - self.split], rsizes)
         right_leaf = np.empty_like(rorder)
         right_leaf[rorder] = self.right.leaf
         # rows by block row; a no-op when every prefix depth is complete

@@ -71,20 +71,16 @@ def tensorize_mask(mask: MissingMask) -> MissingMask:
 
 
 def tensorized_observations(img: DenseTensor, mask: MissingMask) -> SparseObservations:
-    """``extract_observations(tensorize_image(img), tensorize_mask(mask))``, read from the image.
+    """The observations of ``extract_observations(tensorize_image(img), tensorize_mask(mask))``.
 
-    Only the observed cells are mapped. They are put in the tensor's
-    column-major order, as ``extract_observations`` gives them, so that
-    :func:`ttcomplete.data.default_init_scale` sums the same values in the
-    same order.
+    Only the observed cells are mapped, and they come out in the image's
+    column-major cell order; a fit depends only on the set of observations.
     """
     if img.shape.sizes != mask.shape.sizes:
         raise ShapeError(f"image shape {img.shape} does not match mask shape {mask.shape}")
     k = _spatial_exponent(img.shape)
     observed = np.flatnonzero(mask.observed)
-    cells = _tensor_cells(k)[observed]
-    order = np.argsort(cells)  # the offsets are distinct, so the order is unique
-    return _observations(TensorShape((4,) * k + (3,)), cells[order], img.values[observed[order]])
+    return _observations(TensorShape((4,) * k + (3,)), _tensor_cells(k)[observed], img.values[observed])
 
 
 def save_image(path, img: DenseTensor) -> None:

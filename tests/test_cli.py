@@ -22,6 +22,7 @@ from ttcomplete import (
     TTRank,
 )
 import ttcomplete.cli as cli
+import ttcomplete.fileio as fileio
 from ttcomplete.cli import main
 
 
@@ -244,6 +245,38 @@ class TestComplete:
         assert main(argv + ["--out-prefix", str(tmp_path / "big")]) == 2
         assert "over the limit" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["big.txt"]
+
+    def test_rank_chain_refused_before_a_malformed_record(self, tmp_path, capsys):
+        # an order-3 header and a 2-mode rank chain; line 6 is never parsed
+        path = tmp_path / "obs.txt"
+        path.write_text("stto-sparse v1\n3\n4 4 4\n2\n1 1 1 1.0\n1 x 1 2.0\n")
+        argv = ["complete", "--input", str(path), "--ranks", "1,2,1"]
+        assert main(argv + ["--out-prefix", str(tmp_path / "run")]) == 2
+        assert "rank chain length 3" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.txt"]
+
+    def test_rank_chain_refused_before_any_record(self, tmp_path, capsys):
+        obs_path, _ = write_small_problem(tmp_path)
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,1"]
+        read = fileio._LineReader.table
+        with mock.patch.object(fileio._LineReader, "table", autospec=True, side_effect=read) as table:
+            assert main(argv + ["--out-prefix", str(tmp_path / "run")]) == 2
+        # only the header's two lines were parsed
+        assert [c.args[1] for c in table.call_args_list] == ["mode count", "mode sizes"]
+        assert "rank chain length 3" in capsys.readouterr().err
+
+    def test_shuffled_records_give_identical_outputs(self, tmp_path, capsys):
+        shape = TensorShape((6, 5, 7))
+        truth = gen_tt_random(shape, TTRank((1, 2, 2, 1)), seed=25)
+        obs = extract_observations(truth, mask_random(shape, 0.5, 25))
+        perm = np.random.default_rng(25).permutation(obs.count)
+        save_sparse(tmp_path / "a.txt", obs)
+        save_sparse(tmp_path / "b.txt", SparseObservations(shape, obs.indices[perm], obs.values[perm]))
+        for name in "ab":
+            argv = ["complete", "--input", str(tmp_path / f"{name}.txt"), "--ranks", "1,2,2,1"]
+            assert main(argv + ["--max-iters", "5", "--out-prefix", str(tmp_path / name)]) == 0
+        for suffix in ("_model.txt", "_recovered.txt", "_metrics.txt"):
+            assert (tmp_path / f"a{suffix}").read_bytes() == (tmp_path / f"b{suffix}").read_bytes()
 
     def test_image_output_matches_complete_image(self, tmp_path):
         img_path = write_test_image(tmp_path)

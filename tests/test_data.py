@@ -11,6 +11,7 @@ from ttcomplete import (
     MissingMask,
     OptimizeConfig,
     ShapeError,
+    SparseObservations,
     TTRank,
     TensorShape,
     default_init_scale,
@@ -24,6 +25,9 @@ from ttcomplete import (
     objective,
     random_init,
     rse,
+    synthetic_scene,
+    tensorize_image,
+    tensorize_mask,
     tt_full,
     uniform_ranks,
 )
@@ -261,8 +265,22 @@ class TestInitScale:
         rank = TTRank((1, 3, 2, 1))
         truth = DenseTensor(shape, gen_oscillating(shape).values * magnitude + magnitude / 3)
         obs = extract_observations(truth, mask_random(shape, 0.3, seed=2))
-        spread = float(np.std(obs.values))
+        spread = float(np.std(np.sort(obs.values)))
         assert default_init_scale(obs, rank) == (spread * spread / 6) ** (0.5 / 3)
+
+    def test_fit_ignores_observation_order(self):
+        # the values' spread summed in these two orders differs in its last bit
+        img = synthetic_scene(16, seed=10)
+        mask = mask_random(img.shape, 0.5, seed=10)
+        obs = extract_observations(tensorize_image(img), tensorize_mask(mask))
+        perm = np.random.default_rng(10).permutation(obs.count)
+        shuffled = SparseObservations(obs.shape, obs.indices[perm], obs.values[perm])
+        assert np.std(obs.values) != np.std(shuffled.values)
+        rank = uniform_ranks(obs.shape, 3)
+        cfg = OptimizeConfig(max_iters=3)
+        (a, report_a), (b, report_b) = (fit_cores(o, rank, cfg) for o in (obs, shuffled))
+        assert report_a.records == report_b.records
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.cores, b.cores))
 
     @pytest.mark.parametrize("magnitude", [1e300, 1e-300])
     def test_extreme_values_give_a_finite_start(self, magnitude):

@@ -333,10 +333,19 @@ class TestPrefixTrie:
 
     def test_sorted_offsets_are_row_major(self):
         _, obs = random_instance(8, order=5)
-        order, lin, counts = engine._sort_rows(obs.indices, obs.shape.sizes)
-        want = np.ravel_multi_index(tuple((obs.indices - 1).T), obs.shape.sizes)
-        assert np.array_equal(lin, np.sort(want)) and np.array_equal(want[order], lin)
-        assert counts[-1] == obs.count
+        rng = np.random.default_rng(8)
+        for repeats in (0, 25):  # distinct cells, then 25 rows repeating one
+            indices = np.concatenate([obs.indices, obs.indices[rng.integers(0, obs.count, repeats)]])
+            indices = indices[rng.permutation(indices.shape[0])]
+            order, fresh = engine._sort_rows(indices, obs.shape.sizes)
+            # lexicographic by (i_1, ..., i_N), the rows of one cell in input order
+            assert np.array_equal(order, np.lexsort(indices.T[::-1]))
+            assert fresh.shape == indices.T.shape
+            for n, row in enumerate(fresh):
+                prefixes = indices[order, : n + 1]
+                assert np.count_nonzero(row) == np.unique(prefixes, axis=0).shape[0]
+                assert row[0] and np.array_equal(row[1:], np.any(prefixes[1:] != prefixes[:-1], axis=1))
+            assert np.count_nonzero(fresh[-1]) == obs.count
 
     def test_every_cell_repeated_in_shuffled_order(self):
         # each of 1,680 cells held by 6 to 9 rows: the unstable sort must give
