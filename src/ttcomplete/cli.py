@@ -221,8 +221,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="ttcomplete", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     fit = argparse.ArgumentParser(add_help=False)
-    fit.add_argument("--max-iters", type=int, default=200)
-    fit.add_argument("--grad-tol", type=float, default=0.0)
+    fit.add_argument("--max-iters", type=int, default=OptimizeConfig.max_iters)
+    fit.add_argument("--grad-tol", type=float, default=OptimizeConfig.grad_tol)
 
     p_complete = sub.add_parser(
         "complete", parents=[fit], help="fit a TT model to observed entries and fill the gaps"

@@ -89,7 +89,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import TensorShape
-from .errors import BoundsError, ShapeError
+from .errors import BoundsError, NumericError, ShapeError
 from .ttmodel import TTCores
 
 
@@ -98,7 +98,7 @@ class SparseObservations:
     """M observed entries of a partially known tensor.
 
     ``indices`` is an (M, N) int array of 1-based multi-indices, ``values``
-    the matching float array. Treated as immutable after construction;
+    the matching finite floats. Treated as immutable after construction;
     the join built from them is cached lazily.
     """
 
@@ -128,6 +128,10 @@ class SparseObservations:
             v = indices[m, n]
             problem = f"out of range [1, {sizes[n]}]" if float(v).is_integer() else "is not an integer"
             raise BoundsError(f"observation {m + 1}: coordinate {v} {problem} in mode {n + 1}", row=m)
+        finite = np.isfinite(values)
+        if not finite.all():
+            m = int(finite.argmin())
+            raise NumericError(f"observation {m + 1}: value {values[m]} is not finite")
         self.indices = indices.astype(np.int64, copy=False)
 
     @property

@@ -2,11 +2,12 @@
 
 Directions follow the Hestenes-Stiefel update, restarted to steepest descent
 every n iterations, and each step comes from a strong-Wolfe line search
-(c1 = 1e-4, c2 = 0.1, first trial step at most 1, 25 evaluations per search).
-The callback returns the objective and a function that computes the
-gradient. The search rejects a trial that fails sufficient decrease on its
-objective alone, so it computes the gradient, and from it the directional
-derivative, only at the trials that pass.
+(c1 = 1e-4, c2 = 0.1, first trial step at most 1) that refines one bracket
+in one loop of at most 25 evaluations. The callback returns the objective
+and a function that computes the gradient. The search rejects a trial that
+fails sufficient decrease on its objective alone, so it computes the
+gradient, and from it the directional derivative, only at the trials that
+pass.
 """
 
 from __future__ import annotations
@@ -123,29 +124,21 @@ def _quad_min(a, fa, fpa, b, fb):
 class _LineEvaluator:
     """The one caller of a run's ``f_and_g``: f along x + alpha*d, and g there on request.
 
-    ``search(x, d)`` starts a line and resets ``calls``, its evaluation
-    budget; the run's report counts every evaluation and gradient. A NaN
-    objective at any trial aborts the run, and so does a NaN directional
-    derivative at a trial whose gradient the search reads; a trial rejected
-    on its objective computes no gradient. An infinite objective at a trial
-    is tolerated (the caller rejects the step and shrinks the bracket);
-    :func:`minimize` checks the accepted points.
+    :func:`minimize` sets ``x`` and ``d`` before each line search; the run's
+    report counts every evaluation and gradient. A NaN objective at any trial
+    aborts the run, and so does a NaN directional derivative at a trial whose
+    gradient the search reads; a trial rejected on its objective computes no
+    gradient. An infinite objective at a trial is left to the search, which
+    rejects it while it has no bracket; :func:`minimize` checks the accepted
+    points.
     """
 
     def __init__(self, f_and_g, report: OptimizeReport):
         self.f_and_g = f_and_g
         self.report = report
 
-    def search(self, x, d):
-        """Evaluate along x + alpha*d from now on, with a fresh budget."""
-        self.x, self.d, self.calls = x, d, 0
-
-    def exhausted(self) -> bool:
-        return self.calls >= _MAX_LINE_SEARCH_EVALS
-
     def __call__(self, alpha) -> float:
         """The objective at x + alpha*d."""
-        self.calls += 1
         self.report.evals += 1
         self._gradient = None  # free the last trial's kept state before the next forward pass
         f, self._gradient = self.f_and_g(self.x + alpha * self.d)
@@ -171,49 +164,13 @@ class _LineEvaluator:
         return g, derphi
 
 
-def _zoom(ev, a_lo, f_lo, d_lo, a_hi, f_hi, f0, derphi0):
-    """Shrink a bracketing interval until a strong-Wolfe point is found.
-
-    The interval always contains a point satisfying both conditions; each
-    round interpolates a trial (cubic, then quadratic, then bisection when
-    the fit lands too close to an endpoint) and rebrackets around it.
-    """
-    a_rec, f_rec = 0.0, f0
-    while not ev.exhausted():
-        dalpha = a_hi - a_lo
-        lo, hi = (a_lo, a_hi) if dalpha > 0 else (a_hi, a_lo)
-        # Reject interpolants in the outer tenth/fifth of the interval.
-        cchk = 0.2 * abs(dalpha)
-        qchk = 0.1 * abs(dalpha)
-        a_j = _cubic_min(a_lo, f_lo, d_lo, a_hi, f_hi, a_rec, f_rec)
-        if a_j is None or a_j > hi - cchk or a_j < lo + cchk:
-            a_j = _quad_min(a_lo, f_lo, d_lo, a_hi, f_hi)
-            if a_j is None or a_j > hi - qchk or a_j < lo + qchk:
-                a_j = a_lo + 0.5 * dalpha
-
-        f_j = ev(a_j)
-        if f_j > f0 + _WOLFE_C1 * a_j * derphi0 or f_j >= f_lo:
-            a_rec, f_rec = a_hi, f_hi
-            a_hi, f_hi = a_j, f_j
-        else:
-            g_j, d_j = ev.slope()
-            if abs(d_j) <= -_WOLFE_C2 * derphi0:
-                return a_j, f_j, g_j
-            if d_j * dalpha >= 0:
-                a_rec, f_rec = a_hi, f_hi
-                a_hi, f_hi = a_lo, f_lo
-            else:
-                a_rec, f_rec = a_lo, f_lo
-            a_lo, f_lo, d_lo = a_j, f_j, d_j
-    return None
-
-
 def _first_trial_step(f, f_prev, derphi0):
     """Initial step for one line search, at most ``_INITIAL_STEP``.
 
     Scales the trial to the decrease a quadratic model expects: the first
-    iteration aims at f = 0, later ones at repeating the previous drop.
-    Well-scaled problems hit the cap and start at exactly ``_INITIAL_STEP``.
+    iteration aims at f = 0, later ones at repeating the previous drop. The
+    cap only limits long guesses, and it is the step taken when the model
+    predicts no drop (or the slope has underflowed to zero).
     """
     if derphi0 >= 0.0:
         return _INITIAL_STEP
@@ -222,29 +179,53 @@ def _first_trial_step(f, f_prev, derphi0):
     return min(_INITIAL_STEP, guess) if guess > 0.0 else _INITIAL_STEP
 
 
-def _line_search(ev, f0, derphi0, first_trial):
-    """Find a step satisfying the strong Wolfe conditions.
+def _interpolate(lo, hi, rec):
+    """A trial inside the bracket from ``lo`` = (a, f, slope) to ``hi`` = (a, f).
 
-    Brackets by stepping out from ``first_trial`` (doubling), then zooms.
-    Returns (alpha, f_alpha, g_alpha) or None when the evaluation budget runs
-    out first.
+    The cubic through lo, hi and ``rec`` comes first, then the quadratic
+    through lo and hi, then bisection, each rejected when it lands in the
+    outer fifth (cubic) or tenth (quadratic) of the bracket.
     """
-    a_prev, f_prev, d_prev = 0.0, f0, derphi0
-    alpha = first_trial
-    first = True
-    while not ev.exhausted():
-        f_a = ev(alpha)
-        armijo_fails = f_a > f0 + _WOLFE_C1 * alpha * derphi0 or not np.isfinite(f_a)
-        if armijo_fails or (f_a >= f_prev and not first):
-            return _zoom(ev, a_prev, f_prev, d_prev, alpha, f_a, f0, derphi0)
-        g_a, d_a = ev.slope()
-        if abs(d_a) <= -_WOLFE_C2 * derphi0:
-            return alpha, f_a, g_a
-        if d_a >= 0:
-            return _zoom(ev, alpha, f_a, d_a, a_prev, f_prev, f0, derphi0)
-        a_prev, f_prev, d_prev = alpha, f_a, d_a
-        alpha *= 2.0
-        first = False
+    (a_lo, f_lo, d_lo), (a_hi, f_hi) = lo, hi
+    dalpha = a_hi - a_lo
+    left, right = (a_lo, a_hi) if dalpha > 0 else (a_hi, a_lo)
+    cchk, qchk = 0.2 * abs(dalpha), 0.1 * abs(dalpha)
+    a_j = _cubic_min(a_lo, f_lo, d_lo, a_hi, f_hi, *rec)
+    if a_j is None or a_j > right - cchk or a_j < left + cchk:
+        a_j = _quad_min(a_lo, f_lo, d_lo, a_hi, f_hi)
+        if a_j is None or a_j > right - qchk or a_j < left + qchk:
+            a_j = a_lo + 0.5 * dalpha
+    return a_j
+
+
+def _line_search(ev, f0, derphi0, alpha):
+    """Find a step satisfying the strong Wolfe conditions (Nocedal & Wright, Alg. 3.5-3.6).
+
+    ``lo`` = (step, f, slope) is the best trial that passed sufficient
+    decrease. ``hi`` = (step, f) is None until a trial brackets a strong-Wolfe
+    point; until then the trial is ``alpha``, doubled each time it becomes
+    ``lo``, and after it the trial is interpolated, ``rec`` being the cubic's
+    third point. Returns (step, f, g, evaluations), or None once the budget
+    of ``_MAX_LINE_SEARCH_EVALS`` evaluations is spent.
+    """
+    lo, hi, rec = (0.0, f0, derphi0), None, (0.0, f0)
+    for evaluations in range(1, _MAX_LINE_SEARCH_EVALS + 1):
+        step = alpha if hi is None else _interpolate(lo, hi, rec)
+        f = ev(step)
+        armijo_fails = f > f0 + _WOLFE_C1 * step * derphi0
+        if armijo_fails or (hi is None and not np.isfinite(f)) or (evaluations > 1 and f >= lo[1]):
+            hi, rec = (step, f), rec if hi is None else hi
+            continue
+        g, slope = ev.slope()
+        if abs(slope) <= -_WOLFE_C2 * derphi0:
+            return step, f, g, evaluations
+        if hi is None and slope < 0:
+            alpha *= 2.0
+        elif hi is None or slope * (hi[0] - lo[0]) >= 0:
+            hi, rec = lo[:2], rec if hi is None else hi
+        else:
+            rec = lo[:2]
+        lo = (step, f, slope)
     return None
 
 
@@ -273,12 +254,12 @@ def minimize(
     report = OptimizeReport()
     ev = _LineEvaluator(f_and_g, report)
     d = np.zeros_like(x)
-    ev.search(x, d)
-    hit = 0.0, ev(0.0), ev.gradient()
+    ev.x, ev.d = x, d
+    hit = 0.0, ev(0.0), ev.gradient(), 1
     f = g = None
     restart_period = max(x.size, 1)
     for k in range(cfg.max_iters + 1):
-        alpha, f_new, g_new = hit
+        alpha, f_new, g_new, evals = hit
         if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
             where = "an accepted step" if k else "the starting point"
             raise NumericError(f"objective or gradient is not finite at {where}")
@@ -286,7 +267,7 @@ def minimize(
         beta = 0.0 if k % restart_period == 0 else _hs_beta(g_new, g, d)
         d = -g_new + beta * d
         f_prev, f, g = f, f_new, g_new
-        report.records.append(IterationRecord(f, float(np.max(np.abs(g))), float(alpha), ev.calls))
+        report.records.append(IterationRecord(f, float(np.max(np.abs(g))), float(alpha), evals))
         if report.records[-1].grad_norm <= cfg.grad_tol:
             report.reason = "grad-tol"
             return x, report
@@ -296,7 +277,7 @@ def minimize(
         if derphi0 >= 0.0:
             d = -g
             derphi0 = float(np.dot(g, d))
-        ev.search(x, d)
+        ev.x, ev.d = x, d
         hit = _line_search(ev, f, derphi0, _first_trial_step(f, f_prev, derphi0))
         if hit is None:
             report.reason = "line-search-failure"

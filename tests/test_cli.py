@@ -371,6 +371,25 @@ class TestMissingOutputDirectory:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestFitDefaults:
+    """Without fit flags, both fitting commands fit with ``OptimizeConfig()``."""
+
+    def fitted_config(self, argv):
+        with mock.patch.object(cli, "fit_cores", side_effect=RuntimeError("stop before fitting")) as fit:
+            with pytest.raises(RuntimeError, match="stop before fitting"):
+                main(argv)
+        return fit.call_args.args[2]
+
+    def test_complete(self, tmp_path):
+        obs_path, _ = write_small_problem(tmp_path)
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1"]
+        assert self.fitted_config(argv + ["--out-prefix", str(tmp_path / "run")]) == OptimizeConfig()
+
+    def test_sweep(self, tmp_path):
+        argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0"]
+        assert self.fitted_config(argv + ["--out", str(tmp_path / "s.csv")]) == OptimizeConfig()
+
+
 class TestUsageErrors:
     """Each invalid combination exits 2 with its message on stderr and writes nothing."""
 

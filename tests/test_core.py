@@ -32,6 +32,12 @@ class TestTensorShape:
             TensorShape((2**31, 2**31, 2**31))
 
 
+class TestDenseTensor:
+    def test_buffer_size_must_match_the_shape(self):
+        with pytest.raises(ShapeError, match="value buffer has 5 entries, shape .* needs 6"):
+            DenseTensor(TensorShape((2, 3)), np.zeros(5))
+
+
 class TestIndexing:
     """``as_array()`` places 1-based cell (i_1, ..., i_N) at the column-major offset."""
 

@@ -87,6 +87,12 @@ class TestTTRandom:
         assert t.values.size == 30
 
 
+class TestMissingMask:
+    def test_flag_count_must_match_the_shape(self):
+        with pytest.raises(ShapeError, match="mask has 3 flags, shape .* has 4 cells"):
+            MissingMask(TensorShape((2, 2)), np.ones(3, dtype=bool))
+
+
 class TestRandomMask:
     def test_rate_zero_all_observed(self):
         mask = mask_random(TensorShape((5, 5)), 0.0, seed=0)
@@ -163,6 +169,15 @@ class TestStructuredMasks:
     def test_block_out_of_bounds(self):
         with pytest.raises(BoundsError):
             mask_block(TensorShape((8, 8, 3)), 6, 1, 4, 2)
+
+    @pytest.mark.parametrize("height, width", [(0, 2), (2, -1)])
+    def test_block_extent_must_be_positive(self, height, width):
+        with pytest.raises(BoundsError, match=f"block extent {height}x{width} must be positive"):
+            mask_block(TensorShape((8, 8, 3)), 1, 1, height, width)
+
+    def test_block_columns_out_of_bounds(self):
+        with pytest.raises(BoundsError, match=r"block columns 7..9 out of range \[1, 8\]"):
+            mask_block(TensorShape((8, 8, 3)), 1, 7, 2, 3)
 
     def test_masked_cells_are_the_named_rows(self):
         mask = mask_rows(TensorShape((4, 5, 3)), [2, 4])

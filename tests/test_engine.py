@@ -11,6 +11,7 @@ from ttcomplete import (
     BoundsError,
     DenseTensor,
     MissingMask,
+    NumericError,
     OptimizeConfig,
     ShapeError,
     SparseObservations,
@@ -143,6 +144,13 @@ class TestObservations:
         with pytest.raises(BoundsError, match=message) as info:
             SparseObservations(shape, np.array(coords), np.ones(len(coords)))
         assert info.value.row == row
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_row(self, bad):
+        shape = TensorShape((3, 3))
+        values = np.array([1.0, 2.0, bad, bad])
+        with pytest.raises(NumericError, match=f"observation 3: value {bad} is not finite"):
+            SparseObservations(shape, np.array([[1, 1], [2, 2], [3, 3], [1, 3]]), values)
 
     def test_integral_float_indices_accepted(self):
         shape = TensorShape((3, 3))

@@ -57,6 +57,12 @@ class TestPSNR:
         est = DenseTensor(TensorShape((30,)), vals + 10.0)
         assert psnr(est, truth) == pytest.approx(28.130803608679106, abs=1e-10)
 
+    def test_shape_mismatch(self):
+        a, _ = tensors([5.0, 6.0], [0, 0])
+        b = DenseTensor(TensorShape((1, 2)), np.array([5.0, 6.0]))
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            psnr(a, b)
+
     def test_exact_match_is_infinite(self):
         a, _ = tensors([5.0, 6.0], [0, 0])
         assert psnr(a, a) == math.inf

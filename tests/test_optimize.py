@@ -321,3 +321,150 @@ class TestSteepestDescentReset:
             assert np.array_equal(d, -f(x)[1])
         objectives = [r.objective for r in report.records]
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+
+def along_the_line(phi):
+    """phi(x) = (f, f') of a float as an (f, g) function of a 1-vector."""
+
+    def fg(x):
+        f, slope = phi(float(x[0]))
+        return f, np.array([slope])
+
+    return fg
+
+
+def first_search(phi):
+    """The trials of minimize's first line search on phi from x = 0, and how the run ended.
+
+    Every phi below has phi'(0) = -1, so the first direction is d = 1 and each
+    trial's x is its step exactly.
+    """
+    log = []
+    try:
+        _, report = minimize(recording(along_the_line(phi), log), np.array([0.0]), OptimizeConfig(max_iters=1))
+    except NumericError as err:
+        return log[1:], str(err)
+    return log[1:], report.reason
+
+
+def quartic(a, b, c):
+    """3 - x + a x^2 + b x^3 + c x^4 and its derivative."""
+    return lambda x: (3.0 - x + a * x**2 + b * x**3 + c * x**4, -1.0 + 2 * a * x + 3 * b * x**2 + 4 * c * x**3)
+
+
+def ramp_then_wall(x):
+    # falls with slope -1 up to 1/3, then jumps: no point meets the curvature test
+    return (-x, -1.0) if x <= 1 / 3 else (1.0, 0.0)
+
+
+def wall_beyond_half(value):
+    return lambda x: (2.0 * (x - 0.25) ** 2 + 10.0, 4.0 * (x - 0.25)) if x < 0.5 else (value, 0.0)
+
+
+BUDGET_SPENT_ZOOMING = [
+    (1.0, 0), (0.25, 1), (0.4839905460776629, 0), (0.36699527303883145, 0), (0.30849763651941575, 1),
+    (0.3377464547791236, 0), (0.32312204564926966, 1), (0.3304342502141966, 1), (0.3340903524966601, 0),
+    (0.33226230135542834, 1), (0.3331763269260442, 1), (0.3336333397113521, 0), (0.3334048333186982, 0),
+    (0.3332905801223712, 1), (0.3333477067205347, 0), (0.33331914342145297, 1), (0.33333342507099384, 0),
+    (0.3333262842462234, 1), (0.33332985465860865, 1), (0.33333163986480124, 1), (0.3333325324678975, 1),
+    (0.3333329787694457, 1), (0.33333320192021976, 1), (0.3333333134956068, 1), (0.3333333692833003, 0),
+]
+
+
+class TestLineSearchTrials:
+    """The trial steps of one search, and which of them computed a gradient, for each branch.
+
+    The figures are the search's own output, kept so that a rewrite of the
+    search must reproduce them; the cubic's 2x2 product goes through BLAS, so
+    steps are compared to 1e-12 relative.
+    """
+
+    @pytest.mark.parametrize(
+        "phi, trials, outcome",
+        [
+            pytest.param(lambda x: ((x - 1.0) ** 2 / 2.0, x - 1.0), [(1.0, 1)], "grad-tol", id="first-trial-accepted"),
+            pytest.param(
+                lambda x: ((x - 4.0) ** 2 / 8.0, (x - 4.0) / 4.0),
+                [(1.0, 1), (2.0, 1), (4.0, 1)],
+                "grad-tol",
+                id="doubling-then-accepted",
+            ),
+            pytest.param(
+                lambda x: ((x - 1.8) ** 2 / 3.6 + 0.5, (x - 1.8) / 1.8),
+                [(1.0, 1), (2.0, 1), (1.8, 1)],
+                "grad-tol",
+                id="positive-slope-after-doubling-swaps-the-ends",
+            ),
+            pytest.param(
+                quartic(0.0, 0.0, 1.0),
+                [(1.0, 0), (0.5, 1), (0.618702408408171, 1)],
+                "max-iters",
+                id="sufficient-decrease-failure-then-quadratic-then-cubic",
+            ),
+            pytest.param(
+                lambda x: (-x + 1.5 * x**1.5, -1.0 + 2.25 * np.sqrt(x)),
+                [(1.0, 0), (0.3333333333333333, 1), (0.21086819996723605, 1)],
+                "max-iters",
+                id="positive-slope-in-the-bracket-swaps-the-ends",
+            ),
+            pytest.param(
+                quartic(4.6, 0.9, 0.6),
+                [(1.0, 0), (0.5, 0), (0.1088406970259213, 1)],
+                "max-iters",
+                id="rejection-in-the-bracket-feeds-the-cubic",
+            ),
+            pytest.param(
+                quartic(6.5, -1.7, 4.2),
+                [(1.0, 0), (0.5, 0), (0.0746268656716418, 1)],
+                "max-iters",
+                id="cubic-in-the-outer-fifth-falls-back-to-the-quadratic",
+            ),
+            pytest.param(
+                lambda x: (50.0 * x * x - x, 100.0 * x - 1.0),
+                [(1.0, 0), (0.5, 0), (0.25, 0), (0.125, 0), (0.0625, 0), (0.01, 1)],
+                "grad-tol",
+                id="quadratic-rejected-for-bisection",
+            ),
+            pytest.param(
+                lambda x: (-x, -1.0),
+                [(2.0**k, 1) for k in range(25)],
+                "line-search-failure",
+                id="budget-spent-doubling",
+            ),
+            pytest.param(ramp_then_wall, BUDGET_SPENT_ZOOMING, "line-search-failure", id="budget-spent-zooming"),
+            pytest.param(
+                wall_beyond_half(np.inf),
+                [(1.0, 0), (0.5, 0), (0.25, 1)],
+                "grad-tol",
+                id="first-trial-plus-inf",
+            ),
+            pytest.param(
+                wall_beyond_half(-np.inf),
+                [(1.0, 0), (0.5, 1)],
+                "objective or gradient is not finite at an accepted step",
+                id="first-trial-minus-inf",
+            ),
+        ],
+    )
+    def test_trial_sequence(self, phi, trials, outcome):
+        seen, ended = first_search(phi)
+        assert [x[0] for x, _, _ in seen] == pytest.approx([step for step, _ in trials], rel=1e-12, abs=0)
+        assert [calls for _, _, calls in seen] == [calls for _, calls in trials]
+        assert ended == outcome
+
+
+class TestFallbacks:
+    def test_quadratic_through_equal_points_has_no_minimizer(self):
+        # b == a makes the curvature 0/0, which the floating-point guard turns into None
+        assert optimize._quad_min(1.0, 0.0, -1.0, 1.0, 0.0) is None
+
+    def test_underflowed_slope_takes_the_capped_first_step(self):
+        # g.g = 1e-340 underflows to -0.0, so the slope along -g looks like no
+        # descent; without the guard the first-step model divides by zero
+        def tiny_linear(x):
+            return 1e-170 * float(x[0]), np.array([1e-170])
+
+        x, report = minimize(eager(tiny_linear), np.array([1.0]), OptimizeConfig(max_iters=5))
+        assert (report.reason, report.iterations, report.evals) == ("max-iters", 5, 6)
+        assert [r.step for r in report.records[1:]] == [optimize._INITIAL_STEP] * 5
+        assert np.array_equal(x, [1.0])

@@ -39,6 +39,21 @@ class TestRankChains:
         with pytest.raises(ShapeError):
             TTRank((1, 3, 2))
 
+    def test_chain_needs_two_entries(self):
+        with pytest.raises(ShapeError, match="a rank chain needs at least two entries"):
+            TTRank((1,))
+
+    def test_non_positive_rank_rejected(self):
+        with pytest.raises(ShapeError, match="contains non-positive rank 0"):
+            TTRank((1, 0, 1))
+
+    def test_core_count_must_match_the_order(self):
+        shape = TensorShape((2, 2))
+        with pytest.raises(ShapeError, match="needs 2 cores and a rank chain of length 3"):
+            TTCores((np.zeros((1, 2, 1)),), shape, TTRank((1, 1, 1)))
+        with pytest.raises(ShapeError, match="needs 2 cores and a rank chain of length 3"):
+            TTCores((np.zeros((1, 2, 1)),) * 2, shape, TTRank((1, 1)))
+
     def test_core_shape_checked(self):
         shape = TensorShape((2, 2))
         rank = TTRank((1, 2, 1))
@@ -83,6 +98,10 @@ class TestRandomInit:
     def test_param_count(self):
         cores = random_init(TensorShape((3, 3, 3)), TTRank((1, 2, 2, 1)), seed=0)
         assert cores.param_count == 1 * 3 * 2 + 2 * 3 * 2 + 2 * 3 * 1
+
+    def test_negative_scale_rejected(self):
+        with pytest.raises(ValueError, match="scale must be non-negative, got -1.0"):
+            random_init(TensorShape((2, 2)), TTRank((1, 2, 1)), seed=3, scale=-1.0)
 
     def test_zero_scale_gives_zero_cores(self):
         cores = random_init(TensorShape((2, 2)), TTRank((1, 2, 1)), seed=3, scale=0.0)
