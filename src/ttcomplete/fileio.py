@@ -9,11 +9,17 @@ anything is stored for it; each line holds exactly its block's fields; integers
 parse as Python's ``int`` and fit in int64; floats parse as ``float`` and are
 finite; only blank lines follow the last record. A violation raises a
 FormatError naming the first bad line.
+
+Reads and writes go in blocks of ``_CHUNK`` lines, which keeps the cost near the
+per-value builtins (``int``, ``float``, ``repr``) and the peak memory at one
+block's strings, not the whole body's. A block that fails to parse is re-read
+line by line to name its first bad line.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain, islice
 
 import numpy as np
 
@@ -24,13 +30,36 @@ from .ttmodel import TTCores, TTRank, flatten_params, unflatten_params
 
 SPARSE_MAGIC = "stto-sparse v1"
 DENSE_MAGIC = "stto-dense v1"
+_CHUNK = 256  # lines per parsed or written block
 
 
 def _write(path, head, body) -> None:
-    """Write the header lines, then stream the body lines; items carry no newline."""
+    """Write the head lines, then the body's str lines; items carry no newline.
+
+    The body is joined ``_CHUNK`` lines per write: fewer calls than a write per
+    line, and a peak memory of one block's strings, not of the whole body's.
+    """
     with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
-        for lines in (head, body):
-            fh.writelines(f"{line}\n" for line in lines)
+        fh.writelines(f"{line}\n" for line in head)
+        body = iter(body)
+        while chunk := list(islice(body, _CHUNK)):
+            fh.write("\n".join(chunk) + "\n")
+
+
+def _fill(rows, ints: int, value: bool, int_out: array, float_out: array) -> bool:
+    """Append split ``rows`` of ``ints`` ints (then a float if ``value``); False on a bad width or token."""
+    width = ints + value
+    if set(map(len, rows)) != {width}:
+        return False
+    tokens = list(chain.from_iterable(rows))
+    try:
+        if value:
+            float_out.extend(map(float, tokens[ints::width]))
+            del tokens[ints::width]
+        int_out.extend(map(int, tokens))
+    except (ValueError, OverflowError):
+        return False
+    return True
 
 
 class _LineReader:
@@ -60,17 +89,14 @@ class _LineReader:
             raise FormatError(f"line {len(self.lines) + 1}: missing {what} ({n} lines expected, {found} found)")
         width = ints + value
         int_out, float_out = array("q"), array("d")
-        for k in range(start, stop):
-            parts = self.lines[k].split()
-            if len(parts) != width:
-                raise FormatError(f"line {k + 1}: {what} has {len(parts)} fields, expected {width}")
-            try:
-                if ints:
-                    int_out.extend(map(int, parts[:ints]))
-                if value:
-                    float_out.append(float(parts[ints]))
-            except (ValueError, OverflowError):
-                raise FormatError(f"line {k + 1}: malformed {what} {self.lines[k].strip()!r}") from None
+        for lo in range(start, stop, _CHUNK):
+            rows = [line.split() for line in self.lines[lo : min(lo + _CHUNK, stop)]]
+            if not _fill(rows, ints, value, int_out, float_out):  # re-walk it for the first bad line
+                for k, parts in enumerate(rows, lo + 1):
+                    if len(parts) != width:
+                        raise FormatError(f"line {k}: {what} has {len(parts)} fields, expected {width}")
+                    if not _fill([parts], ints, value, array("q"), array("d")):
+                        raise FormatError(f"line {k}: malformed {what} {self.lines[k - 1].strip()!r}")
         self.pos = stop
         values = np.frombuffer(float_out)
         finite = np.isfinite(values)
@@ -103,10 +129,16 @@ class _LineReader:
 
 
 def save_sparse(path, obs: SparseObservations) -> None:
-    """Write observations: magic, N, sizes, M, then one `i_1 .. i_N value` line each."""
+    """Write observations: magic, N, sizes, M, then one `i_1 .. i_N value` line each.
+
+    The format holds each cell once: repeated cells raise FormatError before the file is opened.
+    """
+    if (repeated := obs.repeated_rows()).size:
+        cell = tuple(obs.indices[repeated[0]].tolist())
+        raise FormatError(f"observation {repeated[0] + 1}: duplicate multi-index {cell} cannot be saved")
     head = (SPARSE_MAGIC, obs.shape.order, " ".join(map(str, obs.shape.sizes)), obs.count)
-    rows = zip(obs.indices.tolist(), obs.values.tolist())
-    _write(path, head, (f"{' '.join(map(str, idx))} {val!r}" for idx, val in rows))
+    record = " ".join(["{}"] * obs.shape.order + ["{!r}"]).format
+    _write(path, head, map(record, *obs.indices.T.tolist(), obs.values.tolist()))
 
 
 def load_sparse(path, check_shape=None) -> SparseObservations:

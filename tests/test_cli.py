@@ -137,6 +137,28 @@ class TestComplete:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a_model.txt").read_bytes() == (tmp_path / "b_model.txt").read_bytes()
 
+    @pytest.mark.parametrize("max_iters", [1, 2, 4])
+    def test_trace_and_metrics_bytes(self, tmp_path, capsys, monkeypatch, max_iters):
+        # two-line blocks and traces of 2, 3 and 5 records; the metrics body is empty
+        monkeypatch.setattr(fileio, "_CHUNK", 2)
+        items = {}
+
+        def write(path, head, body):
+            head, body = list(head), list(body)
+            items[path] = (head, body)
+            fileio._write(path, head, body)
+
+        monkeypatch.setattr(cli, "_write", write)
+        obs_path, _ = write_small_problem(tmp_path)
+        prefix = str(tmp_path / "run")
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--max-iters", str(max_iters)]
+        assert main(argv + ["--out-prefix", prefix]) == 0
+        head, trace = items[f"{prefix}.csv"]
+        assert len(trace) == max_iters + 1
+        assert (tmp_path / "run.csv").read_text() == "".join(f"{item}\n" for item in head + trace)
+        assert items[f"{prefix}_metrics.txt"][1] == []
+        assert (tmp_path / "run_metrics.txt").read_text() == capsys.readouterr().out
+
     def test_image_completion_smoke(self, tmp_path):
         img_path = write_test_image(tmp_path)
         prefix = str(tmp_path / "img_run")

@@ -1,8 +1,15 @@
+import re
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttcomplete.fileio as fileio
 from ttcomplete import (
     DenseTensor,
     FormatError,
@@ -61,6 +68,20 @@ class TestSparseFormat:
         )
         with pytest.raises(FormatError, match="line 7"):
             load_sparse(path)
+
+    @pytest.mark.parametrize(
+        "coords, message",
+        [
+            ([[1, 1], [1, 1], [2, 3]], r"observation 2: duplicate multi-index \(1, 1\)"),
+            ([[2, 3], [1, 1], [3, 3], [1, 1], [2, 3]], r"observation 4: duplicate multi-index \(1, 1\)"),
+        ],
+    )
+    def test_repeated_cells_refused_before_the_file_is_opened(self, tmp_path, coords, message):
+        obs = SparseObservations(TensorShape((3, 3)), np.array(coords), np.arange(len(coords), dtype=float))
+        path = tmp_path / "dup.txt"
+        with pytest.raises(FormatError, match=f"^{message} cannot be saved$"):
+            save_sparse(path, obs)
+        assert not path.exists()
 
     def test_zero_observations_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"
@@ -286,3 +307,153 @@ class TestMalformedEveryFormat:
         _write_lines(path, ["stto-sparse v1", "2", "3 3", "1", record])
         with pytest.raises(FormatError, match=f"^line 5: .*{message}"):
             load_sparse(path)
+
+
+@pytest.fixture(params=[2, 3])
+def chunk(request, monkeypatch):
+    """A small ``fileio._CHUNK``, so that short files span several blocks."""
+    monkeypatch.setattr(fileio, "_CHUNK", request.param)
+    return request.param
+
+
+def _load_error(load, path) -> str:
+    with pytest.raises(FormatError) as info:
+        load(path)
+    return str(info.value)
+
+
+class TestChunkBoundaries:
+    # A bad line at every position of the first two blocks must give the
+    # message that one-line blocks give, which is the line-by-line parse.
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_bad_line_anywhere(self, tmp_path, monkeypatch, chunk, fmt, case):
+        load, header, record = FORMATS[fmt]
+        count, values, offset, message = MALFORMED[case]
+        inside = count == len(values) and offset <= count  # the bad line is one of the records
+        path = tmp_path / "bad.txt"
+        for at in range(1 if inside else offset, 2 * chunk + 1):
+            for after in (0, 1, chunk) if inside else (0,):
+                if inside:  # the bad record at `at`, then `after` good ones
+                    records = ["0.5"] * (at - 1) + [values[offset - 1]] + ["0.5"] * after
+                    n = at + after
+                else:  # `at - offset` good records, then the case's lines
+                    records = ["0.5"] * (at - offset) + values
+                    n = count + at - offset
+                # every case fails before sparse coordinates are range-checked
+                head = header(n)
+                _write_lines(path, head + [record(i, v) for i, v in enumerate(records, 1)])
+                got = _load_error(load, path)
+                assert re.match(rf"line {len(head) + at}: .*({message})", got), (at, after, got)
+                with monkeypatch.context() as line_by_line:
+                    line_by_line.setattr(fileio, "_CHUNK", 1)
+                    assert got == _load_error(load, path)
+
+    @pytest.mark.parametrize("order", ["width first", "token first"])
+    def test_two_bad_lines_in_one_block(self, tmp_path, chunk, order):
+        bad = ["2.0 7", "2.0x"] if order == "width first" else ["2.0x", "2.0 7"]
+        path = tmp_path / "bad.txt"
+        _write_lines(path, ["stto-dense v1", "1", str(chunk)] + ["0.5"] * (chunk - 2) + bad)
+        message = "value has 2 fields" if order == "width first" else "malformed value '2.0x'"
+        with pytest.raises(FormatError, match=f"^line {2 + chunk}: {message}"):
+            load_dense(path)
+
+    @pytest.mark.parametrize("gap", [0, 1, 3])
+    def test_malformed_wins_over_an_earlier_non_finite_value(self, tmp_path, chunk, gap):
+        # the finite check runs after the whole table, so a later bad token is reported
+        path = tmp_path / "bad.txt"
+        records = ["1 nan"] + ["1 0.5"] * gap + ["1 x"]
+        _write_lines(path, ["stto-sparse v1", "1", "3", str(len(records))] + records)
+        with pytest.raises(FormatError, match=f"^line {5 + len(records) - 1}: malformed observation '1 x'"):
+            load_sparse(path)
+
+    @pytest.mark.parametrize("coordinate", [2**63, -(2**63) - 1])
+    def test_int64_overflow_in_a_blocks_last_record(self, tmp_path, chunk, coordinate):
+        path = tmp_path / "bad.txt"
+        records = ["1 1 0.5"] * (chunk - 1) + [f"1 {coordinate} 0.5", "2 2 0.5"]
+        _write_lines(path, ["stto-sparse v1", "2", "3 3", str(len(records))] + records)
+        message = f"^line {4 + chunk}: malformed observation '1 {coordinate} 0.5'"
+        with pytest.raises(FormatError, match=message):
+            load_sparse(path)
+
+
+def _reference(lines) -> bytes:
+    """The bytes of writing each item on its own line."""
+    return "".join(f"{item}\n" for item in lines).encode("ascii")
+
+
+class TestWriterBlocks:
+    # with C = 3: body lengths 0, 1, C - 1, C, C + 1 and 2C + 1
+    LENGTHS = [0, 1, 2, 3, 4, 7]
+
+    @pytest.fixture(autouse=True)
+    def three_line_blocks(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_CHUNK", 3)
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_write(self, tmp_path, n):
+        head, body = ["# head", 7], [f"line {i}" for i in range(n)]
+        fileio._write(tmp_path / "out.txt", head, iter(body))
+        assert (tmp_path / "out.txt").read_bytes() == _reference(head + body)
+
+    @pytest.mark.parametrize("n", LENGTHS[1:])
+    def test_save_dense(self, tmp_path, n):
+        values = np.random.default_rng(n).standard_normal(n) * 10.0 ** np.arange(-150, -150 + 50 * n, 50)
+        save_dense(tmp_path / "d.txt", DenseTensor(TensorShape((n,)), values))
+        expected = _reference(["stto-dense v1", 1, n, *map(repr, values.tolist())])
+        assert (tmp_path / "d.txt").read_bytes() == expected
+
+    @pytest.mark.parametrize("n", LENGTHS[1:])
+    def test_save_sparse(self, tmp_path, n):
+        shape = TensorShape((n, 12, 2))
+        rng = np.random.default_rng(n)
+        cells = rng.permutation(shape.element_count)[:n]
+        coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
+        obs = SparseObservations(shape, coords, rng.standard_normal(n) * 1e-5)
+        save_sparse(tmp_path / "s.txt", obs)
+        rows = zip(coords.tolist(), obs.values.tolist())
+        records = [f"{' '.join(map(str, idx))} {val!r}" for idx, val in rows]
+        expected = _reference(["stto-sparse v1", 3, f"{n} 12 2", n, *records])
+        assert (tmp_path / "s.txt").read_bytes() == expected
+
+    @pytest.mark.parametrize("n", LENGTHS[1:])
+    def test_save_model(self, tmp_path, n):
+        cores = random_init(TensorShape((n,)), TTRank((1, 1)), seed=n)
+        save_model(tmp_path / "m.txt", cores)
+        expected = _reference([1, n, "1 1", *map(repr, flatten_params(cores).tolist())])
+        assert (tmp_path / "m.txt").read_bytes() == expected
+
+    def test_save_dense_peak_memory(self, tmp_path):
+        # one block of strings at a time: the peak is the values' float list (3.4 MiB at 48^3)
+        t = DenseTensor(TensorShape((48, 48, 48)), np.random.default_rng(0).standard_normal(48**3))
+        tracemalloc.start()
+        try:
+            save_dense(tmp_path / "d.txt", t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+class TestRoundTripAcrossBlocks:
+    @given(
+        st.integers(1, 5),
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sparse(self, chunk, sizes, data):
+        shape = TensorShape(tuple(sizes))
+        cells = data.draw(st.lists(st.integers(0, shape.element_count - 1), min_size=1, unique=True))
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        values = data.draw(st.lists(finite, min_size=len(cells), max_size=len(cells)))
+        coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
+        obs = SparseObservations(shape, coords, np.array(values))
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_CHUNK", chunk):
+            path = Path(tmp) / "obs.txt"
+            save_sparse(path, obs)
+            again = load_sparse(path)
+        assert again.shape.sizes == shape.sizes
+        assert np.array_equal(again.indices, obs.indices)
+        assert np.array_equal(again.values, obs.values)
+        assert np.array_equal(np.signbit(again.values), np.signbit(obs.values))
