@@ -163,22 +163,20 @@ def default_init_scale(obs: SparseObservations, rank: TTRank) -> float:
     """Core init scale whose chained product matches the observed magnitude.
 
     For cores with i.i.d. N(0, s^2) entries the entry variance is
-    s^(2N) * prod(interior ranks), so s = (var(y) / prod(r))^(1/(2N)) makes
-    the initial predictions the same size as the data (and reduces to
-    std(y)^(1/N) for rank-1 chains). Constant observations fall back to
-    their mean magnitude (or 1). The moments are taken of the sorted values,
-    so s ignores their order, over a power of two near the largest magnitude;
-    the exact division keeps their bits and cannot overflow. Where var(y) /
-    prod(r) overflows or underflows to 0, s is std(y)^(1/N) / prod(r)^(1/(2N)).
+    s^(2N) * prod(r), the product over the rank chain, so
+    s = std(y)^(1/N) / prod(r)^(1/(2N)) makes the initial predictions the same
+    size as the data. Where std(y) is 0 (constant observations) or underflows
+    to 0, max|y| takes its place, at least 1. std(y) is taken of the sorted
+    values, so s ignores their order, over the unit 2^(e-1) where
+    max|y| = m * 2^e: the unit cannot overflow, dividing by it keeps the
+    values' bits, and np.std of the quotients (below 2) cannot overflow
+    either. s is finite and positive for every finite y.
     """
-    unit = math.ldexp(1.0, math.frexp(float(np.max(np.abs(obs.values))))[1])
-    scaled = np.sort(obs.values) / unit
-    spread = float(np.std(scaled)) * unit
+    top = float(np.max(np.abs(obs.values)))
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    # a standard deviation is at most top; min() keeps rounding from carrying it past max float
+    spread = min(float(np.std(np.sort(obs.values) / unit)) * unit, top)
     if spread == 0.0:
-        spread = max(abs(float(np.mean(scaled))) * unit, 1.0)
-    interior = math.prod(rank.ranks[1:-1]) if len(rank.ranks) > 2 else 1
+        spread = max(top, 1.0)
     order = obs.shape.order
-    scale = (spread * spread / interior) ** (0.5 / order)
-    if not 0.0 < scale < math.inf:
-        scale = spread ** (1.0 / order) / interior ** (0.5 / order)
-    return scale
+    return spread ** (1.0 / order) / math.prod(rank.ranks) ** (0.5 / order)

@@ -88,8 +88,8 @@ def uniform_ranks(shape: TensorShape, interior: int) -> TTRank:
 
 def random_init(shape: TensorShape, rank: TTRank, seed: int, scale: float = 1.0) -> TTCores:
     """Draw cores with i.i.d. Gaussian entries of mean 0 and std ``scale``."""
-    if scale < 0:
-        raise ValueError(f"scale must be non-negative, got {scale}")
+    if not 0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and non-negative, got {scale}")
     if rank.order != shape.order:
         raise ShapeError(
             f"rank chain of length {len(rank.ranks)} does not fit order-{shape.order} shape {shape}"

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -481,6 +485,24 @@ class TestNumericFailure:
             assert main(argv) == 4
         assert "error: objective or gradient is not finite at the starting point" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["obs.txt"]
+
+    @pytest.mark.parametrize("magnitude", ["1e200", "1.5e308"])
+    def test_entry_point_exits_4_on_huge_values(self, tmp_path, magnitude):
+        # the module's own __main__ line, run as a user runs it; the first evaluation overflows
+        path = tmp_path / "huge.txt"
+        cells = ("1 1", "1 2", "2 1", "2 2")
+        records = [f"{c} {sign}{magnitude}" for c, sign in zip(cells, ("", "-", "", "-"))]
+        path.write_text("\n".join(["stto-sparse v1", "2", "2 2", "4"] + records) + "\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["complete", "--input", str(path), "--ranks", "1,2,1", "--out-prefix", str(tmp_path / "x")]
+        run = subprocess.run(
+            [sys.executable, "-m", "ttcomplete.cli", *argv], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 4
+        assert "Traceback" not in run.stderr
+        assert run.stderr.splitlines()[-1] == "error: objective or gradient is not finite at the starting point"
+        assert [p.name for p in tmp_path.iterdir()] == ["huge.txt"]
 
 
 class TestMaskHeader:

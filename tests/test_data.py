@@ -281,7 +281,7 @@ class TestInitScale:
         truth = DenseTensor(shape, gen_oscillating(shape).values * magnitude + magnitude / 3)
         obs = extract_observations(truth, mask_random(shape, 0.3, seed=2))
         spread = float(np.std(np.sort(obs.values)))
-        assert default_init_scale(obs, rank) == (spread * spread / 6) ** (0.5 / 3)
+        assert default_init_scale(obs, rank) == spread ** (1 / 3) / 6 ** (0.5 / 3)
 
     def test_fit_ignores_observation_order(self):
         # the values' spread summed in these two orders differs in its last bit
@@ -297,9 +297,11 @@ class TestInitScale:
         assert report_a.records == report_b.records
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.cores, b.cores))
 
-    @pytest.mark.parametrize("magnitude", [1e300, 1e-300])
+    @pytest.mark.parametrize("magnitude", [1e300, 1e-300, 1e-160, 1.5e308])
     def test_extreme_values_give_a_finite_start(self, magnitude):
-        # the usual form overflows (or underflows to 0) in spread * spread
+        # std(y)^2 overflows above about 1e154 and is subnormal near 1e-160, so the
+        # scale takes std(y)^(1/N) itself; 2^e of max|y| = m * 2^e overflows at 1.5e308.
+        # abs=0: approx's default absolute tolerance would pass any tiny scale
         shape = TensorShape((4, 4, 4))
         rank = uniform_ranks(shape, 2)
         signs = np.where(np.random.default_rng(4).random(64) < 0.5, -1.0, 1.0)
@@ -307,7 +309,37 @@ class TestInitScale:
         obs = extract_observations(truth, MissingMask(shape, np.ones(64, dtype=bool)))
         scale = default_init_scale(obs, rank)
         assert 0.0 < scale < math.inf
-        assert scale == pytest.approx((float(np.std(signs)) * magnitude) ** (1 / 3) / 4 ** (1 / 6), rel=1e-12)
-        start = tt_full(random_init(shape, rank, seed=0, scale=scale)).values
-        assert np.all(np.isfinite(start))
-        assert 0.1 < float(np.sqrt(np.mean((start / magnitude) ** 2))) < 10.0
+        assert scale == pytest.approx((float(np.std(signs)) * magnitude) ** (1 / 3) / 4 ** (1 / 6), rel=1e-12, abs=0)
+        if magnitude < 1e308:  # random predictions of about 1.5e308 overflow in tt_full
+            start = tt_full(random_init(shape, rank, seed=0, scale=scale)).values
+            assert np.all(np.isfinite(start))
+            assert 0.1 < float(np.sqrt(np.mean((start / magnitude) ** 2))) < 10.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.tile([5e-324, -5e-324], 32),  # std(y) keeps one bit: check only the range
+            np.full(64, 1.7e308),
+            # np.std of these 76 values, over 2^1023, rounds up to 2.0
+            np.tile([np.finfo(float).max, -np.finfo(float).max], 38),
+        ],
+        ids=["min-subnormal", "constant-1.7e308", "max-float-pairs"],
+    )
+    def test_edge_of_the_float_range_gives_a_finite_scale(self, values):
+        shape = TensorShape((values.size,))
+        obs = extract_observations(DenseTensor(shape, values), MissingMask(shape, np.ones(values.size, bool)))
+        assert 0.0 < default_init_scale(obs, TTRank((1, 1))) < math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.data(),
+    )
+    def test_any_finite_values_give_a_finite_positive_scale(self, sizes, interior, data):
+        shape = TensorShape(tuple(sizes))
+        extremes = st.sampled_from([np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324, 0.0])
+        finite = st.one_of(extremes, st.floats(allow_nan=False, allow_infinity=False))
+        values = np.array(data.draw(st.lists(finite, min_size=shape.element_count, max_size=shape.element_count)))
+        obs = extract_observations(DenseTensor(shape, values), MissingMask(shape, np.ones(values.size, bool)))
+        assert 0.0 < default_init_scale(obs, uniform_ranks(shape, interior)) < math.inf

@@ -100,8 +100,14 @@ class TestRandomInit:
         assert cores.param_count == 1 * 3 * 2 + 2 * 3 * 2 + 2 * 3 * 1
 
     def test_negative_scale_rejected(self):
-        with pytest.raises(ValueError, match="scale must be non-negative, got -1.0"):
+        with pytest.raises(ValueError, match="scale must be finite and non-negative, got -1.0"):
             random_init(TensorShape((2, 2)), TTRank((1, 2, 1)), seed=3, scale=-1.0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf")])
+    def test_non_finite_scale_rejected(self, scale):
+        # a NaN fails every comparison, so only "not 0 <= scale < inf" refuses it
+        with pytest.raises(ValueError, match=f"scale must be finite and non-negative, got {scale}"):
+            random_init(TensorShape((2, 2)), TTRank((1, 2, 1)), seed=3, scale=scale)
 
     def test_zero_scale_gives_zero_cores(self):
         cores = random_init(TensorShape((2, 2)), TTRank((1, 2, 1)), seed=3, scale=0.0)
