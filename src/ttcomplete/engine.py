@@ -26,6 +26,9 @@ about ``_TILE_CELLS`` cells (512 KiB, inside a core's L2) and at least
 fewer than 2 * ``_TILE_MIN_ROWS`` rows, is one tile. The observations are
 kept in block-row order, so tile t owns one contiguous run of them, and the
 forward pass forms X_t = L_t @ R^T (one GEMM) and gathers that run's cells.
+R^T is copied to C order once per pass, so each tile runs on OpenBLAS's NN
+kernel, not the slower NT one: an 85 x 768 img256 tile at r = 8 takes 30-33
+instead of 47-57 us (1 BLAS thread), for one copy of about 7 us; same bits.
 
 A trie depth is one of two kinds, read from the observed cells. It is
 complete when every parent has all I_n children (K_n = K_{n-1} * I_n), as on
@@ -60,8 +63,9 @@ sum_{n<=s} K_n + sum_{n>s} K'_n among the splits whose block holds at most
 R is the 1 x 1 matrix of ones, always qualifies; there every product is exact
 and the engine is a one-sided prefix trie. K_n, K'_n and each trie depth's
 node starts come from one prefix-start table per sort of the observations'
-linear offsets (two sorts), so s depends only on the observed cells, and one
-cached structure serves the objective, the gradient and the duplicate check.
+linear offsets (two sorts), so s depends only on the observed cells. The
+observations cache the first sort, whose table alone answers the duplicate
+check, and the join built on it, which serves the objective and the gradient.
 
 Determinism: rows are sorted lexicographically by (i_1, ..., i_N), as their
 row-major offsets, with numpy's default introsort. Distinct offsets have one
@@ -99,7 +103,7 @@ class SparseObservations:
 
     ``indices`` is an (M, N) int array of 1-based multi-indices, ``values``
     the matching finite floats. Treated as immutable after construction;
-    the join built from them is cached lazily.
+    their sort and the join built from them are cached lazily.
     """
 
     shape: TensorShape
@@ -140,26 +144,32 @@ class SparseObservations:
 
     def repeated_rows(self) -> np.ndarray:
         """Ascending rows whose multi-index an earlier row already holds."""
-        return self._join.repeated
+        order, fresh = self._sorted
+        return np.sort(order[1:][~fresh[-1, 1:]])
+
+    @functools.cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_sort_rows` of the indices, shared by the duplicate check and the join."""
+        return _sort_rows(self.indices, self.shape.sizes)
 
     @functools.cached_property
     def _join(self) -> _Join:
         """The observations' two tries and their join."""
-        return _Join(self.indices, self.values, self.shape)
+        return _Join(self.indices, self.values, self.shape, *self._sorted)
 
 
 # The join block holds at most this many cells per observation. On img256 at
-# r = 8 (1 BLAS thread, 2 vCPU, three tiles) a block cell costs about 1.5 ns
-# per f+g (a gather, a bincount and three r_s-wide matrix products: 0.29 of
-# the 0.34 ms f+g for 196,608 cells; 2.0 ns as one untiled block) and a node
-# at a segment depth about 27 ns (1.41-1.47 ms for the one-sided trie's 54,604
-# nodes, 53,240 of them at segment depths; scene and mask seed 1). Complete
-# depths cost far less per node: at s = 4 every depth is complete, and the
-# tries' 1,363 nodes take about 0.045 ms. The cap prices every node at the
-# segment rate, so a block at the cap costs about one segment node per
-# observation, which the one-sided trie's last level alone spends. img256 needs
-# 10 for s = 4; a 1000^3 tensor with 5,000 cells would need about 1,000 and
-# keeps s = N.
+# r = 8 (1 BLAS thread, 2 vCPU, three tiles) a block cell costs about 2.7 ns
+# per f+g (a gather, a bincount and three r_s-wide matrix products: 0.54 of
+# the 0.67 ms f+g for 196,608 cells; 3.0 ns with a transposed forward R^T,
+# 4.1 ns as one untiled block) and a node at a segment depth about 45 ns
+# (2.43 ms for the one-sided trie's 54,604 nodes, 53,240 of them at segment
+# depths; scene and mask seed 1, medians of 400 calls). Complete depths cost
+# far less per node: at s = 4 every depth is complete, and the tries' 1,363
+# nodes take about 0.13 ms. The cap prices every node at the segment rate, so
+# a block at the cap costs about one segment node per observation, which the
+# one-sided trie's last level alone spends. img256 needs 10 for s = 4; a
+# 1000^3 tensor with 5,000 cells would need about 1,000 and keeps s = N.
 _BLOCK_CELLS_PER_OBS = 16
 
 # The join block is computed in row tiles of about this many cells: 512 KiB of
@@ -313,24 +323,22 @@ class _Join:
     over modes 1..s and ``right`` the trie over modes N, ..., s+1. ``tiles``
     lists, per row tile of the ``left.leaves`` x ``right.leaves`` join block,
     the slice of its block rows and the slice of sorted rows that fall in it;
-    sorted row m sits at ``cell[m]`` of its flattened tile. ``repeated``
-    lists, ascending, the rows whose multi-index an earlier row already holds.
+    sorted row m sits at ``cell[m]`` of its flattened tile. ``order`` and
+    ``fresh`` come in as :func:`_sort_rows` of ``indices``.
     """
 
-    def __init__(self, indices: np.ndarray, values: np.ndarray, shape: TensorShape):
+    def __init__(self, indices: np.ndarray, values: np.ndarray, shape: TensorShape, order, fresh):
         sizes, rsizes = shape.sizes, shape.sizes[::-1]
-        self.order, fresh = _sort_rows(indices, sizes)
         rorder, rfresh = _sort_rows(indices[:, ::-1], rsizes)
-        self.repeated = np.sort(self.order[1:][~fresh[-1, 1:]])
         prefix, suffix = np.count_nonzero(fresh, axis=1), np.count_nonzero(rfresh, axis=1)
         self.split = _best_split(prefix.tolist(), suffix[::-1].tolist(), values.size)
-        self.left = _Trie(indices, self.order, fresh[: self.split], sizes)
+        self.left = _Trie(indices, order, fresh[: self.split], sizes)
         self.right = _Trie(indices[:, ::-1], rorder, rfresh[: len(sizes) - self.split], rsizes)
         right_leaf = np.empty_like(rorder)
         right_leaf[rorder] = self.right.leaf
         # rows by block row; a no-op when every prefix depth is complete
         by_row = np.argsort(self.left.leaf, kind="stable")
-        self.order, row = self.order[by_row], self.left.leaf[by_row]
+        self.order, row = order[by_row], self.left.leaf[by_row]
         height, width = self.left.leaves, self.right.leaves
         count = max(1, min(-(-height * width // _TILE_CELLS), height // _TILE_MIN_ROWS))
         rows = -(-height // count)
@@ -346,9 +354,10 @@ class _Join:
         right_cores = [core.transpose(2, 1, 0) for core in cores[s:][::-1]]
         left, left_kept = self.left.forward(cores[:s])
         right, right_kept = self.right.forward(right_cores)
+        right_t = np.ascontiguousarray(right.T)  # once per call: C order puts every tile on the NN kernel
         x = np.empty(self.cell.size)
         for rows, obs in self.tiles:
-            np.take((left[rows] @ right.T).ravel(), self.cell[obs], out=x[obs], mode="clip")
+            np.take((left[rows] @ right_t).ravel(), self.cell[obs], out=x[obs], mode="clip")
         return x, (left, right, left_kept, right_kept, right_cores)
 
     def backward(self, cores: Sequence[np.ndarray], kept, resid: np.ndarray) -> np.ndarray:

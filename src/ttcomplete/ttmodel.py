@@ -141,7 +141,11 @@ def flatten_params(cores: TTCores) -> np.ndarray:
 
 
 def unflatten_params(template: TTCores, flat: np.ndarray) -> TTCores:
-    """Rebuild cores shaped like ``template`` from a flat parameter vector."""
+    """Cores shaped like ``template``, as views of the flat parameter vector when it is float64.
+
+    Checks only the vector's length (``ShapeError``); the result carries
+    ``template``'s shape and rank.
+    """
     flat = np.asarray(flat, dtype=np.float64).ravel()
     if flat.size != template.param_count:
         raise ShapeError(f"parameter vector has {flat.size} entries, expected {template.param_count}")
@@ -151,4 +155,8 @@ def unflatten_params(template: TTCores, flat: np.ndarray) -> TTCores:
         block = flat[offset : offset + c.size]
         cores.append(block.reshape(c.shape, order="F"))
         offset += c.size
-    return TTCores(tuple(cores), template.shape, template.rank)
+    # The template passed TTCores's checks and each view is float64 with its core's
+    # shape, so __post_init__ would only repeat them, on every optimizer trial.
+    result = object.__new__(TTCores)
+    result.__dict__.update(cores=tuple(cores), shape=template.shape, rank=template.rank)
+    return result

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ttcomplete.engine as engine
 import ttcomplete.fileio as fileio
 from ttcomplete import (
     DenseTensor,
@@ -82,6 +83,17 @@ class TestSparseFormat:
         with pytest.raises(FormatError, match=f"^{message} cannot be saved$"):
             save_sparse(path, obs)
         assert not path.exists()
+
+    def test_duplicate_checks_sort_once_and_build_no_join(self, tmp_path):
+        shape = TensorShape((6, 5, 4))
+        obs = extract_observations(gen_oscillating(shape), mask_random(shape, 0.5, seed=3))
+        with mock.patch.object(engine, "_sort_rows", wraps=engine._sort_rows) as sort:
+            save_sparse(tmp_path / "obs.txt", obs)
+            again = load_sparse(tmp_path / "obs.txt")
+            assert sort.call_count == 2
+            assert "_join" not in obs.__dict__ and "_join" not in again.__dict__
+            obs._join  # reuses the cached sort; only the suffix sort is new
+            assert sort.call_count == 3
 
     def test_zero_observations_rejected(self, tmp_path):
         path = tmp_path / "empty.txt"

@@ -216,18 +216,25 @@ class TestCellMap:
             mask_block(shape, side // 4, side // 3, side // 2, side // 4),
         ]
 
-    @pytest.mark.parametrize("side", [16, 64])
-    def test_observations_read_from_the_image(self, side):
-        # the same (index, value) pairs; their order is free
-        img = random_image(np.random.default_rng(side), side=side)
-        for mask in self.masks(side):
-            direct = tensorized_observations(img, mask)
-            lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
-            assert direct.shape == lifted.shape
-            pairs = [
-                sorted(zip(map(tuple, obs.indices.tolist()), obs.values.tolist())) for obs in (direct, lifted)
-            ]
-            assert pairs[0] == pairs[1]
+    @given(st.integers(1, 6), st.sampled_from(["random", "full", "single"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_observations_read_from_the_image(self, k, kind, seed):
+        rng = np.random.default_rng(seed)
+        img = random_image(rng, side=2**k)
+        cells = img.shape.element_count
+        observed = rng.random(cells) < {"random": rng.uniform(0.01, 0.99), "full": 1.0, "single": 0.0}[kind]
+        observed[rng.integers(cells)] = True
+        mask = MissingMask(img.shape, observed)
+        direct = tensorized_observations(img, mask)
+        lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
+        # the same (index, value) pairs
+        assert direct.shape == lifted.shape
+        pairs = [sorted(zip(map(tuple, obs.indices.tolist()), obs.values.tolist())) for obs in (direct, lifted)]
+        assert pairs[0] == pairs[1]
+        # in the image's column-major cell order
+        tensor_cells = np.ravel_multi_index(tuple(direct.indices.T - 1), direct.shape.sizes, order="F")
+        image_cells = np.argsort(_tensor_cells(k))[tensor_cells]
+        assert np.array_equal(image_cells, np.flatnonzero(observed))
 
     @pytest.mark.parametrize("side", [16, 64])
     def test_fits_on_both_observation_sets_agree(self, side):

@@ -7,12 +7,17 @@ from hypothesis import strategies as st
 
 from ttcomplete import (
     CapacityError,
+    OptimizeConfig,
     ShapeError,
     TTCores,
     TTRank,
     TensorShape,
     cap_ranks,
+    extract_observations,
+    fit_cores,
     flatten_params,
+    gen_oscillating,
+    mask_random,
     random_init,
     tt_full,
     unflatten_params,
@@ -234,6 +239,32 @@ class TestParameterPacking:
         template = random_init(TensorShape((3, 3)), TTRank((1, 2, 1)), seed=0)
         with pytest.raises(ShapeError):
             unflatten_params(template, np.zeros(template.param_count + 1))
+        with pytest.raises(ShapeError, match="has 3 entries, expected 12"):
+            unflatten_params(template, np.zeros(3))
+
+    def test_views_of_the_vector_with_the_template_chain(self):
+        template = random_init(TensorShape((3, 4, 2)), TTRank((1, 2, 3, 1)), seed=1)
+        flat = np.arange(template.param_count, dtype=float)
+        cores = unflatten_params(template, flat)
+        assert cores.shape is template.shape and cores.rank is template.rank
+        assert [c.shape for c in cores.cores] == [c.shape for c in template.cores]
+        assert all(c.dtype == np.float64 and np.shares_memory(c, flat) for c in cores.cores)
+        assert np.array_equal(flatten_params(cores), flat)
+
+    def test_fit_validates_cores_a_fixed_number_of_times(self, monkeypatch):
+        # unflatten_params runs once per trial and must not re-run TTCores's checks
+        shape = TensorShape((4, 4, 4))
+        obs = extract_observations(gen_oscillating(shape), mask_random(shape, 0.5, seed=2))
+        checks = []
+        post_init = TTCores.__post_init__
+        monkeypatch.setattr(TTCores, "__post_init__", lambda self: checks.append(1) or post_init(self))
+        counts = []
+        for iters in (2, 20):
+            checks.clear()
+            _, report = fit_cores(obs, TTRank((1, 2, 2, 1)), OptimizeConfig(max_iters=iters))
+            counts.append((len(checks), report.evals))
+        assert counts[0][0] == counts[1][0]
+        assert counts[1][1] > counts[0][1]
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
