@@ -216,9 +216,22 @@ class TestCellMap:
             mask_block(shape, side // 4, side // 3, side // 2, side // 4),
         ]
 
+    @pytest.mark.parametrize("side", [16, 64])
+    def test_observations_read_from_the_image(self, side):
+        # the same (index, value) pairs; their order is free
+        img = random_image(np.random.default_rng(side), side=side)
+        for mask in self.masks(side):
+            direct = tensorized_observations(img, mask)
+            lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
+            assert direct.shape == lifted.shape
+            pairs = [
+                sorted(zip(map(tuple, obs.indices.tolist()), obs.values.tolist())) for obs in (direct, lifted)
+            ]
+            assert pairs[0] == pairs[1]
+
     @given(st.integers(1, 6), st.sampled_from(["random", "full", "single"]), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
-    def test_observations_read_from_the_image(self, k, kind, seed):
+    def test_observations_in_image_cell_order(self, k, kind, seed):
         rng = np.random.default_rng(seed)
         img = random_image(rng, side=2**k)
         cells = img.shape.element_count
