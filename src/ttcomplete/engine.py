@@ -27,8 +27,7 @@ fewer than 2 * ``_TILE_MIN_ROWS`` rows, is one tile. The observations are
 kept in block-row order, so tile t owns one contiguous run of them, and the
 forward pass forms X_t = L_t @ R^T (one GEMM) and gathers that run's cells.
 R^T is copied to C order once per pass, so each tile runs on OpenBLAS's NN
-kernel, not the slower NT one: an 85 x 768 img256 tile at r = 8 takes 30-33
-instead of 47-57 us (1 BLAS thread), for one copy of about 7 us; same bits.
+kernel, not the slower NT one (an 85 x 768 img256 tile: 30-33 vs 47-57 us).
 
 A trie depth is one of two kinds, read from the observed cells. It is
 complete when every parent has all I_n children (K_n = K_{n-1} * I_n), as on
@@ -327,7 +326,9 @@ class _Join:
     ``fresh`` come in as :func:`_sort_rows` of ``indices``.
     """
 
-    def __init__(self, indices: np.ndarray, values: np.ndarray, shape: TensorShape, order, fresh):
+    def __init__(
+        self, indices: np.ndarray, values: np.ndarray, shape: TensorShape, order: np.ndarray, fresh: np.ndarray
+    ):
         sizes, rsizes = shape.sizes, shape.sizes[::-1]
         rorder, rfresh = _sort_rows(indices[:, ::-1], rsizes)
         prefix, suffix = np.count_nonzero(fresh, axis=1), np.count_nonzero(rfresh, axis=1)
@@ -354,7 +355,7 @@ class _Join:
         right_cores = [core.transpose(2, 1, 0) for core in cores[s:][::-1]]
         left, left_kept = self.left.forward(cores[:s])
         right, right_kept = self.right.forward(right_cores)
-        right_t = np.ascontiguousarray(right.T)  # once per call: C order puts every tile on the NN kernel
+        right_t = np.ascontiguousarray(right.T)  # once per call, not per tile
         x = np.empty(self.cell.size)
         for rows, obs in self.tiles:
             np.take((left[rows] @ right_t).ravel(), self.cell[obs], out=x[obs], mode="clip")

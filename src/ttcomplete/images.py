@@ -31,23 +31,18 @@ def _spatial_exponent(shape: TensorShape) -> int:
     return h.bit_length() - 1
 
 
-def _spread(k: int) -> np.ndarray:
-    """spread(x) for x < 2^k: x with bit n moved to bit 2n."""
-    x = np.arange(2**k, dtype=np.int64)
-    spread = np.zeros_like(x)
-    for n in range(k):
-        spread |= ((x >> n) & 1) << (2 * n)
-    return spread
-
-
 def _tensor_cells(k: int) -> np.ndarray:
     """Column-major offset in the (4, ..., 4, 3) tensor of each column-major (2^k, 2^k, 3) cell.
 
     0-based pixel (r, c, ch) lands at tensor index
     (((r >> n) & 1) + 2 * ((c >> n) & 1) for n < k, ch), that is at offset
-    spread(r) + 2 * spread(c) + 4^k * ch (see :func:`_spread`).
+    spread(r) + 2 * spread(c) + 4^k * ch, where spread(x) moves bit n of x
+    to bit 2n.
     """
-    spread = _spread(k)
+    x = np.arange(2**k, dtype=np.int64)
+    spread = np.zeros_like(x)
+    for n in range(k):
+        spread |= ((x >> n) & 1) << (2 * n)
     return ((4**k * np.arange(3))[:, None, None] + 2 * spread[:, None] + spread).ravel()
 
 
@@ -78,17 +73,14 @@ def tensorize_mask(mask: MissingMask) -> MissingMask:
 def tensorized_observations(img: DenseTensor, mask: MissingMask) -> SparseObservations:
     """The observations of ``extract_observations(tensorize_image(img), tensorize_mask(mask))``.
 
-    Only the observed cells are mapped, and they come out in the image's
-    column-major cell order; a fit depends only on the set of observations.
+    Reads the observed cells from the image, in its column-major cell order;
+    a fit depends only on the set of observations.
     """
     if img.shape.sizes != mask.shape.sizes:
         raise ShapeError(f"image shape {img.shape} does not match mask shape {mask.shape}")
     k = _spatial_exponent(img.shape)
     observed = np.flatnonzero(mask.observed)
-    # column-major cell r + 2^k c + 4^k ch, mapped as in _tensor_cells
-    spread, low = _spread(k), 2**k - 1
-    cells = spread[observed & low] + 2 * spread[(observed >> k) & low] + 4**k * (observed >> 2 * k)
-    return _observations(TensorShape((4,) * k + (3,)), cells, img.values[observed])
+    return _observations(TensorShape((4,) * k + (3,)), _tensor_cells(k)[observed], img.values[observed])
 
 
 def save_image(path, img: DenseTensor) -> None:

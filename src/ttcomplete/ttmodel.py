@@ -68,6 +68,16 @@ class TTCores:
     def param_count(self) -> int:
         return sum(c.size for c in self.cores)
 
+    @classmethod
+    def _like(cls, template: TTCores, cores: tuple[np.ndarray, ...]) -> TTCores:
+        """``template``'s chain with float64 ``cores`` of its core shapes, unchecked.
+
+        Skips ``__post_init__`` by setting every field here; a new field must be added here.
+        """
+        result = object.__new__(cls)
+        result.__dict__.update(cores=cores, shape=template.shape, rank=template.rank)
+        return result
+
 
 def cap_ranks(shape: TensorShape, ranks: Sequence[int]) -> TTRank:
     """Clip a requested rank chain to what the shape can support.
@@ -141,11 +151,7 @@ def flatten_params(cores: TTCores) -> np.ndarray:
 
 
 def unflatten_params(template: TTCores, flat: np.ndarray) -> TTCores:
-    """Cores shaped like ``template``, as views of the flat parameter vector when it is float64.
-
-    Checks only the vector's length (``ShapeError``); the result carries
-    ``template``'s shape and rank.
-    """
+    """Cores shaped like ``template``, as views of the flat vector; only its length is checked."""
     flat = np.asarray(flat, dtype=np.float64).ravel()
     if flat.size != template.param_count:
         raise ShapeError(f"parameter vector has {flat.size} entries, expected {template.param_count}")
@@ -155,8 +161,4 @@ def unflatten_params(template: TTCores, flat: np.ndarray) -> TTCores:
         block = flat[offset : offset + c.size]
         cores.append(block.reshape(c.shape, order="F"))
         offset += c.size
-    # The template passed TTCores's checks and each view is float64 with its core's
-    # shape, so __post_init__ would only repeat them, on every optimizer trial.
-    result = object.__new__(TTCores)
-    result.__dict__.update(cores=tuple(cores), shape=template.shape, rank=template.rank)
-    return result
+    return TTCores._like(template, tuple(cores))
