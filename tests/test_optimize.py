@@ -1,8 +1,25 @@
+import re
+
 import numpy as np
 import pytest
 
-from ttcomplete import NumericError, OptimizeConfig, ShapeError, minimize
-from ttcomplete import optimize
+from ttcomplete import (
+    NumericError,
+    OptimizeConfig,
+    ShapeError,
+    default_init_scale,
+    evaluate,
+    fit_cores,
+    flatten_params,
+    mask_random,
+    minimize,
+    optimize,
+    random_init,
+    synthetic_scene,
+    unflatten_params,
+    uniform_ranks,
+)
+from ttcomplete.images import tensorized_observations
 from ttcomplete.optimize import _WOLFE_C1, _WOLFE_C2, _hs_beta
 
 
@@ -58,12 +75,44 @@ def make_quadratic(a_matrix):
     return f
 
 
+def assert_strong_wolfe_on_trace(f, x0, report):
+    """Replay a run's accepted steps from x0, rebuilding its directions, and
+    check both strong-Wolfe inequalities at every one of them."""
+    x = np.array(x0, dtype=np.float64)
+    val, g = f(x)
+    d = -g
+    for k, rec in enumerate(report.records[1:], start=1):
+        if float(np.dot(g, d)) >= 0.0:
+            d = -g
+        alpha = rec.step
+        derphi0 = float(np.dot(g, d))
+        assert derphi0 < 0.0
+        new_val, new_g = f(x + alpha * d)
+        assert new_val <= val + _WOLFE_C1 * alpha * derphi0 + 1e-15
+        assert abs(float(np.dot(new_g, d))) <= _WOLFE_C2 * abs(derphi0) + 1e-15
+        assert new_val == rec.objective
+        x = x + alpha * d
+        beta = 0.0 if k % x.size == 0 else _hs_beta(new_g, g, d)
+        d = -new_g + beta * d
+        val, g = new_val, new_g
+
+
 class TestConfig:
     def test_defaults_valid(self):
         cfg = OptimizeConfig()
         assert (cfg.max_iters, cfg.grad_tol) == (200, 0.0)
 
-    @pytest.mark.parametrize("kwargs", [{"max_iters": 0}, {"grad_tol": -1.0}, {"grad_tol": float("nan")}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_iters": 0},
+            {"grad_tol": -1.0},
+            {"grad_tol": float("nan")},
+            # an infinite tolerance would stop every run at its start
+            {"grad_tol": float("inf")},
+            {"grad_tol": float("1e400")},
+        ],
+    )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OptimizeConfig(**kwargs)
@@ -78,6 +127,18 @@ class TestConfig:
         assert cfg == OptimizeConfig(max_iters=np.int64(2)) == OptimizeConfig(max_iters=2)
         _, report = minimize(eager(quadratic_bowl), np.array([1.0, -2.0]), cfg)
         assert report.iterations <= 2
+
+
+class TestConstants:
+    def test_wolfe_constants_ordered(self):
+        # c2 < 1/2 keeps NCG directions descent ones (Nocedal & Wright, Lemma 5.6)
+        assert 0 < _WOLFE_C1 < _WOLFE_C2 < 0.5
+
+    def test_module_docstring_states_the_constants(self):
+        doc = optimize.__doc__
+        stated = {name: float(re.search(rf"{name} = ([0-9.e-]+)", doc).group(1)) for name in ("c1", "c2")}
+        assert stated == {"c1": _WOLFE_C1, "c2": _WOLFE_C2}
+        assert f"at most {optimize._MAX_LINE_SEARCH_EVALS} evaluations" in doc
 
 
 class TestHSBeta:
@@ -122,13 +183,27 @@ class TestMinimize:
         assert report.reason == "grad-tol"
         assert report.iterations == 0
 
-    def test_ncg_two_variable_quadratic(self):
-        # conjugate directions finish a 2-variable quadratic in two steps
-        f = make_quadratic([[2.0, 0.0], [0.0, 10.0]])
+    def test_ncg_two_variable_quadratic(self, monkeypatch):
+        # conjugate directions finish a 2-variable quadratic in two steps, but
+        # only under exact line minimisation, which the strong-Wolfe search
+        # approximates no closer than c2 allows
+        a = np.array([[2.0, 0.0], [0.0, 10.0]])
+        f = make_quadratic(a)
         cfg = OptimizeConfig(max_iters=5, grad_tol=1e-10)
-        x, report = minimize(eager(f), np.array([1.0, 1.0]), cfg)
+
+        def exact_line_search(ev, f0, derphi0, alpha):
+            step = -derphi0 / float(ev.d @ a @ ev.d)
+            return step, ev(step), ev.gradient(), 1
+
+        with monkeypatch.context() as patched:
+            patched.setattr(optimize, "_line_search", exact_line_search)
+            x, report = minimize(eager(f), np.array([1.0, 1.0]), cfg)
         assert report.reason == "grad-tol"
         assert report.iterations <= 2
+        assert float(np.max(np.abs(f(x)[1]))) < 1e-10
+        x, report = minimize(eager(f), np.array([1.0, 1.0]), cfg)
+        assert report.reason == "grad-tol"
+        assert report.iterations <= cfg.max_iters
         assert float(np.max(np.abs(f(x)[1]))) < 1e-10
 
     def test_monotone_descent_and_wolfe(self):
@@ -139,29 +214,25 @@ class TestMinimize:
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
 
     def test_wolfe_conditions_on_trace(self):
-        # replay the accepted steps (mirroring the restart rule) and check
-        # both strong Wolfe inequalities at every one of them
         f = make_quadratic([[3.0, 1.0], [1.0, 5.0]])
         cfg = OptimizeConfig(max_iters=10, grad_tol=1e-14)
         _, report = minimize(eager(f), np.array([2.0, -3.0]), cfg)
+        assert_strong_wolfe_on_trace(f, np.array([2.0, -3.0]), report)
 
-        x = np.array([2.0, -3.0])
-        val, g = f(x)
-        d = -g
-        for k, rec in enumerate(report.records[1:], start=1):
-            if float(np.dot(g, d)) >= 0.0:
-                d = -g
-            alpha = rec.step
-            derphi0 = float(np.dot(g, d))
-            assert derphi0 < 0.0
-            new_val, new_g = f(x + alpha * d)
-            assert new_val <= val + _WOLFE_C1 * alpha * derphi0 + 1e-15
-            assert abs(float(np.dot(new_g, d))) <= _WOLFE_C2 * abs(derphi0) + 1e-15
-            assert new_val == rec.objective
-            x = x + alpha * d
-            beta = 0.0 if k % x.size == 0 else _hs_beta(new_g, g, d)
-            d = -new_g + beta * d
-            val, g = new_val, new_g
+    def test_wolfe_conditions_on_tt_fit(self):
+        # the objective the constants were tuned on: a tensorized image fit
+        img = synthetic_scene(16, seed=0)
+        obs = tensorized_observations(img, mask_random(img.shape, 0.9, 1))
+        rank = uniform_ranks(obs.shape, 4)
+        _, report = fit_cores(obs, rank, OptimizeConfig(max_iters=10))
+        assert report.iterations == 10
+        template = random_init(obs.shape, rank, 0, scale=default_init_scale(obs, rank))
+
+        def f(flat):
+            value, gradient = evaluate(unflatten_params(template, flat), obs)
+            return value, gradient()
+
+        assert_strong_wolfe_on_trace(f, flatten_params(template), report)
 
     def test_determinism(self):
         f = make_quadratic([[2.0, 0.3], [0.3, 4.0]])
@@ -313,7 +384,14 @@ class TestSteepestDescentReset:
 
         monkeypatch.setattr(optimize, "_hs_beta", uphill_beta)
         monkeypatch.setattr(optimize, "_line_search", recording_line_search)
-        f = make_quadratic(np.diag([1.0, 2.0, 3.0, 4.0, 5.0]))
+        # not a quadratic: there an interpolated step lands on the exact line
+        # minimiser, g_new . d_old rounds to about 1e-17, and the forced beta
+        # of about 1e17 swamps -g_new, so the direction is no longer uphill
+        w = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+
+        def f(x):
+            return 0.5 * float(x @ (w * x)) + 0.25 * float(np.sum(x**4)), w * x + x**3
+
         # four iterations stay inside the restart period of n = 5
         _, report = minimize(eager(f), np.ones(5), OptimizeConfig(max_iters=4))
         assert report.iterations == len(searches) == 4
@@ -390,8 +468,8 @@ class TestLineSearchTrials:
                 id="doubling-then-accepted",
             ),
             pytest.param(
-                lambda x: ((x - 1.8) ** 2 / 3.6 + 0.5, (x - 1.8) / 1.8),
-                [(1.0, 1), (2.0, 1), (1.8, 1)],
+                lambda x: ((x - 1.52) ** 2 / 3.04 + 0.5, (x - 1.52) / 1.52),
+                [(1.0, 1), (2.0, 1), (1.52, 1)],
                 "grad-tol",
                 id="positive-slope-after-doubling-swaps-the-ends",
             ),
@@ -402,8 +480,8 @@ class TestLineSearchTrials:
                 id="sufficient-decrease-failure-then-quadratic-then-cubic",
             ),
             pytest.param(
-                lambda x: (-x + 1.5 * x**1.5, -1.0 + 2.25 * np.sqrt(x)),
-                [(1.0, 0), (0.3333333333333333, 1), (0.21086819996723605, 1)],
+                lambda x: (-x + 1.6 * x**1.5, -1.0 + 2.4 * np.sqrt(x)),
+                [(1.0, 0), (0.3125, 1), (0.18672723288581225, 1)],
                 "max-iters",
                 id="positive-slope-in-the-bracket-swaps-the-ends",
             ),
