@@ -18,7 +18,7 @@ import numpy as np
 from .complete import complete_image, fit_cores
 from .core import TensorShape
 from .data import extract_observations, gen_oscillating, mask_block, mask_random, mask_rows, observed_count
-from .errors import FormatError, NumericError
+from .errors import FormatError, NumericError, ShapeError
 from .fileio import _write, load_dense, load_sparse, save_dense, save_model
 from .images import detensorize_image, load_image, save_image, tensorize_image
 from .metrics import psnr, rse
@@ -67,8 +67,9 @@ def _parse_shapes(text: str) -> list[TensorShape]:
         if not part:
             continue
         try:
-            sizes = tuple(int(v) for v in part.split("x"))
-            shapes.append(TensorShape(sizes))
+            shapes.append(TensorShape(tuple(int(v) for v in part.split("x"))))
+        except ShapeError as exc:
+            raise UsageError(f"bad shape {part!r}: {exc}") from None
         except ValueError:
             raise UsageError(f"bad shape {part!r}, expected e.g. 26x26x26") from None
     if not shapes:
@@ -144,10 +145,8 @@ def cmd_complete(args) -> int:
     if args.image is not None:
         save_image(f"{args.out_prefix}_recovered.ppm", recovered)
         saved = load_image(f"{args.out_prefix}_recovered.ppm")
-        metrics_line = (
-            f"objective={report.final_objective!r} rse={rse(saved, image)!r} "
-            f"psnr={psnr(saved, image)!r}"
-        )
+        fit_rse = rse(saved, image) if np.any(image.values) else float("nan")  # an all-black reference
+        metrics_line = f"objective={report.final_objective!r} rse={fit_rse!r} psnr={psnr(saved, image)!r}"
     else:
         save_dense(f"{args.out_prefix}_recovered.txt", recovered)
         # final_objective is 0.5 * ||fitted - y||^2 at the returned cores

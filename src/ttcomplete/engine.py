@@ -163,12 +163,13 @@ class SparseObservations:
 # the 0.67 ms f+g for 196,608 cells; 3.0 ns with a transposed forward R^T,
 # 4.1 ns as one untiled block) and a node at a segment depth about 45 ns
 # (2.43 ms for the one-sided trie's 54,604 nodes, 53,240 of them at segment
-# depths; scene and mask seed 1, medians of 400 calls). Complete depths cost
-# far less per node: at s = 4 every depth is complete, and the tries' 1,363
-# nodes take about 0.13 ms. The cap prices every node at the segment rate, so
-# a block at the cap costs about one segment node per observation, which the
-# one-sided trie's last level alone spends. img256 needs 10 for s = 4; a
-# 1000^3 tensor with 5,000 cells would need about 1,000 and keeps s = N.
+# depths; scene and mask seed 1, medians of 400 calls). A complete depth
+# costs about 7 us per pass: at s = 4 all nine depths are complete, and the
+# tries' 1,363 nodes (95 ns each) take about 0.13 ms. The cap prices every
+# node at the segment rate, so a block at the cap costs about one segment
+# node per observation, which the one-sided trie's last level alone spends.
+# img256 needs 10 for s = 4; a 1000^3 tensor with 5,000 cells would need
+# about 1,000 and keeps s = N.
 _BLOCK_CELLS_PER_OBS = 16
 
 # The join block is computed in row tiles of about this many cells: 512 KiB of

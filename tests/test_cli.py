@@ -186,6 +186,19 @@ class TestComplete:
         recovered = load_image(tmp_path / "img_run_recovered.ppm")
         assert recovered.shape.sizes == (16, 16, 3)
 
+    def test_all_black_image_reports_rse_nan(self, tmp_path, capsys):
+        # the relative error has no reference norm to divide by, as for an all-zero --input
+        img_path = tmp_path / "black.ppm"
+        save_image(img_path, tensor_from_array(np.zeros((16, 16, 3))))
+        prefix = str(tmp_path / "black_run")
+        argv = ["complete", "--image", str(img_path), "--missing-rate", "0.5", "--ranks", "1,4,4,1"]
+        assert main(argv + ["--max-iters", "20", "--out-prefix", prefix]) == 0
+        for suffix in (".csv", "_model.txt", "_recovered.ppm", "_metrics.txt"):
+            assert (tmp_path / f"black_run{suffix}").is_file()
+        out = capsys.readouterr().out
+        assert " rse=nan " in out
+        assert (tmp_path / "black_run_metrics.txt").read_text() == out
+
     def test_rows_mask(self, tmp_path):
         img_path = write_test_image(tmp_path)
         code = main(
@@ -462,6 +475,7 @@ class TestUsageErrors:
             ("--seeds", "", "--seeds lists no seeds"),
             ("--shapes", ",", "--shapes lists no shapes"),
             ("--shapes", "4xq", "bad shape '4xq', expected e.g. 26x26x26"),
+            ("--shapes", "0x3", "bad shape '0x3': mode 1 has non-positive size 0"),
             ("--grad-tol", "nan", "grad_tol must be non-negative, got nan"),
             ("--rates", "0.5,1.0", "missing_rate must lie in [0, 1), got 1.0"),
             ("--shapes", "4x4,1x1", "missing_rate 0.5 leaves no observed cell in shape 1x1"),

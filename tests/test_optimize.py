@@ -81,7 +81,7 @@ def assert_strong_wolfe_on_trace(f, x0, report):
     x = np.array(x0, dtype=np.float64)
     val, g = f(x)
     d = -g
-    for k, rec in enumerate(report.records[1:], start=1):
+    for rec in report.records[1:]:
         if float(np.dot(g, d)) >= 0.0:
             d = -g
         alpha = rec.step
@@ -92,7 +92,7 @@ def assert_strong_wolfe_on_trace(f, x0, report):
         assert abs(float(np.dot(new_g, d))) <= _WOLFE_C2 * abs(derphi0) + 1e-15
         assert new_val == rec.objective
         x = x + alpha * d
-        beta = 0.0 if k % x.size == 0 else _hs_beta(new_g, g, d)
+        beta = _hs_beta(new_g, g, d)
         d = -new_g + beta * d
         val, g = new_val, new_g
 
@@ -167,6 +167,16 @@ class TestHSBeta:
     def test_tiny_denominator_restarts(self):
         assert _hs_beta(np.array([1.0]), np.array([1.0 - 1e-40]), np.array([1.0])) == 0.0
 
+    @pytest.mark.parametrize("j", [-200, -60, 0, 60, 200])
+    def test_power_of_two_scale_cancels(self, j):
+        # the rule reads no absolute scale: 2^j scales numerator and denominator
+        # by 2^2j each, exactly, so the quotient keeps every bit
+        g_new, g_old, d_old = np.array([0.3, -1.7, 2.2]), np.array([1.1, 0.4, -0.9]), np.array([-1.3, 0.8, 1.9])
+        beta = _hs_beta(g_new, g_old, d_old)
+        assert float(np.dot(d_old, g_new - g_old)) > 0.0 and beta > 0.0
+        s = 2.0**j
+        assert _hs_beta(s * g_new, s * g_old, s * d_old) == beta
+
 
 class TestMinimize:
     def test_quadratic_bowl(self):
@@ -205,6 +215,20 @@ class TestMinimize:
         assert report.reason == "grad-tol"
         assert report.iterations <= cfg.max_iters
         assert float(np.max(np.abs(f(x)[1]))) < 1e-10
+
+    def test_hs_beta_at_every_iteration_after_the_first(self, monkeypatch):
+        # no periodic restart: on n = 2 a restart every n iterations would skip every even k
+        calls = []
+        hs_beta = optimize._hs_beta
+
+        def counting_hs_beta(*args):
+            calls.append(args)
+            return hs_beta(*args)
+
+        monkeypatch.setattr(optimize, "_hs_beta", counting_hs_beta)
+        _, report = minimize(eager(rosenbrock), np.array([-1.2, 1.0]), OptimizeConfig(max_iters=12))
+        assert report.reason == "max-iters"
+        assert len(calls) == report.iterations == 12
 
     def test_monotone_descent_and_wolfe(self):
         # nonquadratic objective: accepted steps must still satisfy strong Wolfe
@@ -392,7 +416,6 @@ class TestSteepestDescentReset:
         def f(x):
             return 0.5 * float(x @ (w * x)) + 0.25 * float(np.sum(x**4)), w * x + x**3
 
-        # four iterations stay inside the restart period of n = 5
         _, report = minimize(eager(f), np.ones(5), OptimizeConfig(max_iters=4))
         assert report.iterations == len(searches) == 4
         for x, d in searches:
