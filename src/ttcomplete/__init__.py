@@ -15,6 +15,7 @@ from .data import (
     extract_observations,
     gen_oscillating,
     gen_tt_random,
+    initial_cores,
     mask_block,
     mask_random,
     mask_rows,

@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DenseTensor
-from .data import MissingMask, default_init_scale, extract_observations
+from .data import MissingMask, extract_observations, initial_cores
 from .engine import SparseObservations, evaluate
 from .images import detensorize_image, tensorized_observations
 from .optimize import OptimizeConfig, OptimizeReport, minimize
-from .ttmodel import TTCores, TTRank, cap_ranks, flatten_params, random_init, tt_full, unflatten_params
+from .ttmodel import TTCores, TTRank, flatten_params, tt_full, unflatten_params
 
 
 def fit_cores(
@@ -18,13 +18,13 @@ def fit_cores(
     cfg: OptimizeConfig | None = None,
     seed: int = 0,
 ) -> tuple[TTCores, OptimizeReport]:
-    """Fit TT cores to the observed entries from a seeded random start.
+    """Fit TT cores to the observed entries from the near-identity start ``seed`` draws.
 
-    ``rank`` is capped by ``obs.shape`` (see :func:`ttcomplete.ttmodel.cap_ranks`);
-    the fitted cores carry the capped chain.
+    The start is :func:`ttcomplete.data.initial_cores`. ``rank`` is capped by
+    ``obs.shape`` (see :func:`ttcomplete.ttmodel.cap_ranks`); the fitted cores
+    carry the capped chain.
     """
-    rank = cap_ranks(obs.shape, rank.ranks)
-    template = random_init(obs.shape, rank, seed, scale=default_init_scale(obs, rank))
+    template = initial_cores(obs, rank, seed)
 
     def callback(flat: np.ndarray):
         return evaluate(unflatten_params(template, flat), obs)

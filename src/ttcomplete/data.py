@@ -1,4 +1,4 @@
-"""Synthetic data, missing-cell masks, and observation extraction."""
+"""Synthetic data, missing-cell masks, observation extraction, and the fit's start."""
 
 from __future__ import annotations
 
@@ -9,7 +9,11 @@ import numpy as np
 from .core import DenseTensor, TensorShape, whole
 from .engine import SparseObservations
 from .errors import BoundsError, ShapeError
-from .ttmodel import TTRank, random_init, tt_full
+from .ttmodel import TTCores, TTRank, cap_ranks, random_init, tt_full
+
+# sigma of initial_cores' middle slices. Of 0.3, 0.4, ..., 1.0 only 0.3 and 0.6 keep every tier-1
+# recovery bound; 0.6 recovers more on img256 (held-out, seeds 0/7: 0.2253/0.2278 against 0.2477/0.2438)
+_START_NOISE = 0.6
 
 
 def gen_oscillating(shape: TensorShape) -> DenseTensor:
@@ -159,24 +163,64 @@ def synthetic_scene(side: int = 256, seed: int = 0) -> DenseTensor:
     )
 
 
+def _spread(values: np.ndarray) -> float:
+    """std(y), independent of the values' order and finite for every finite y.
+
+    std(y) is taken of the sorted values, over the unit 2^(e-1) where
+    max|y| = m * 2^e: the unit cannot overflow, dividing by it keeps the
+    values' bits, and np.std of the quotients (below 2) cannot overflow
+    either. Where std(y) is 0 (constant observations) or underflows to 0,
+    max|y| takes its place, at least 1, so the spread is always positive.
+    """
+    top = float(np.max(np.abs(values)))
+    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
+    # a standard deviation is at most top; min() keeps rounding from carrying it past max float
+    spread = min(float(np.std(np.sort(values) / unit)) * unit, top)
+    return spread if spread > 0.0 else max(top, 1.0)
+
+
 def default_init_scale(obs: SparseObservations, rank: TTRank) -> float:
-    """Core init scale whose chained product matches the observed magnitude.
+    """Scale of i.i.d. Gaussian cores whose chained product matches the observed magnitude.
 
     For cores with i.i.d. N(0, s^2) entries the entry variance is
     s^(2N) * prod(r), the product over the rank chain, so
     s = std(y)^(1/N) / prod(r)^(1/(2N)) makes the initial predictions the same
-    size as the data. Where std(y) is 0 (constant observations) or underflows
-    to 0, max|y| takes its place, at least 1. std(y) is taken of the sorted
-    values, so s ignores their order, over the unit 2^(e-1) where
-    max|y| = m * 2^e: the unit cannot overflow, dividing by it keeps the
-    values' bits, and np.std of the quotients (below 2) cannot overflow
-    either. s is finite and positive for every finite y.
+    size as the data, std(y) being :func:`_spread`'s. s is finite and
+    positive for every finite y. :func:`fit_cores` no longer starts from
+    such cores (see :func:`initial_cores`); this scales a random start for
+    a comparison with it.
     """
-    top = float(np.max(np.abs(obs.values)))
-    unit = math.ldexp(1.0, math.frexp(top)[1] - 1)
-    # a standard deviation is at most top; min() keeps rounding from carrying it past max float
-    spread = min(float(np.std(np.sort(obs.values) / unit)) * unit, top)
-    if spread == 0.0:
-        spread = max(top, 1.0)
     order = obs.shape.order
-    return spread ** (1.0 / order) / math.prod(rank.ranks) ** (0.5 / order)
+    return _spread(obs.values) ** (1.0 / order) / math.prod(rank.ranks) ** (0.5 / order)
+
+
+def initial_cores(obs: SparseObservations, rank: TTRank, seed: int) -> TTCores:
+    """The start of :func:`ttcomplete.fit_cores`: near-identity cores at the data's scale.
+
+    An order-N train is a depth-N linear network whose layer the index
+    picks, and such networks train fast from near-identity layers (Saxe et
+    al., ICLR 2014; Hardt & Ma, ICLR 2017). So each slice of a middle core
+    is eye(r_{n-1}, r_n) + sigma / sqrt(r_{n-1}) * N(0, 1), sigma being
+    ``_START_NOISE``. The two boundary cores are N(0, s^2) with
+    s = (spread / sqrt(r_1))^(1/2), so the start predicts about the data's
+    spread (:func:`_spread`); an order-1 train's one core is N(0, spread^2),
+    clipped at max float. ``seed`` draws all of the noise, core by core.
+    ``rank`` is capped by ``obs.shape`` (:func:`cap_ranks`).
+    """
+    shape = obs.shape
+    rank = cap_ranks(shape, rank.ranks)
+    ranks = rank.ranks
+    spread = _spread(obs.values)
+    rng = np.random.default_rng(seed)
+    cores = []
+    for n in range(shape.order):
+        noise = rng.standard_normal((ranks[n], shape.sizes[n], ranks[n + 1]))
+        if shape.order == 1:
+            with np.errstate(over="ignore"):  # a draw past max float becomes max float
+                cores.append(np.nan_to_num(spread * noise))
+        elif n in (0, shape.order - 1):
+            cores.append(math.sqrt(spread) / ranks[1] ** 0.25 * noise)  # spread / sqrt(r_1) may underflow
+        else:
+            identity = np.eye(ranks[n], ranks[n + 1])[:, None, :]
+            cores.append(identity + _START_NOISE / math.sqrt(ranks[n]) * noise)
+    return TTCores(tuple(cores), shape, rank)

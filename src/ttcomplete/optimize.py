@@ -127,12 +127,11 @@ class _LineEvaluator:
     """The one caller of a run's ``f_and_g``: f along x + alpha*d, and g there on request.
 
     :func:`minimize` sets ``x`` and ``d`` before each line search; the run's
-    report counts every evaluation and gradient. A NaN objective at any trial
-    aborts the run, and so does a NaN directional derivative at a trial whose
-    gradient the search reads; a trial rejected on its objective computes no
-    gradient. An infinite objective at a trial is left to the search, which
-    rejects it while it has no bracket; :func:`minimize` checks the accepted
-    points.
+    report counts every evaluation and gradient. A NaN directional derivative
+    at a trial whose gradient the search reads aborts the run; a trial
+    rejected on its objective computes no gradient. The search aborts on a
+    NaN objective and rejects an infinite one while it has no bracket;
+    :func:`minimize` checks the start and the accepted points.
     """
 
     def __init__(self, f_and_g, report: OptimizeReport):
@@ -144,10 +143,7 @@ class _LineEvaluator:
         self.report.evals += 1
         self._gradient = None  # free the last trial's kept state before the next forward pass
         f, self._gradient = self.f_and_g(self.x + alpha * self.d)
-        f = float(f)
-        if f != f:
-            raise NumericError("objective is NaN")
-        return f
+        return float(f)
 
     def gradient(self) -> np.ndarray:
         """The gradient at the last trial, as a flat float64 vector the size of x."""
@@ -208,12 +204,15 @@ def _line_search(ev, f0, derphi0, alpha):
     point; until then the trial is ``alpha``, doubled each time it becomes
     ``lo``, and after it the trial is interpolated, ``rec`` being the cubic's
     third point. Returns (step, f, g, evaluations), or None once the budget
-    of ``_MAX_LINE_SEARCH_EVALS`` evaluations is spent.
+    of ``_MAX_LINE_SEARCH_EVALS`` evaluations is spent; a NaN objective
+    raises NumericError.
     """
     lo, hi, rec = (0.0, f0, derphi0), None, (0.0, f0)
     for evaluations in range(1, _MAX_LINE_SEARCH_EVALS + 1):
         step = alpha if hi is None else _interpolate(lo, hi, rec)
         f = ev(step)
+        if f != f:
+            raise NumericError("objective is NaN")
         armijo_fails = f > f0 + _WOLFE_C1 * step * derphi0
         if armijo_fails or (hi is None and not np.isfinite(f)) or (evaluations > 1 and f >= lo[1]):
             hi, rec = (step, f), rec if hi is None else hi

@@ -19,6 +19,7 @@ from ttcomplete import (
     fit_cores,
     gen_oscillating,
     gen_tt_random,
+    initial_cores,
     mask_block,
     mask_random,
     mask_rows,
@@ -31,6 +32,7 @@ from ttcomplete import (
     tt_full,
     uniform_ranks,
 )
+import ttcomplete.data as data_module
 from oracles import outer_product
 
 
@@ -343,3 +345,113 @@ class TestInitScale:
         values = np.array(data.draw(st.lists(finite, min_size=shape.element_count, max_size=shape.element_count)))
         obs = extract_observations(DenseTensor(shape, values), MissingMask(shape, np.ones(values.size, bool)))
         assert 0.0 < default_init_scale(obs, uniform_ranks(shape, interior)) < math.inf
+
+
+def _observed(shape: TensorShape, values) -> SparseObservations:
+    values = np.asarray(values, dtype=float)
+    return extract_observations(DenseTensor(shape, values), MissingMask(shape, np.ones(values.size, bool)))
+
+
+class TestInitialCores:
+    def test_same_seed_same_bits(self):
+        shape = TensorShape((4, 5, 3, 4))
+        obs = extract_observations(gen_oscillating(shape), mask_random(shape, 0.5, seed=3))
+        rank = uniform_ranks(shape, 3)
+        a, b, c = (initial_cores(obs, rank, seed) for seed in (7, 7, 8))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.cores, b.cores))
+        assert not all(np.array_equal(x, y) for x, y in zip(a.cores, c.cores))
+
+    def test_follows_the_stated_rule(self):
+        # middle slices eye + sigma/sqrt(r_{n-1}) N(0,1); boundary cores N(0, s^2),
+        # s = (spread/sqrt(r_1))^(1/2); one generator draws core 1..N in turn
+        shape = TensorShape((3, 4, 5, 2))
+        obs = extract_observations(gen_oscillating(shape), mask_random(shape, 0.3, seed=1))
+        rank = TTRank((1, 3, 4, 2, 1))
+        start = initial_cores(obs, rank, seed=5)
+        rng = np.random.default_rng(5)
+        noise = [rng.standard_normal(c.shape) for c in start.cores]
+        s = math.sqrt(data_module._spread(obs.values)) / 3**0.25
+        sigma = data_module._START_NOISE
+        np.testing.assert_array_equal(start.cores[0], s * noise[0])
+        np.testing.assert_array_equal(start.cores[3], s * noise[3])
+        for n in (1, 2):
+            r_in, _, r_out = start.cores[n].shape
+            want = np.eye(r_in, r_out)[:, None, :] + sigma / math.sqrt(r_in) * noise[n]
+            np.testing.assert_array_equal(start.cores[n], want)
+
+    def test_caps_the_rank(self):
+        shape = TensorShape((2, 3, 2))
+        obs = extract_observations(gen_oscillating(shape), mask_random(shape, 0.2, seed=0))
+        assert initial_cores(obs, TTRank((1, 9, 9, 1)), 0).rank.ranks == (1, 2, 2, 1)
+
+    def test_order_one_is_the_random_start_at_the_data_spread(self):
+        shape = TensorShape((6,))
+        obs = _observed(shape, [3.0, -1.0, 4.0, 1.0, -5.0, 9.0])
+        scale = default_init_scale(obs, TTRank((1, 1)))
+        assert scale == data_module._spread(obs.values)
+        want = random_init(shape, TTRank((1, 1)), seed=2, scale=scale).cores[0]
+        assert initial_cores(obs, TTRank((1, 1)), seed=2).cores[0].tobytes() == want.tobytes()
+
+    def test_ignores_observation_order(self):
+        img = synthetic_scene(16, seed=10)
+        obs = extract_observations(tensorize_image(img), tensorize_mask(mask_random(img.shape, 0.5, seed=10)))
+        perm = np.random.default_rng(10).permutation(obs.count)
+        shuffled = SparseObservations(obs.shape, obs.indices[perm], obs.values[perm])
+        assert np.std(obs.values) != np.std(shuffled.values)
+        rank = uniform_ranks(obs.shape, 3)
+        a, b = (initial_cores(o, rank, 0) for o in (obs, shuffled))
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.cores, b.cores))
+
+    @pytest.mark.parametrize(
+        "sizes, interior",
+        [((16, 16), 4), ((8, 8, 8), 2), ((4,) * 8 + (3,), 8), ((4,) * 10, 3)],
+        ids=["order-2", "order-3", "order-9", "order-10"],
+    )
+    def test_predictions_have_about_the_data_spread(self, sizes, interior):
+        # each middle core's noise grows the spread by about (1 + sigma^2)^(1/2):
+        # 3.4x at order 10 with sigma = 0.6, so the median stays within 4x
+        shape = TensorShape(sizes)
+        rng = np.random.default_rng(len(sizes))
+        observed = np.zeros(shape.element_count, dtype=bool)
+        observed[rng.choice(shape.element_count, min(2000, shape.element_count), replace=False)] = True
+        truth = DenseTensor(shape, 37.0 * rng.standard_normal(shape.element_count) + 5.0)
+        obs = extract_observations(truth, MissingMask(shape, observed))
+        rank = uniform_ranks(shape, interior)
+        spreads = [float(np.std(tt_full(initial_cores(obs, rank, seed)).values)) for seed in range(9)]
+        ratio = float(np.median(spreads)) / float(np.std(obs.values))
+        assert 0.25 < ratio < 4.0
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.tile([np.finfo(float).max, -np.finfo(float).max], 4),
+            np.tile([5e-324, -5e-324], 4),
+            np.full(8, 2.5),
+            np.zeros(8),
+        ],
+        ids=["max-float-pairs", "min-subnormal", "constant", "zeros"],
+    )
+    @pytest.mark.parametrize("sizes", [(8,), (2, 4), (2, 2, 2)], ids=["order-1", "order-2", "order-3"])
+    def test_edge_of_the_float_range_gives_a_finite_start(self, values, sizes):
+        shape = TensorShape(sizes)
+        start = initial_cores(_observed(shape, values), uniform_ranks(shape, 2), seed=0)
+        assert all(np.all(np.isfinite(c)) and np.any(c != 0) for c in start.cores)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+        st.data(),
+    )
+    def test_any_finite_values_give_a_finite_nonzero_start(self, sizes, interior, seed, data):
+        shape = TensorShape(tuple(sizes))
+        extremes = st.sampled_from([np.finfo(float).max, -np.finfo(float).max, 5e-324, -5e-324, 0.0])
+        finite = st.one_of(extremes, st.floats(allow_nan=False, allow_infinity=False))
+        values = data.draw(st.lists(finite, min_size=shape.element_count, max_size=shape.element_count))
+        obs = _observed(shape, values)
+        start = initial_cores(obs, uniform_ranks(shape, interior), seed)
+        assert all(np.all(np.isfinite(c)) for c in start.cores)
+        # an order-1 core is spread * N(0, 1), which rounds to 0 where the spread is subnormal
+        if shape.order > 1 or data_module._spread(obs.values) >= np.finfo(float).tiny:
+            assert all(np.any(c != 0) for c in start.cores)

@@ -18,12 +18,12 @@ from ttcomplete import (
     TTRank,
     TensorShape,
     cap_ranks,
-    default_init_scale,
     evaluate,
     extract_observations,
     fit_cores,
     flatten_params,
     gradient,
+    initial_cores,
     mask_random,
     minimize,
     objective,
@@ -311,8 +311,7 @@ class TestGradientOnDemand:
         cfg = OptimizeConfig(max_iters=40)
         fitted, report = fit_cores(obs, cores.rank, cfg, seed)
 
-        rank = cap_ranks(obs.shape, cores.rank.ranks)
-        template = random_init(obs.shape, rank, seed, scale=default_init_scale(obs, rank))
+        template = initial_cores(obs, cores.rank, seed)
 
         def eager(flat):
             f, g = objective_and_gradient(unflatten_params(template, flat), obs)

@@ -7,14 +7,13 @@ from ttcomplete import (
     NumericError,
     OptimizeConfig,
     ShapeError,
-    default_init_scale,
     evaluate,
     fit_cores,
     flatten_params,
+    initial_cores,
     mask_random,
     minimize,
     optimize,
-    random_init,
     synthetic_scene,
     unflatten_params,
     uniform_ranks,
@@ -250,7 +249,7 @@ class TestMinimize:
         rank = uniform_ranks(obs.shape, 4)
         _, report = fit_cores(obs, rank, OptimizeConfig(max_iters=10))
         assert report.iterations == 10
-        template = random_init(obs.shape, rank, 0, scale=default_init_scale(obs, rank))
+        template = initial_cores(obs, rank, 0)
 
         def f(flat):
             value, gradient = evaluate(unflatten_params(template, flat), obs)
@@ -315,6 +314,14 @@ class TestMinimize:
 
         with pytest.raises(NumericError, match="not finite at the starting point"):
             minimize(eager(bad), np.array([1.0]), OptimizeConfig())
+
+    def test_nan_objective_at_start_is_named(self):
+        # the start is no line-search trial: a NaN there is reported as the start's
+        def nan_at_start(x):
+            return (float("nan") if x[0] == 1.0 else 0.5), x.copy()
+
+        with pytest.raises(NumericError, match="^objective or gradient is not finite at the starting point$"):
+            minimize(eager(nan_at_start), np.array([1.0]), OptimizeConfig())
 
     def test_inf_gradient_raises(self):
         def bad(x):
