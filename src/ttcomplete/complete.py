@@ -7,7 +7,7 @@ import numpy as np
 from .core import DenseTensor
 from .data import MissingMask, extract_observations, initial_cores
 from .engine import SparseObservations, evaluate
-from .images import detensorize_image, tensorized_observations
+from .images import _tensorized_observations
 from .optimize import OptimizeConfig, OptimizeReport, minimize
 from .ttmodel import TTCores, TTRank, flatten_params, tt_full, unflatten_params
 
@@ -47,9 +47,13 @@ def complete_image(
     mapped back afterwards; ``rank`` must have the working shape's order and is
     capped by that shape.
     """
-    obs = tensorized_observations(img, mask) if tensorize else extract_observations(img, mask)
+    if tensorize:  # one cell map takes the image to the tensor and back
+        obs, cells = _tensorized_observations(img, mask)
+    else:
+        obs = extract_observations(img, mask)
     cores, report = fit_cores(obs, rank, cfg, seed)
+    del obs  # free it and its join before tt_full and the gather, where a fit's memory peaks
     recovered = tt_full(cores)
     if tensorize:
-        recovered = detensorize_image(recovered)
+        recovered = DenseTensor(img.shape, recovered.values[cells])
     return recovered, cores, report

@@ -8,7 +8,6 @@ treated as immutable after construction and are safe to share across threads.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -22,9 +21,11 @@ MAX_ELEMENT_COUNT = 2**62
 
 def whole(value, error: type[Exception], what: str) -> int:
     """``value`` as an int; anything but an int, a numpy integer or an integral float raises ``error``."""
-    with contextlib.suppress(TypeError, ValueError, OverflowError):
+    try:  # not contextlib.suppress: about 3x slower, and this runs some 50 times per fit
         if int(value) == value:
             return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
     raise error(f"{what} {value!r} is not an integer")
 
 

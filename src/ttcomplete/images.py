@@ -6,8 +6,10 @@ shape (4, ..., 4, 3) whose first mode enumerates a 2x2 pixel block and whose
 later modes cover progressively larger blocks (the ket augmentation of
 Bengua et al., IEEE TIP 2017). It is a lossless cell permutation, one
 closed-form map of cell offsets (``_tensor_cells``) that ``detensorize_image``
-inverts exactly. A fit maps only the observed cells through it
-(``tensorized_observations``) and never builds the tensorized image or mask.
+inverts exactly. ``complete_image`` builds the map once per call: it reads the
+observed cells' tensor offsets from it, as ``tensorized_observations`` does,
+and gathers the fitted tensor back into image order with it. A fit never
+builds the tensorized image or mask.
 """
 
 from __future__ import annotations
@@ -76,11 +78,17 @@ def tensorized_observations(img: DenseTensor, mask: MissingMask) -> SparseObserv
     Reads the observed cells from the image, in its column-major cell order;
     a fit depends only on the set of observations.
     """
+    return _tensorized_observations(img, mask)[0]
+
+
+def _tensorized_observations(img: DenseTensor, mask: MissingMask) -> tuple[SparseObservations, np.ndarray]:
+    """:func:`tensorized_observations`, and the :func:`_tensor_cells` map it read."""
     if img.shape.sizes != mask.shape.sizes:
         raise ShapeError(f"image shape {img.shape} does not match mask shape {mask.shape}")
     k = _spatial_exponent(img.shape)
+    cells = _tensor_cells(k)
     observed = np.flatnonzero(mask.observed)
-    return _observations(TensorShape((4,) * k + (3,)), _tensor_cells(k)[observed], img.values[observed])
+    return _observations(TensorShape((4,) * k + (3,)), cells[observed], img.values[observed]), cells
 
 
 def save_image(path, img: DenseTensor) -> None:

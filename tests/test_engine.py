@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from unittest import mock
 
@@ -137,6 +138,12 @@ class TestObservations:
             ([[1.7, 2.2]], 0, "observation 1: coordinate 1.7 is not an integer in mode 1"),
             ([[1, 1], [2, 2.5]], 1, "observation 2: coordinate 2.5 is not an integer in mode 2"),
             ([[1, 1], [np.nan, 1]], 1, "observation 2: coordinate nan is not an integer in mode 1"),
+            # column-major: observation 3's mode 1 is first in memory, observation 2's mode 2 in row order
+            (
+                np.asfortranarray([[1, 1], [2, 2.5], [1.5, 1]]),
+                1,
+                "observation 2: coordinate 2.5 is not an integer in mode 2",
+            ),
         ],
     )
     def test_non_integral_index_names_its_row(self, coords, row, message):
@@ -394,6 +401,49 @@ class TestPrefixTrie:
         dense_val = dense_weighted_objective(cores, truth, observed)
         assert objective(cores, obs) == pytest.approx(dense_val, rel=1e-12)
         assert _max_fd_error(cores, obs) < 1e-6
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_layout_matches_unique_labelling(self, data):
+        # Each depth's nodes against np.unique's labelling of the distinct
+        # prefixes, laid out as _Trie's docstring states: child j of the parent
+        # at position p at row p * I + j at a complete depth; by label, then in
+        # lexicographic order, at a segment depth.
+        order = data.draw(st.integers(1, 5))
+        sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
+        total = math.prod(sizes)
+        cells = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=60))
+        if data.draw(st.booleans()):  # every cell too, so that every depth is complete
+            cells += range(total)
+        indices = np.stack(np.unravel_index(cells, sizes), axis=1) + 1
+        rows, fresh = engine._sort_rows(indices, sizes)
+        node = np.zeros(len(cells), dtype=np.int64)  # each input row's node at the previous depth
+        previous = 1
+        for depth, size in enumerate(sizes):
+            trie = engine._Trie(indices, rows, fresh[: depth + 1], sizes)
+            prefixes, inverse = np.unique(indices[:, : depth + 1], axis=0, return_inverse=True)
+            inverse, label, k = inverse.ravel(), prefixes[:, -1] - 1, len(prefixes)
+            parent = np.empty(k, dtype=np.int64)
+            parent[inverse] = node
+            level = trie.depths[depth]
+            if k == previous * size:
+                assert level is None
+                place = parent * size + label
+            else:
+                segments, parents, count = level
+                assert count == previous
+                place = np.empty(k, dtype=np.int64)
+                place[np.lexsort((np.arange(k), label))] = np.arange(k)
+                stored = np.empty(k, dtype=np.int64)
+                stored[place] = label
+                assert [j for j, _ in segments] == np.unique(label).tolist()
+                assert segments[0][1].start == 0 and segments[-1][1].stop == k
+                for (j, seg), (_, after) in zip(segments, segments[1:] + [(None, slice(k, k))]):
+                    assert seg.stop == after.start and np.all(stored[seg] == j)
+                assert np.array_equal(parents[place], parent)
+            node, previous = place[inverse], k
+            assert trie.leaves == k
+            assert np.array_equal(trie.leaf, node[rows])
 
     def test_reconstruct_unsorted_repeated_requests(self):
         cores = two_mode_example()

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from ttcomplete import (
     tensor_from_array,
     tensorize_image,
     tensorize_mask,
+    tt_full,
     uniform_ranks,
 )
+from ttcomplete import images
 from ttcomplete.images import _tensor_cells, tensorized_observations
 
 
@@ -260,6 +263,19 @@ class TestCellMap:
         (a, report_a), (b, report_b) = (fit_cores(obs, rank, cfg) for obs in (direct, lifted))
         assert report_a.records == report_b.records
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.cores, b.cores))
+
+    def test_complete_image_builds_one_cell_map(self):
+        img = random_image(np.random.default_rng(9), side=16)
+        mask = mask_random(img.shape, 0.6, seed=9)
+        rank = uniform_ranks(TensorShape((4, 4, 4, 4, 3)), 2)
+        cfg = OptimizeConfig(max_iters=3)
+        with mock.patch.object(images, "_tensor_cells", wraps=_tensor_cells) as built:
+            recovered = complete_image(img, mask, rank, cfg, seed=4)[0]
+        assert built.call_count == 1
+        cores = fit_cores(tensorized_observations(img, mask), rank, cfg, seed=4)[0]
+        steps = detensorize_image(tt_full(cores))
+        assert recovered.shape == steps.shape
+        assert recovered.values.tobytes() == steps.values.tobytes()
 
     def test_complete_image_checks_shapes(self):
         img = random_image(np.random.default_rng(5), side=16)
