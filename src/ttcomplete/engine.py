@@ -66,13 +66,14 @@ linear offsets (two sorts), so s depends only on the observed cells. The
 observations cache the first sort, whose table alone answers the duplicate
 check, and the join built on it, which serves the objective and the gradient.
 
-Determinism: rows are sorted lexicographically by (i_1, ..., i_N), as their
-row-major offsets, with numpy's default introsort. Distinct offsets have one
-sorted order, so the sort needs to be stable only when a cell repeats; then
-it is redone stably, keeping the rows of one cell in input order; the
-prefix-start table reads only the sorted offsets, so it holds for either. The
-rows are then grouped stably by prefix leaf; when every prefix depth is
-complete that is the lexicographic order itself. The suffix trie is built
+Determinism: rows are sorted stably and lexicographically by (i_1, ..., i_N),
+as their row-major offsets, so the rows of one cell keep their input order.
+One sort of int64 keys that pack each offset above its row number does it.
+When the keys would pass int64, the offsets are argsorted; distinct offsets
+have one sorted order, so that sort is redone stably only when a cell
+repeats. The prefix-start table reads only the sorted offsets. The rows are
+then grouped stably by prefix leaf; when every prefix depth is complete that
+is the lexicographic order itself. The suffix trie is built
 from the order of (i_N, ..., i_1), sorted the same way. A complete depth
 stores its nodes parent-major (child j of the parent at position p at row
 p * I_n + j); a segment depth stores them by label and then in sorted order.
@@ -85,6 +86,7 @@ stored entries changes no output bit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -120,15 +122,20 @@ class SparseObservations:
             raise ShapeError(f"{indices.shape[0]} indices but {values.size} values")
         if values.size < 1:
             raise ShapeError("at least one observation is required")
-        sizes = np.array(self.shape.sizes)
-        bad = (indices < 1) | (indices > sizes)
-        if indices.dtype.kind == "f":
-            bad |= indices != np.round(indices)  # NaN included
-        if bad.any():  # locate the first bad coordinate, in (observation, mode) order, only on failure
-            m, n = divmod(int(np.flatnonzero(bad.ravel())[0]), self.shape.order)
-            v = indices[m, n]
-            problem = f"out of range [1, {sizes[n]}]" if float(v).is_integer() else "is not an integer"
-            raise BoundsError(f"observation {m + 1}: coordinate {v} {problem} in mode {n + 1}", row=m)
+        kind = indices.dtype.kind
+        if kind in "bcSUMm":  # numpy would read these as 0/1, drop an imaginary part, or fail to compare
+            raise BoundsError(f"index array of dtype {indices.dtype} does not hold integer coordinates")
+        sizes = self.shape.sizes
+        # one reduction per mode runs fast in either memory order, unlike max(axis=0) on C order
+        if not (kind in "iu" and indices.min() >= 1 and all(c.max() <= i for c, i in zip(indices.T, sizes))):
+            bad = (indices < 1) | (indices > np.array(sizes))
+            if kind == "f":
+                bad |= indices != np.round(indices)  # NaN included
+            if bad.any():  # locate the first bad coordinate, in (observation, mode) order
+                m, n = divmod(int(np.flatnonzero(bad.ravel())[0]), self.shape.order)
+                v = indices[m, n]
+                problem = f"out of range [1, {sizes[n]}]" if float(v).is_integer() else "is not an integer"
+                raise BoundsError(f"observation {m + 1}: coordinate {v} {problem} in mode {n + 1}", row=m)
         finite = np.isfinite(values)
         if not finite.all():
             m = int(finite.argmin())
@@ -184,6 +191,11 @@ def _sort_rows(indices: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
     """Stable lexicographic order of the rows of 1-based ``indices``, and its prefix-start table.
 
     ``fresh[n, m]`` is true when sorted row m starts a new length-(n + 1) prefix: K_{n+1} flags.
+    With bits = (M - 1).bit_length(), row m's int64 key is its row-major offset
+    shifted left by bits, or'ed with m. One ``np.sort`` of the keys is then a
+    stable sort: the low bits give the order, the high bits the sorted offsets.
+    When the keys would pass int64, I_1 * ... * I_N > 2^(63 - bits), the
+    offsets are argsorted instead, and again stably only when a cell repeats.
     """
     # Row-major offsets order cells lexicographically; TensorShape keeps them in
     # int64. Horner's rule on the checked indices runs about 2.4x faster than
@@ -192,16 +204,25 @@ def _sort_rows(indices: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
     for n in range(1, len(sizes)):
         lin *= sizes[n]
         lin += indices[:, n] - 1
-    order = np.argsort(lin)
-    prefix = lin[order]  # the sorted offsets, then those of ever shorter prefixes
+    bits = (lin.size - 1).bit_length()
+    packed = math.prod(sizes) <= 1 << (63 - bits)
+    if packed:  # one sort of the keys offset << bits | row, stable by construction
+        lin <<= bits
+        lin |= np.arange(lin.size)
+        lin.sort()
+        order, prefix = lin & ((1 << bits) - 1), lin >> bits
+    else:
+        order = np.argsort(lin)
+        prefix = lin[order]
+    # prefix holds the sorted offsets, then those of ever shorter prefixes
     fresh = np.ones((len(sizes), lin.size), dtype=bool)
     for n in range(len(sizes) - 1, -1, -1):
         np.not_equal(prefix[1:], prefix[:-1], out=fresh[n, 1:])
         if n:
             prefix //= sizes[n]
-    # Distinct offsets have one sorted order, which introsort finds fastest;
+    # Unpacked, distinct offsets have one sorted order, which introsort finds fastest;
     # only a repeated cell needs the stable sort to keep its rows in row order.
-    if not fresh[-1].all():
+    if not packed and not fresh[-1].all():
         order = np.argsort(lin, kind="stable")
     return order, fresh
 
@@ -223,18 +244,26 @@ def _best_split(prefix: Sequence[int], suffix: Sequence[int], m: int) -> int:
     return best
 
 
+# The row of every trie's root: the empty prefix's partial product.
+_ROOT = np.ones((1, 1))
+_ROOT.flags.writeable = False
+
+
 class _Trie:
     """Shared-prefix trie over the first ``len(fresh)`` modes, from :func:`_sort_rows`'s ``order``, ``fresh``.
 
     ``leaf[m]`` is the last-depth node of sorted row m, and ``leaves`` counts
-    those nodes (a trie of depth 0 is one root, node 0). ``depths[n]``
-    describes the distinct prefixes of length n + 1, in one of two kinds. A
-    complete depth, where every parent has all I_{n+1} children, is ``None``:
-    child j of the parent at position p is stored at row p * I_{n+1} + j. Any
-    other depth is a triple (segments, parents, count), stored grouped by slice
-    label: segments lists (label, node slice) in ascending label order,
-    parents[k] is the position of node k's parent among the ``count`` nodes of
-    the previous depth, and within one segment the parents are distinct.
+    those nodes (a trie of depth 0 is one root, node 0, whose row is
+    ``_ROOT``). ``depths[n]`` describes the distinct prefixes of length n + 1,
+    in one of two kinds. A complete depth, where every parent has all I_{n+1}
+    children, is ``None``: child j of the parent at position p is stored at
+    row p * I_{n+1} + j. Any other depth is a triple (segments, parents,
+    count), stored grouped by slice label: segments lists (label, node slice)
+    in ascending label order, parents[k] is the position of node k's parent
+    among the ``count`` nodes of the previous depth, and within one segment
+    the parents are distinct. A complete first depth skips the root's 1 x 1
+    product: its rows are the core's slices, and its gradient is their
+    adjoint, both exact.
     """
 
     def __init__(self, indices: np.ndarray, order: np.ndarray, fresh: np.ndarray, sizes):
@@ -264,12 +293,15 @@ class _Trie:
 
     def forward(self, cores: Sequence[np.ndarray]):
         """Leaf rows, and each depth's parent rows (per node at a segment depth) for ``backward``."""
-        rows = np.ones((1, 1))
+        rows = _ROOT
         kept = []
         for core, level in zip(cores, self.depths):
             if level is None:
                 g = rows
-                rows = (g @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+                if g is _ROOT:  # the root's children are the core's slices
+                    rows = core.reshape(-1, core.shape[2])
+                else:
+                    rows = (g @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
             else:
                 segments, parents, _ = level
                 g = np.take(rows, parents, axis=0)
@@ -287,7 +319,7 @@ class _Trie:
             if level is None:
                 # one GEMM each; the second also sums every parent's children
                 wide = adj.reshape(g.shape[0], -1)
-                grad = (g.T @ wide).reshape(core.shape)
+                grad = wide.reshape(core.shape) if g is _ROOT else (g.T @ wide).reshape(core.shape)
                 if n:
                     adj = wide @ core.reshape(core.shape[0], -1).T
             else:
@@ -393,8 +425,8 @@ def evaluate(cores: TTCores, obs: SparseObservations) -> tuple[float, Callable[[
     if cores.shape.sizes != obs.shape.sizes:
         raise ShapeError(f"cores describe shape {cores.shape}, observations shape {obs.shape}")
     join = obs._join
-    x, kept = join.forward(cores.cores)
-    resid = x - join.values
+    resid, kept = join.forward(cores.cores)
+    resid -= join.values  # in place: the forward pass's predictions are this call's own
     return 0.5 * float(np.dot(resid, resid)), lambda: join.backward(cores.cores, kept, resid)
 
 
@@ -417,6 +449,8 @@ def gradient(cores: TTCores, obs: SparseObservations) -> np.ndarray:
 def reconstruct(cores: TTCores, at) -> np.ndarray:
     """Model predictions at the requested multi-indices (checked as observations), in order."""
     at = np.atleast_2d(at)
+    if at.shape == (0, cores.shape.order):  # no cell requested, as on a fully observed tensor's held-out set
+        return np.empty(0)
     join = SparseObservations(cores.shape, at, np.zeros(at.shape[0]))._join
     out = np.empty(at.shape[0])
     out[join.order] = join.forward(cores.cores)[0]

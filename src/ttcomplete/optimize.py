@@ -260,15 +260,16 @@ def minimize(
     f = g = None
     for k in range(cfg.max_iters + 1):
         alpha, f_new, g_new, evals = hit
-        if not np.isfinite(f_new) or not np.all(np.isfinite(g_new)):
+        g_norm = float(np.max(np.abs(g_new)))  # NaN or inf when any entry is not finite
+        if not math.isfinite(f_new) or not math.isfinite(g_norm):
             where = "an accepted step" if k else "the starting point"
             raise NumericError(f"objective or gradient is not finite at {where}")
         x = x + alpha * d
         beta = _hs_beta(g_new, g, d) if k else 0.0
         d = -g_new + beta * d
         f_prev, f, g = f, f_new, g_new
-        report.records.append(IterationRecord(f, float(np.max(np.abs(g))), float(alpha), evals))
-        if report.records[-1].grad_norm <= cfg.grad_tol:
+        report.records.append(IterationRecord(f, g_norm, float(alpha), evals))
+        if g_norm <= cfg.grad_tol:
             report.reason = "grad-tol"
             return x, report
         if k == cfg.max_iters:

@@ -135,11 +135,11 @@ def tt_full(cores: TTCores) -> DenseTensor:
     s = min(range(1, len(sizes) + 1), key=lambda n: max(math.prod(sizes[:n]), math.prod(sizes[n:])))
     left = np.ones((1, 1))
     for size, core in zip(sizes[:s], cores.cores[:s]):
-        grown = np.tensordot(left, core, axes=(1, 0))
+        grown = (left @ core.reshape(core.shape[0], -1)).reshape(left.shape[0], size, -1)
         left = grown.reshape((left.shape[0] * size, core.shape[2]), order="F")
     right = np.ones((1, 1))
     for size, core in zip(sizes[s:][::-1], cores.cores[s:][::-1]):
-        grown = np.tensordot(core, right, axes=(2, 0))
+        grown = (core.reshape(-1, core.shape[2]) @ right).reshape(core.shape[0], size, -1)
         right = grown.reshape((core.shape[0], size * right.shape[1]), order="F")
     # the product's transpose in C order is the product in F order, without a strided copy
     return DenseTensor(cores.shape, (right.T @ left.T).ravel())

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -109,6 +110,15 @@ def dense_oracle_f(cores, obs):
     return dense_weighted_objective(cores, truth, observed)
 
 
+def assert_sorted_rows(indices, sizes):
+    """``engine._sort_rows`` against ``np.lexsort`` and the prefix starts ``np.unique`` finds."""
+    rows, fresh = engine._sort_rows(indices, sizes)
+    assert np.array_equal(rows, np.lexsort(indices.T[::-1]))  # the rows of one cell in input order
+    for n, flags in enumerate(fresh):
+        starts = np.unique(indices[rows, : n + 1], axis=0, return_index=True)[1]
+        assert np.array_equal(np.flatnonzero(flags), np.sort(starts))
+
+
 def level_kinds(trie):
     """The kind of each depth of ``trie``, root side first."""
     return ["complete" if level is None else "segment" for level in trie.depths]
@@ -158,6 +168,44 @@ class TestObservations:
         values = np.array([1.0, 2.0, bad, bad])
         with pytest.raises(NumericError, match=f"observation 3: value {bad} is not finite"):
             SparseObservations(shape, np.array([[1, 1], [2, 2], [3, 3], [1, 3]]), values)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            np.array([[True, True]]),
+            np.array([[1 + 0j, 2 + 1j]]),
+            np.array([["1", "2"]]),
+            np.array([[b"1", b"2"]]),
+            np.array([["2020-01-01", "2020-01-02"]], dtype="datetime64[D]"),
+            np.array([[1, 2]], dtype="timedelta64[s]"),
+        ],
+        ids=["bool", "complex", "str", "bytes", "datetime", "timedelta"],
+    )
+    def test_non_numeric_index_dtype_refused(self, coords):
+        message = f"^index array of dtype {re.escape(str(coords.dtype))} does not hold integer coordinates$"
+        with pytest.raises(BoundsError, match=message):
+            SparseObservations(TensorShape((3, 3)), coords, np.ones(1))
+
+    @pytest.mark.parametrize("big", [2**64, -(2**70)])
+    def test_coordinate_past_int64_is_out_of_range(self, big):
+        coords = np.asarray([[1, 1], [1, big]])
+        assert coords.dtype == object
+        message = rf"^observation 2: coordinate {big} out of range \[1, 3\] in mode 2$"
+        with pytest.raises(BoundsError, match=message) as info:
+            SparseObservations(TensorShape((3, 3)), coords, np.ones(2))
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
+    def test_first_bad_integer_coordinate_is_named(self, dtype):
+        # the range check runs on the minimum and the column maxima; the
+        # message still names the first bad coordinate in (observation, mode) order
+        coords = np.array([[1, 1], [2, 4], [0, 1], [3, 9]], dtype=dtype)
+        message = r"^observation 2: coordinate 4 out of range \[1, 3\] in mode 2$"
+        with pytest.raises(BoundsError, match=message) as info:
+            SparseObservations(TensorShape((3, 3)), coords, np.ones(4))
+        assert info.value.row == 1
+        with pytest.raises(BoundsError, match=r"^observation 3: coordinate 0 out of range \[1, 3\] in mode 1$"):
+            SparseObservations(TensorShape((3, 9)), coords, np.ones(4))
 
     def test_integral_float_indices_accepted(self):
         shape = TensorShape((3, 3))
@@ -310,6 +358,20 @@ class TestGradientOnDemand:
         assert np.array_equal(grad_other(), objective_and_gradient(other, obs)[1])
         assert f_other != f
 
+    def test_residual_in_place_leaves_predictions_alone(self):
+        # evaluate subtracts the values from the forward pass's own predictions
+        cores, obs = random_instance(4)
+        before = reconstruct(cores, obs.indices)
+        values = obs._join.values.copy()
+        f, grad = evaluate(cores, obs)
+        first = grad()
+        assert grad().tobytes() == first.tobytes()
+        assert evaluate(cores, obs)[0] == f
+        assert obs._join.values.tobytes() == values.tobytes()
+        assert reconstruct(cores, obs.indices).tobytes() == before.tobytes()
+        cells = np.ravel_multi_index(tuple((obs.indices - 1).T), obs.shape.sizes, order="F")
+        assert np.allclose(before, tt_full(cores).values[cells], rtol=1e-12, atol=0)
+
     @pytest.mark.parametrize("seed", [1, 4])
     def test_fit_matches_eager_gradients(self, seed):
         # fit_cores defers each backward pass; a callback that computes every
@@ -360,6 +422,27 @@ class TestPrefixTrie:
                 assert np.count_nonzero(row) == np.unique(prefixes, axis=0).shape[0]
                 assert row[0] and np.array_equal(row[1:], np.any(prefixes[1:] != prefixes[:-1], axis=1))
             assert np.count_nonzero(fresh[-1]) == obs.count
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sort_matches_lexsort_and_unique(self, data):
+        order = data.draw(st.integers(1, 5))
+        sizes = tuple(data.draw(st.lists(st.integers(1, 6), min_size=order, max_size=order)))
+        cells = data.draw(st.lists(st.integers(0, math.prod(sizes) - 1), min_size=1, max_size=60))
+        cells = data.draw(st.permutations(cells + data.draw(st.lists(st.sampled_from(cells), max_size=30))))
+        assert_sorted_rows(np.stack(np.unravel_index(cells, sizes), axis=1) + 1, sizes)
+
+    def test_sort_past_packed_keys_falls_back(self):
+        # 2^62 cells: with 200 rows an offset and a row number need 70 bits,
+        # so the rows are argsorted, and again stably for the repeated cells
+        sizes = (2**30, 2**30, 4)
+        cells = np.array([[2**30, 1, 4], [5, 2**30, 1], [5, 2**30, 2], [1, 1, 1], [7, 7, 3]])
+        indices = cells[np.random.default_rng(3).integers(0, len(cells), 200)]
+        assert math.prod(sizes) << (len(indices) - 1).bit_length() > 2**63
+        assert_sorted_rows(indices, sizes)
+        obs = SparseObservations(TensorShape(sizes), indices, np.zeros(len(indices)))
+        _, first = np.unique(indices, axis=0, return_index=True)
+        assert np.array_equal(obs.repeated_rows(), np.setdiff1d(np.arange(len(indices)), first))
 
     def test_every_cell_repeated_in_shuffled_order(self):
         # each of 1,680 cells held by 6 to 9 rows: the unstable sort must give
@@ -687,6 +770,15 @@ class TestReconstruct:
     def test_width_mismatch_is_a_shape_error(self):
         with pytest.raises(ShapeError):
             reconstruct(two_mode_example(), [[1, 1, 1]])
+
+    def test_no_requested_cells(self):
+        # a held-out check on a fully observed tensor asks for no cell
+        cores = two_mode_example()
+        out = reconstruct(cores, np.empty((0, 2), dtype=int))
+        assert out.dtype == np.float64 and out.shape == (0,)
+        for width in (1, 3):
+            with pytest.raises(ShapeError):
+                reconstruct(cores, np.empty((0, width), dtype=int))
 
 
 def _full_mask(shape):

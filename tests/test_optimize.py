@@ -307,13 +307,16 @@ class TestMinimize:
         with pytest.raises(ShapeError, match=f"callback returned gradient of length {size}, expected 2"):
             minimize(eager(wrong_length), np.array([1.0, 2.0]), OptimizeConfig())
 
-    @pytest.mark.parametrize("f, g", [(np.inf, [0.0]), (1.0, [np.inf]), (-np.inf, [np.nan])])
+    @pytest.mark.parametrize(
+        "f, g",
+        [(np.inf, [0.0]), (1.0, [np.inf]), (-np.inf, [np.nan]), (1.0, [0.0, np.nan]), (1.0, [-np.inf, np.nan])],
+    )
     def test_not_finite_start_is_named(self, f, g):
         def bad(x):
             return f, np.array(g)
 
         with pytest.raises(NumericError, match="not finite at the starting point"):
-            minimize(eager(bad), np.array([1.0]), OptimizeConfig())
+            minimize(eager(bad), np.ones(len(g)), OptimizeConfig())
 
     def test_nan_objective_at_start_is_named(self):
         # the start is no line-search trial: a NaN there is reported as the start's
