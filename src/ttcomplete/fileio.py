@@ -4,16 +4,22 @@ All formats are line-oriented ASCII. Floats are written with Python's
 shortest round-trip representation, so load(save(x)) reproduces x bit-exact.
 
 Every number in every format goes through ``_LineReader.table``, so all loaders
-share one rule set: the file is ASCII; a block of n lines must be present before
-anything is stored for it; each line holds exactly its block's fields; integers
-parse as Python's ``int`` and fit in int64; floats parse as ``float`` and are
-finite; only blank lines follow the last record. A violation raises a
-FormatError naming the first bad line.
+share one rule set: the file is ASCII; each line holds exactly its block's
+fields; integers parse as Python's ``int`` and fit in int64; floats parse as
+``float`` and are finite; only blank lines follow the last record. A violation
+raises a FormatError naming the first bad line. Faults rank in a fixed order: a
+non-ASCII byte anywhere in the file comes first, then, within a block of n
+lines, a file that ends before the block does, then the block's first
+malformed line, then its first non-finite value.
 
-Reads and writes go in blocks of ``_CHUNK`` lines, which keeps the cost near the
-per-value builtins (``int``, ``float``, ``repr``) and the peak memory at one
-block's strings, not the whole body's. A block that fails to parse is re-read
-line by line to name its first bad line.
+Reads and writes stream: memory holds the parsed arrays plus one block, never
+the whole file's text or the whole body as Python objects. The reader decodes
+``_BLOCK`` bytes at a time and parses ``_CHUNK`` lines at a time; the writers
+turn ``_CHUNK`` values at a time into Python numbers and strings. This keeps
+the cost near the per-value builtins (``int``, ``float``, ``repr``). After a
+fault the reader reads on to the end of the file, one block at a time and
+keeping none, only to rank it; a block that fails to parse is re-read line by
+line to name its first bad line.
 """
 
 from __future__ import annotations
@@ -31,19 +37,32 @@ from .ttmodel import TTCores, TTRank, flatten_params, unflatten_params
 SPARSE_MAGIC = "stto-sparse v1"
 DENSE_MAGIC = "stto-dense v1"
 _CHUNK = 256  # lines per parsed or written block
+_BLOCK = 1 << 16  # bytes per read
+_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e"  # the ASCII characters at which str.splitlines ends a line
 
 
 def _write(path, head, body) -> None:
     """Write the head lines, then the body's str lines; items carry no newline.
 
     The body is joined ``_CHUNK`` lines per write: fewer calls than a write per
-    line, and a peak memory of one block's strings, not of the whole body's.
+    line, and a peak memory of one block's strings, not of the whole body's,
+    when ``body`` is an iterator that makes its lines as they are taken, as
+    ``_lines`` does.
     """
     with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
         fh.writelines(f"{line}\n" for line in head)
         body = iter(body)
         while chunk := list(islice(body, _CHUNK)):
             fh.write("\n".join(chunk) + "\n")
+
+
+def _lines(fmt, *columns):
+    """``fmt`` of each row of the equal-length array ``columns``, as a lazy iterator.
+
+    Only ``_CHUNK`` rows at a time are turned into Python numbers.
+    """
+    starts = range(0, len(columns[0]), _CHUNK)
+    return chain.from_iterable(map(fmt, *(c[lo : lo + _CHUNK].tolist() for c in columns)) for lo in starts)
 
 
 def _fill(rows, ints: int, value: bool, int_out: array, float_out: array) -> bool:
@@ -63,20 +82,72 @@ def _fill(rows, ints: int, value: bool, int_out: array, float_out: array) -> boo
 
 
 class _LineReader:
-    """Sequential line access that reports 1-based line numbers in errors."""
+    """Sequential lines of a binary file opened for reading, decoded ``_BLOCK`` bytes at a time.
 
-    def __init__(self, path):
+    Lines end where ``str.splitlines`` ends them, and a ``\\r\\n`` is one end
+    also when a block boundary splits it. ``pos`` counts the lines taken;
+    errors name 1-based lines.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.pos = 0  # lines taken, or at the end of ``rest`` all lines
+        self.lines: list[str] = []  # decoded lines not yet taken
+        self.tail: list[str] = []  # pieces of the line the blocks read so far leave open
+        self.cr = False  # the last block ended with '\r', so a '\n' opening the next one adds no line
+
+    def _more(self) -> bool:
+        """Decode the next block's complete lines onto ``lines``; False at the end of the file."""
+        block = self.fh.read(_BLOCK)
+        if not block:  # the end of the file closes the open line
+            closed, self.tail = self.tail, []
+            self.lines += ["".join(closed)] if closed else []
+            return bool(closed)
+        data = block[1:] if self.cr and block[:1] == b"\n" else block
         try:
-            with open(path, "r", encoding="ascii") as fh:
-                self.lines = fh.read().splitlines()
+            text = data.decode("ascii")
         except UnicodeDecodeError as exc:
-            # exc.object is the whole file; count lines up to the bad byte as splitlines does
-            line = len((exc.object[: exc.start] + b"?").decode("ascii").splitlines())
-            raise FormatError(f"line {line}: non-ASCII byte {exc.object[exc.start]:#04x}") from None
-        self.pos = 0
+            # the open line holds no line end: count the ones up to the bad byte as splitlines does
+            line = self.pos + len(self.lines) + len((data[: exc.start].decode("ascii") + "?").splitlines())
+            raise FormatError(f"line {line}: non-ASCII byte {data[exc.start]:#04x}") from None
+        self.cr = text.endswith("\r")
+        new = text.splitlines()
+        open_line = [new.pop()] if text and text[-1] not in _ENDS else []  # the next block goes on with it
+        if new:
+            new[0] = "".join(self.tail) + new[0]
+            self.tail = []
+        self.tail += open_line
+        self.lines += new
+        return True
+
+    def take(self, k: int) -> list[str]:
+        """The next ``k`` lines; fewer only at the end of the file."""
+        while len(self.lines) < k and self._more():
+            pass
+        lines = self.lines[:k]
+        del self.lines[:k]
+        self.pos += len(lines)
+        return lines
+
+    def rest(self) -> int:
+        """Read to the end of the file, one block at a time, and return its line count.
+
+        A non-ASCII byte anywhere in the file is the first fault, so every other
+        fault calls this before it is raised.
+        """
+        while True:
+            self.pos += len(self.lines)
+            self.lines = []
+            if not self._more():
+                return self.pos
+
+    def fault(self, line: int, message: str) -> FormatError:
+        """The FormatError for a fault at 1-based ``line``, once ``rest`` finds no earlier-ranked one."""
+        self.rest()
+        return FormatError(f"line {line}: {message}")
 
     def error(self, message: str) -> FormatError:
-        return FormatError(f"line {self.pos}: {message}")
+        return self.fault(self.pos, message)
 
     def table(self, what: str, n: int, ints: int = 0, value: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Parse the next ``n`` lines of ``ints`` integers and then, if ``value``, one float.
@@ -84,34 +155,35 @@ class _LineReader:
         Returns an (n, ints) int64 array and the n floats (none without ``value``).
         """
         start, stop = self.pos, self.pos + n
-        if stop > len(self.lines):
-            found = len(self.lines) - start
-            raise FormatError(f"line {len(self.lines) + 1}: missing {what} ({n} lines expected, {found} found)")
         width = ints + value
         int_out, float_out = array("q"), array("d")
-        for lo in range(start, stop, _CHUNK):
-            rows = [line.split() for line in self.lines[lo : min(lo + _CHUNK, stop)]]
-            if not _fill(rows, ints, value, int_out, float_out):  # re-walk it for the first bad line
-                for k, parts in enumerate(rows, lo + 1):
+        nonfinite = None  # the first non-finite value's line and message
+        while (lo := self.pos) < stop:
+            lines = self.take(want := min(_CHUNK, stop - lo))
+            rows = [line.split() for line in lines]
+            if len(lines) < want or not _fill(rows, ints, value, int_out, float_out):
+                if (total := self.rest()) < stop:  # a short table ranks before a malformed line
+                    raise FormatError(f"line {total + 1}: missing {what} ({n} lines expected, {total - start} found)")
+                for k, (parts, line) in enumerate(zip(rows, lines), lo + 1):  # re-walk it for the first bad line
                     if len(parts) != width:
                         raise FormatError(f"line {k}: {what} has {len(parts)} fields, expected {width}")
                     if not _fill([parts], ints, value, array("q"), array("d")):
-                        raise FormatError(f"line {k}: malformed {what} {self.lines[k - 1].strip()!r}")
-        self.pos = stop
-        values = np.frombuffer(float_out)
-        finite = np.isfinite(values)
-        if not finite.all():
-            k = start + int(finite.argmin())
-            raise FormatError(f"line {k + 1}: non-finite value in {what} {self.lines[k].strip()!r}")
-        return np.frombuffer(int_out, dtype=np.int64).reshape(n, ints), values
+                        raise FormatError(f"line {k}: malformed {what} {line.strip()!r}")
+            if value and nonfinite is None:
+                finite = np.isfinite(np.frombuffer(float_out[-len(rows) :]))
+                if not finite.all():
+                    k = int(finite.argmin())
+                    nonfinite = lo + k + 1, f"non-finite value in {what} {lines[k].strip()!r}"
+        if nonfinite:
+            raise self.fault(*nonfinite)
+        return np.frombuffer(int_out, dtype=np.int64).reshape(n, ints), np.frombuffer(float_out)
 
     def header(self, magic: str | None) -> TensorShape:
         """Read the optional magic line, the mode count and the mode sizes."""
         if magic is not None:
-            self.pos = 1
-            line = self.lines[0].strip() if self.lines else ""
+            line = "".join(self.take(1)).strip()
             if line != magic:
-                raise self.error(f"bad magic {line!r}, expected {magic!r}")
+                raise self.fault(1, f"bad magic {line!r}, expected {magic!r}")
         order = self.table("mode count", 1, 1)[0].item()
         if order < 1:
             raise self.error(f"mode count must be positive, got {order}")
@@ -123,9 +195,10 @@ class _LineReader:
 
     def end(self, what: str) -> None:
         """Reject anything but blank lines after the last record."""
-        for k in range(self.pos, len(self.lines)):
-            if self.lines[k].strip():
-                raise FormatError(f"line {k + 1}: trailing content after {what}")
+        while lines := self.take(_CHUNK):
+            for k, line in enumerate(lines, self.pos - len(lines) + 1):
+                if line.strip():
+                    raise self.fault(k, f"trailing content after {what}")
 
 
 def save_sparse(path, obs: SparseObservations) -> None:
@@ -138,7 +211,7 @@ def save_sparse(path, obs: SparseObservations) -> None:
         raise FormatError(f"observation {repeated[0] + 1}: duplicate multi-index {cell} cannot be saved")
     head = (SPARSE_MAGIC, obs.shape.order, " ".join(map(str, obs.shape.sizes)), obs.count)
     record = " ".join(["{}"] * obs.shape.order + ["{!r}"]).format
-    _write(path, head, map(record, *obs.indices.T.tolist(), obs.values.tolist()))
+    _write(path, head, _lines(record, *obs.indices.T, obs.values))
 
 
 def load_sparse(path, check_shape=None) -> SparseObservations:
@@ -147,15 +220,20 @@ def load_sparse(path, check_shape=None) -> SparseObservations:
     ``check_shape``, if given, is called with the header's shape before any
     record is parsed; whatever it raises propagates.
     """
-    rd = _LineReader(path)
-    shape = rd.header(SPARSE_MAGIC)
-    if check_shape is not None:
-        check_shape(shape)
-    m = rd.table("observation count", 1, 1)[0].item()
-    if m < 1:
-        raise rd.error(f"observation count must be positive, got {m}")
-    indices, values = rd.table("observation", m, shape.order, value=True)
-    rd.end(f"{m} observations")
+    with open(path, "rb") as fh:
+        rd = _LineReader(fh)
+        shape = rd.header(SPARSE_MAGIC)
+        if check_shape is not None:
+            try:
+                check_shape(shape)
+            except Exception:
+                rd.rest()  # a non-ASCII byte anywhere in the file ranks first
+                raise
+        m = rd.table("observation count", 1, 1)[0].item()
+        if m < 1:
+            raise rd.error(f"observation count must be positive, got {m}")
+        indices, values = rd.table("observation", m, shape.order, value=True)
+        rd.end(f"{m} observations")
     try:
         obs = SparseObservations(shape, indices, values)
     except BoundsError as exc:
@@ -170,14 +248,15 @@ def load_sparse(path, check_shape=None) -> SparseObservations:
 def save_dense(path, t: DenseTensor) -> None:
     """Write a dense tensor: magic, N, sizes, then one value per line (column-major)."""
     head = (DENSE_MAGIC, t.shape.order, " ".join(map(str, t.shape.sizes)))
-    _write(path, head, map(float.__repr__, t.values.tolist()))
+    _write(path, head, _lines(float.__repr__, t.values))
 
 
 def load_dense(path) -> DenseTensor:
-    rd = _LineReader(path)
-    shape = rd.header(DENSE_MAGIC)
-    _, values = rd.table("value", shape.element_count, value=True)
-    rd.end(f"{shape.element_count} values")
+    with open(path, "rb") as fh:
+        rd = _LineReader(fh)
+        shape = rd.header(DENSE_MAGIC)
+        _, values = rd.table("value", shape.element_count, value=True)
+        rd.end(f"{shape.element_count} values")
     return DenseTensor(shape, values)
 
 
@@ -188,19 +267,20 @@ def save_model(path, cores: TTCores) -> None:
         " ".join(map(str, cores.shape.sizes)),
         " ".join(map(str, cores.rank.ranks)),
     )
-    _write(path, head, map(repr, flatten_params(cores).tolist()))
+    _write(path, head, _lines(repr, flatten_params(cores)))
 
 
 def load_model(path) -> TTCores:
-    rd = _LineReader(path)
-    shape = rd.header(None)
-    ranks = rd.table("rank chain", 1, shape.order + 1)[0][0].tolist()
-    try:
-        rank = TTRank(tuple(ranks))
-    except ValueError as exc:
-        raise rd.error(str(exc)) from None
-    count = sum(ranks[n] * size * ranks[n + 1] for n, size in enumerate(shape.sizes))
-    _, flat = rd.table("parameter", count, value=True)
-    rd.end(f"{count} parameters")
+    with open(path, "rb") as fh:
+        rd = _LineReader(fh)
+        shape = rd.header(None)
+        ranks = rd.table("rank chain", 1, shape.order + 1)[0][0].tolist()
+        try:
+            rank = TTRank(tuple(ranks))
+        except ValueError as exc:
+            raise rd.error(str(exc)) from None
+        count = sum(ranks[n] * size * ranks[n + 1] for n, size in enumerate(shape.sizes))
+        _, flat = rd.table("parameter", count, value=True)
+        rd.end(f"{count} parameters")
     zeros = tuple(np.zeros((ranks[n], size, ranks[n + 1])) for n, size in enumerate(shape.sizes))
     return unflatten_params(TTCores(zeros, shape, rank), flat)

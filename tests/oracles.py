@@ -1,14 +1,18 @@
 """Independent reference computations the tests check the library against.
 
 Everything here is deliberately naive: explicit per-entry matrix chains,
-nested loops, dense weighted residuals, and central finite differences.
+nested loops, dense weighted residuals, central finite differences, and a
+text reader that decodes and splits the whole file at once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
+
+from ttcomplete import FormatError, TensorShape
 
 
 def entry_by_matrix_chain(cores, idx):
@@ -81,3 +85,75 @@ def lin_offset_by_enumeration(sizes, target_idx):
         if tuple(reversed(idx)) == tuple(target_idx):
             return pos
     raise AssertionError(f"{target_idx} not reached in shape {sizes}")
+
+
+class WholeFileReader:
+    """The text formats' line reader as one whole-file pass: decode it all, split it all,
+    then parse one line at a time.
+
+    A drop-in for ``fileio._LineReader`` (same constructor and methods), so
+    that patched into ``fileio`` it turns the library's loaders into reference
+    loaders. ``str.splitlines`` ends a line at ``\\r``, ``\\n`` and ``\\r\\n``
+    alike, as universal newlines do, so no newline translation is needed.
+    """
+
+    def __init__(self, fh):
+        data = fh.read()
+        try:
+            self.lines = data.decode("ascii").splitlines()
+        except UnicodeDecodeError as exc:
+            line = len((data[: exc.start] + b"?").decode("ascii").splitlines())
+            raise FormatError(f"line {line}: non-ASCII byte {data[exc.start]:#04x}") from None
+        self.pos = 0
+
+    def rest(self) -> None:
+        """Nothing is left to read: the whole file was checked for non-ASCII bytes up front."""
+
+    def error(self, message: str) -> FormatError:
+        return FormatError(f"line {self.pos}: {message}")
+
+    def table(self, what: str, n: int, ints: int = 0, value: bool = False):
+        start, stop = self.pos, self.pos + n
+        if stop > len(self.lines):
+            found = len(self.lines) - start
+            raise FormatError(f"line {len(self.lines) + 1}: missing {what} ({n} lines expected, {found} found)")
+        width = ints + value
+        rows, values = [], []
+        for k in range(start, stop):
+            line = self.lines[k]
+            parts = line.split()
+            if len(parts) != width:
+                raise FormatError(f"line {k + 1}: {what} has {len(parts)} fields, expected {width}")
+            try:
+                row = [int(p) for p in parts[:ints]]
+                values += [float(p) for p in parts[ints:]]
+            except ValueError:
+                row = None
+            if row is None or not all(-(2**63) <= i < 2**63 for i in row):
+                raise FormatError(f"line {k + 1}: malformed {what} {line.strip()!r}")
+            rows.append(row)
+        self.pos = stop
+        for k, v in enumerate(values, start):
+            if not math.isfinite(v):
+                raise FormatError(f"line {k + 1}: non-finite value in {what} {self.lines[k].strip()!r}")
+        return np.array(rows, dtype=np.int64).reshape(n, ints), np.array(values, dtype=np.float64)
+
+    def header(self, magic):
+        if magic is not None:
+            self.pos = 1
+            line = self.lines[0].strip() if self.lines else ""
+            if line != magic:
+                raise self.error(f"bad magic {line!r}, expected {magic!r}")
+        order = self.table("mode count", 1, 1)[0].item()
+        if order < 1:
+            raise self.error(f"mode count must be positive, got {order}")
+        sizes = self.table("mode sizes", 1, order)[0][0].tolist()
+        try:
+            return TensorShape(tuple(sizes))
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
+    def end(self, what: str) -> None:
+        for k in range(self.pos, len(self.lines)):
+            if self.lines[k].strip():
+                raise FormatError(f"line {k + 1}: trailing content after {what}")

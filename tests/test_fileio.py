@@ -1,6 +1,8 @@
+import gc
 import re
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +13,9 @@ from hypothesis import strategies as st
 
 import ttcomplete.engine as engine
 import ttcomplete.fileio as fileio
+from oracles import WholeFileReader
 from ttcomplete import (
+    CapacityError,
     DenseTensor,
     FormatError,
     SparseObservations,
@@ -436,15 +440,244 @@ class TestWriterBlocks:
         assert (tmp_path / "m.txt").read_bytes() == expected
 
     def test_save_dense_peak_memory(self, tmp_path):
-        # one block of strings at a time: the peak is the values' float list (3.4 MiB at 48^3)
+        # one block of floats and strings at a time: a whole-body float list alone is 3.4 MiB at 48^3
         t = DenseTensor(TensorShape((48, 48, 48)), np.random.default_rng(0).standard_normal(48**3))
-        tracemalloc.start()
-        try:
-            save_dense(tmp_path / "d.txt", t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+        assert _peak(save_dense, tmp_path / "d.txt", t) < 2**19
+
+    def test_save_sparse_peak_memory(self, tmp_path):
+        # M = 44,237 records: whole-body int and float lists would be 2.4 MiB
+        obs = _sparse48()
+        obs.repeated_rows()  # the duplicate check's sort is cached on ``obs``; it holds arrays, not lines
+        assert _peak(save_sparse, tmp_path / "s.txt", obs) < 2**19
+
+
+def _sparse48() -> SparseObservations:
+    """44,237 distinct cells of a 48^3 tensor, as the bench's sparse48 files hold."""
+    shape = TensorShape((48, 48, 48))
+    rng = np.random.default_rng(0)
+    cells = rng.choice(shape.element_count, size=44_237, replace=False)
+    coords = np.stack(np.unravel_index(cells, shape.sizes, order="F"), axis=1) + 1
+    return SparseObservations(shape, coords, rng.standard_normal(cells.size))
+
+
+def _peak(fn, *args) -> int:
+    """The traced heap peak, in bytes, of one call."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamingReads:
+    def test_load_dense_peak_memory(self, tmp_path):
+        # the 0.84 MiB of values plus one block; the whole text with one str per line would be 10 MiB
+        t = DenseTensor(TensorShape((48, 48, 48)), np.random.default_rng(0).standard_normal(48**3))
+        save_dense(tmp_path / "d.txt", t)
+        assert _peak(load_dense, tmp_path / "d.txt") < 2 * 2**20
+
+    def test_load_sparse_peak_memory(self, tmp_path):
+        # the 1.4 MiB of indices and values plus one block; the whole text with one str per line would be 6.1 MiB
+        save_sparse(tmp_path / "s.txt", _sparse48())
+        assert _peak(load_sparse, tmp_path / "s.txt") < 3 * 2**20
+
+    @pytest.mark.parametrize(
+        "raw, lines",
+        [
+            (b"a\r\nb", ["a", "b"]),
+            (b"a\r\rb\n\n", ["a", "", "b", ""]),
+            (b"a\n\rb", ["a", "", "b"]),
+            (b"\x0b\x0c\x1c\x1d\x1e\x1fa\r", ["", "", "", "", "", "\x1fa"]),
+            (b"", []),
+            (b"\r\n", [""]),
+            (b"long line without an end", ["long line without an end"]),
+        ],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_lines_end_as_splitlines_ends_them(self, tmp_path, monkeypatch, raw, lines, block):
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        assert raw.decode("ascii").splitlines() == lines
+        path = tmp_path / "lines.txt"
+        path.write_bytes(raw)
+        with open(path, "rb") as fh:
+            rd = fileio._LineReader(fh)
+            assert rd.take(len(lines) + 1) == lines
+            assert rd.pos == rd.rest() == len(lines)
+
+    @pytest.mark.parametrize(
+        "prefix, line",
+        [(b"", 1), (b"1\r", 2), (b"1\r\n", 2), (b"1\n\r", 3), (b"1\x0c2\x1e", 3), (b"12", 1)],
+    )
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_non_ascii_byte_names_its_line(self, tmp_path, monkeypatch, prefix, line, block):
+        monkeypatch.setattr(fileio, "_BLOCK", block)
+        path = tmp_path / "bad.txt"
+        path.write_bytes(prefix + b"\xe9\n1\n")
+        with pytest.raises(FormatError, match=f"^line {line}: non-ASCII byte 0xe9$"):
+            load_model(path)
+
+    def test_non_ascii_byte_ranks_before_check_shape(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(fileio, "_BLOCK", 4)  # the header's blocks end before the bad byte
+        path = tmp_path / "obs.txt"
+        path.write_bytes(b"stto-sparse v1\n1\n3\n1\n1 1.0\n\n\xff\n")
+        with pytest.raises(FormatError, match="^line 7: non-ASCII byte 0xff$"):
+            load_sparse(path, _refuse)
+        path.write_bytes(b"stto-sparse v1\n1\n3\n1\n1 1.0\n")
+        with pytest.raises(CapacityError, match=r"^refused \(3,\)$"):
+            load_sparse(path, _refuse)
+
+    def test_a_fault_reads_on_only_to_rank_it(self, tmp_path, monkeypatch):
+        # after the first fault the rest of the file is read for non-ASCII bytes, but not parsed
+        monkeypatch.setattr(fileio, "_BLOCK", 4)
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"stto-dense v1\n1\n3\nx\n" + b"0.5\n" * 3000)
+        with mock.patch.object(fileio, "_fill", wraps=fileio._fill) as fill:
+            with pytest.raises(FormatError, match="^line 4: malformed value 'x'$"):
+                load_dense(path)
+        assert fill.call_count == 2 + 2  # the header's two tables, the record block and its re-walk
+
+
+def _refuse(shape):
+    raise CapacityError(f"refused {shape.sizes}")
+
+
+# Bytes that mutations put into a valid file: non-ASCII bytes, every ASCII line
+# end of str.splitlines and \x1f (which is whitespace but no line end),
+# fragments of numbers, and whole lines.
+PIECES = [
+    b"\xc3", b"\xff", b"\x80", b"\r", b"\r\n", b"\n", b"\n\n", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e",
+    b"\x1f", b" ", b"\t", b"x", b"-", b".", b"e", b"1", b"0.5", b"nan", b"inf", b"1e999", b"9" * 20,
+    b"1 1 0.5\n", b"garbage\n",
+]
+
+
+@st.composite
+def _valid_file(draw, fmt):
+    """The bytes that the saver of ``fmt`` writes for a small drawn object."""
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    shape = TensorShape(sizes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "file.txt"
+        if fmt == "sparse":
+            count = draw(st.integers(1, shape.element_count))
+            cells = rng.permutation(shape.element_count)[:count]
+            coords = np.stack(np.unravel_index(cells, sizes, order="F"), axis=1) + 1
+            save_sparse(path, SparseObservations(shape, coords, rng.standard_normal(count)))
+        elif fmt == "dense":
+            save_dense(path, DenseTensor(shape, rng.standard_normal(shape.element_count)))
+        else:
+            inner = draw(st.lists(st.integers(1, 2), min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+            save_model(path, random_init(shape, TTRank((1, *inner, 1)), seed=int(rng.integers(100))))
+        return path.read_bytes()
+
+
+# Whole fields that replace one of the file's fields.
+FIELDS = [b"nan", b"inf", b"-inf", b"1e999", b"x", b"\xc3\xa9", b"9" * 20, b"0.5", b"1", b"-1", b"0"]
+
+
+@st.composite
+def _mutated(draw, raw: bytes):
+    """``raw`` with a byte or a field replaced, bytes inserted or deleted, a line inserted, or the end cut off."""
+    op = draw(st.sampled_from(["replace", "field", "insert", "delete", "line", "truncate"]))
+    at = draw(st.integers(0, len(raw)))
+    piece = draw(st.sampled_from(PIECES))
+    if op == "field" and (fields := list(re.finditer(rb"\S+", raw))):
+        field = draw(st.sampled_from(fields))
+        return raw[: field.start()] + draw(st.sampled_from(FIELDS)) + raw[field.end() :]
+    if op == "replace":
+        return raw[:at] + piece + raw[at + 1 :]
+    if op == "insert":
+        return raw[:at] + piece + raw[at:]
+    if op == "delete":
+        return raw[:at] + raw[at + draw(st.integers(1, 4)) :]
+    if op == "line":  # a blank, whitespace-only or extra line at a line start
+        lines = raw.split(b"\n")
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([b"", b" \t", b"0.5", b"1 1 0.5", b"x"])))
+        return b"\n".join(lines)
+    return raw[:at]
+
+
+def _outcome(fmt, path, check_shape):
+    """What loading ``path`` gives: its arrays bit for bit, or the exception's type and text."""
+    try:
+        if fmt == "sparse":
+            obs = load_sparse(path, check_shape)
+            return obs.shape.sizes, obs.indices.tolist(), obs.values.tobytes()
+        if fmt == "dense":
+            t = load_dense(path)
+            return t.shape.sizes, t.values.tobytes()
+        cores = load_model(path)
+        return cores.shape.sizes, cores.rank.ranks, flatten_params(cores).tobytes()
+    except Exception as exc:  # noqa: BLE001 - the two readers must fail alike, whatever the failure
+        return type(exc).__name__, str(exc)
+
+
+class TestMatchesTheWholeFileReader:
+    # The streaming reader, at any parse and read block sizes, loads what the
+    # whole-file reference loads and refuses what it refuses with the same text.
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+    @given(st.sampled_from(["sparse", "dense", "model"]), st.sampled_from([1, 2, 3, 7, 64]), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_files(self, chunk, fmt, block, refuse, data):
+        raw = data.draw(_valid_file(fmt))
+        for _ in range(data.draw(st.integers(0, 3))):
+            raw = data.draw(_mutated(raw))
+        check_shape = _refuse if refuse and fmt == "sparse" else None
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file.txt"
+            path.write_bytes(raw)
+            with mock.patch.object(fileio, "_CHUNK", chunk), mock.patch.object(fileio, "_BLOCK", block):
+                got = _outcome(fmt, path, check_shape)
+            with mock.patch.object(fileio, "_LineReader", WholeFileReader):
+                expected = _outcome(fmt, path, check_shape)
+        assert got == expected, raw
+
+
+def _record_opens(monkeypatch) -> list:
+    """Make ``fileio``'s ``open`` keep every file object it returns in the list returned."""
+    opened = []
+
+    def record(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(fileio, "open", record, raising=False)
+    return opened
+
+
+class TestFileHandles:
+    CASES = {
+        "valid sparse": (load_sparse, b"stto-sparse v1\n1\n3\n1\n1 1.0\n", None),
+        "malformed sparse": (load_sparse, b"stto-sparse v1\n1\n3\n2\n1 1.0\n1 x\n", FormatError),
+        "non-ASCII sparse": (load_sparse, b"stto-sparse v1\n1\n3\n1\n1 1.0\xe9\n", FormatError),
+        "sparse refused by check_shape": (lambda p: load_sparse(p, _refuse), b"stto-sparse v1\n1\n3\n1\n1 1.0\n", CapacityError),
+        "valid dense": (load_dense, b"stto-dense v1\n1\n1\n1.0\n", None),
+        "malformed dense": (load_dense, b"stto-dense v1\n1\n2\n1.0\n", FormatError),
+        "non-ASCII dense": (load_dense, b"stto-dense v1\n1\n1\n\xff\n", FormatError),
+        "valid model": (load_model, b"1\n1\n1 1\n1.0\n", None),
+        "malformed model": (load_model, b"1\n1\n1 2\n1.0\n", FormatError),
+        "non-ASCII model": (load_model, b"1\n1\n1 1\n1.0\n\x80", FormatError),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_load_closes_its_file(self, tmp_path, monkeypatch, case):
+        load, raw, error = self.CASES[case]
+        path = tmp_path / "file.txt"
+        path.write_bytes(raw)
+        opened = _record_opens(monkeypatch)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if error is None:
+                load(path)
+            else:
+                with pytest.raises(error):
+                    load(path)
+            assert len(opened) == 1 and opened[0].closed
+            opened.clear()
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 class TestRoundTripAcrossBlocks:
