@@ -24,13 +24,16 @@ def fit_cores(
     ``obs.shape`` (see :func:`ttcomplete.ttmodel.cap_ranks`); the fitted cores
     carry the capped chain.
     """
-    template = initial_cores(obs, rank, seed)
+    start = initial_cores(obs, rank, seed)
+    flat = flatten_params(start)
+    cores = unflatten_params(start, flat)  # views of ``flat``, built once per fit
 
-    def callback(flat: np.ndarray):
-        return evaluate(unflatten_params(template, flat), obs)
+    def callback(x: np.ndarray):
+        flat[:] = x  # minimize has taken the last trial's gradient, and dropped its closure, by now
+        return evaluate(cores, obs)
 
-    final, report = minimize(callback, flatten_params(template), cfg)
-    return unflatten_params(template, final), report
+    final, report = minimize(callback, flat, cfg)
+    return unflatten_params(start, final), report
 
 
 def complete_image(

@@ -13,17 +13,19 @@ lines, a file that ends before the block does, then the block's first
 malformed line, then its first non-finite value.
 
 Reads and writes stream: memory holds the parsed arrays plus one block, never
-the whole file's text or the whole body as Python objects. The reader decodes
-``_BLOCK`` bytes at a time and parses ``_CHUNK`` lines at a time; the writers
-turn ``_CHUNK`` values at a time into Python numbers and strings. This keeps
-the cost near the per-value builtins (``int``, ``float``, ``repr``). After a
-fault the reader reads on to the end of the file, one block at a time and
-keeping none, only to rank it; a block that fails to parse is re-read line by
-line to name its first bad line.
+the whole file's text or the whole body as Python objects. A read block is
+``_BLOCK`` characters plus the rest of its last line; a file whose only line
+ends are ``\\x0b``, ``\\x0c`` or ``\\x1c``-``\\x1e``, which no writer here makes,
+is read whole and loads the same. Lines are parsed, and values written,
+``_CHUNK`` at a time, near the cost of the per-value builtins (``int``,
+``float``, ``repr``). After a fault the reader reads on to the end of the file,
+one block at a time and keeping none, only to rank it; a parse block that fails
+is re-read line by line to name its first bad line.
 """
 
 from __future__ import annotations
 
+import io
 from array import array
 from itertools import chain, islice
 
@@ -37,8 +39,7 @@ from .ttmodel import TTCores, TTRank, flatten_params, unflatten_params
 SPARSE_MAGIC = "stto-sparse v1"
 DENSE_MAGIC = "stto-dense v1"
 _CHUNK = 256  # lines per parsed or written block
-_BLOCK = 1 << 16  # bytes per read
-_ENDS = "\n\r\x0b\x0c\x1c\x1d\x1e"  # the ASCII characters at which str.splitlines ends a line
+_BLOCK = 1 << 16  # characters per block, which then runs on to the end of its last line
 
 
 def _write(path, head, body) -> None:
@@ -82,43 +83,27 @@ def _fill(rows, ints: int, value: bool, int_out: array, float_out: array) -> boo
 
 
 class _LineReader:
-    """Sequential lines of a binary file opened for reading, decoded ``_BLOCK`` bytes at a time.
+    """Sequential lines of a binary file opened for reading, decoded a block at a time.
 
-    Lines end where ``str.splitlines`` ends them, and a ``\\r\\n`` is one end
-    also when a block boundary splits it. ``pos`` counts the lines taken;
-    errors name 1-based lines.
+    Lines end where ``str.splitlines`` ends them; a block ends at a line end, so
+    no line spans two. ``pos`` counts the lines taken; errors name 1-based lines.
     """
 
     def __init__(self, fh):
-        self.fh = fh
+        # newline="" ends lines at \n, \r and \r\n unchanged; byte b >= 0x80 decodes to chr(0xDC00 + b)
+        self.fh = io.TextIOWrapper(fh, encoding="ascii", errors="surrogateescape", newline="")
         self.pos = 0  # lines taken, or at the end of ``rest`` all lines
         self.lines: list[str] = []  # decoded lines not yet taken
-        self.tail: list[str] = []  # pieces of the line the blocks read so far leave open
-        self.cr = False  # the last block ended with '\r', so a '\n' opening the next one adds no line
 
     def _more(self) -> bool:
-        """Decode the next block's complete lines onto ``lines``; False at the end of the file."""
-        block = self.fh.read(_BLOCK)
-        if not block:  # the end of the file closes the open line
-            closed, self.tail = self.tail, []
-            self.lines += ["".join(closed)] if closed else []
-            return bool(closed)
-        data = block[1:] if self.cr and block[:1] == b"\n" else block
-        try:
-            text = data.decode("ascii")
-        except UnicodeDecodeError as exc:
-            # the open line holds no line end: count the ones up to the bad byte as splitlines does
-            line = self.pos + len(self.lines) + len((data[: exc.start].decode("ascii") + "?").splitlines())
-            raise FormatError(f"line {line}: non-ASCII byte {data[exc.start]:#04x}") from None
-        self.cr = text.endswith("\r")
-        new = text.splitlines()
-        open_line = [new.pop()] if text and text[-1] not in _ENDS else []  # the next block goes on with it
-        if new:
-            new[0] = "".join(self.tail) + new[0]
-            self.tail = []
-        self.tail += open_line
-        self.lines += new
-        return True
+        """Decode the next block's lines onto ``lines``; False at the end of the file."""
+        text = self.fh.read(_BLOCK) + self.fh.readline()
+        if not text.isascii():
+            bad = next(i for i, ch in enumerate(text) if not ch.isascii())
+            line = self.pos + len(self.lines) + len((text[:bad] + "?").splitlines())
+            raise FormatError(f"line {line}: non-ASCII byte {ord(text[bad]) - 0xDC00:#04x}")
+        self.lines += text.splitlines()
+        return bool(text)
 
     def take(self, k: int) -> list[str]:
         """The next ``k`` lines; fewer only at the end of the file."""

@@ -7,9 +7,9 @@ later modes cover progressively larger blocks (the ket augmentation of
 Bengua et al., IEEE TIP 2017). It is a lossless cell permutation, one
 closed-form map of cell offsets (``_tensor_cells``) that ``detensorize_image``
 inverts exactly. ``complete_image`` builds the map once per call: it reads the
-observed cells' tensor offsets from it, as ``tensorized_observations`` does,
-and gathers the fitted tensor back into image order with it. A fit never
-builds the tensorized image or mask.
+observed cells' tensor offsets from it (``_tensorized_observations``) and
+gathers the fitted tensor back into image order with it. A fit never builds
+the tensorized image or mask.
 """
 
 from __future__ import annotations
@@ -72,17 +72,13 @@ def tensorize_mask(mask: MissingMask) -> MissingMask:
     return MissingMask(TensorShape((4,) * k + (3,)), observed)
 
 
-def tensorized_observations(img: DenseTensor, mask: MissingMask) -> SparseObservations:
+def _tensorized_observations(img: DenseTensor, mask: MissingMask) -> tuple[SparseObservations, np.ndarray]:
     """The observations of ``extract_observations(tensorize_image(img), tensorize_mask(mask))``.
 
     Reads the observed cells from the image, in its column-major cell order;
-    a fit depends only on the set of observations.
+    a fit depends only on the set of observations. Returns them with the
+    :func:`_tensor_cells` map it read them through.
     """
-    return _tensorized_observations(img, mask)[0]
-
-
-def _tensorized_observations(img: DenseTensor, mask: MissingMask) -> tuple[SparseObservations, np.ndarray]:
-    """:func:`tensorized_observations`, and the :func:`_tensor_cells` map it read."""
     if img.shape.sizes != mask.shape.sizes:
         raise ShapeError(f"image shape {img.shape} does not match mask shape {mask.shape}")
     k = _spatial_exponent(img.shape)

@@ -68,16 +68,6 @@ class TTCores:
     def param_count(self) -> int:
         return sum(c.size for c in self.cores)
 
-    @classmethod
-    def _like(cls, template: TTCores, cores: tuple[np.ndarray, ...]) -> TTCores:
-        """``template``'s chain with float64 ``cores`` of its core shapes, unchecked.
-
-        Skips ``__post_init__`` by setting every field here; a new field must be added here.
-        """
-        result = object.__new__(cls)
-        result.__dict__.update(cores=cores, shape=template.shape, rank=template.rank)
-        return result
-
 
 def cap_ranks(shape: TensorShape, ranks: Sequence[int]) -> TTRank:
     """Clip a requested rank chain to what the shape can support.
@@ -151,7 +141,7 @@ def flatten_params(cores: TTCores) -> np.ndarray:
 
 
 def unflatten_params(template: TTCores, flat: np.ndarray) -> TTCores:
-    """Cores shaped like ``template``, as views of the flat vector; only its length is checked."""
+    """Cores shaped like ``template``, as views of the flat vector, whose length must match."""
     flat = np.asarray(flat, dtype=np.float64).ravel()
     if flat.size != template.param_count:
         raise ShapeError(f"parameter vector has {flat.size} entries, expected {template.param_count}")
@@ -161,4 +151,4 @@ def unflatten_params(template: TTCores, flat: np.ndarray) -> TTCores:
         block = flat[offset : offset + c.size]
         cores.append(block.reshape(c.shape, order="F"))
         offset += c.size
-    return TTCores._like(template, tuple(cores))
+    return TTCores(tuple(cores), template.shape, template.rank)

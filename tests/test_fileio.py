@@ -482,6 +482,19 @@ class TestStreamingReads:
         save_sparse(tmp_path / "s.txt", _sparse48())
         assert _peak(load_sparse, tmp_path / "s.txt") < 3 * 2**20
 
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n"], ids=["CR", "CRLF"])
+    @pytest.mark.parametrize("fmt", ["dense", "sparse"])
+    def test_peak_memory_at_other_line_ends(self, tmp_path, fmt, end):
+        # the bounds above hold when the blocks end at \r or \r\n instead of \n
+        path = tmp_path / "f.txt"
+        if fmt == "dense":
+            save_dense(path, DenseTensor(TensorShape((48, 48, 48)), np.random.default_rng(0).standard_normal(48**3)))
+        else:
+            save_sparse(path, _sparse48())
+        path.write_bytes(path.read_bytes().replace(b"\n", end))
+        load, bound = (load_dense, 2 * 2**20) if fmt == "dense" else (load_sparse, 3 * 2**20)
+        assert _peak(load, path) < bound
+
     @pytest.mark.parametrize(
         "raw, lines",
         [
@@ -633,6 +646,33 @@ class TestMatchesTheWholeFileReader:
             with mock.patch.object(fileio, "_LineReader", WholeFileReader):
                 expected = _outcome(fmt, path, check_shape)
         assert got == expected, raw
+
+
+def _dense_with_cr_at(offset: int, end: bytes) -> bytes:
+    """A 3-value dense file with ``end`` line ends, its first value padded so that a ``\\r`` is byte ``offset``."""
+    head = b"stto-dense v1" + end + b"1" + end + b"3" + end
+    return head + b" " * (offset - len(head) - 3) + b"0.5" + end + b"0.25" + end + b"-1.5" + end
+
+
+class TestLineEndAtABoundary:
+    # A \r that ends the decoder's 8 KiB chunk or a block: with its \n it is
+    # still one line end, and alone it still ends its line.
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["CRLF", "CR"])
+    @pytest.mark.parametrize("offset, block", [(8191, None), (9999, 10_000), (65535, None)], ids=["chunk", "block", "both"])
+    def test_loads_as_the_whole_file_reader_does(self, tmp_path, monkeypatch, offset, block, end):
+        if block is not None:
+            monkeypatch.setattr(fileio, "_BLOCK", block)
+        raw = _dense_with_cr_at(offset, end)
+        assert raw[offset : offset + 1] == b"\r"
+        path = tmp_path / "d.txt"
+        path.write_bytes(raw)
+        with open(path, "rb") as fh:
+            rd = fileio._LineReader(fh)
+            assert rd.fh._CHUNK_SIZE == 8192  # the decoder's chunk, which "chunk" and "both" end at the \r
+        got = _outcome("dense", path, None)
+        with mock.patch.object(fileio, "_LineReader", WholeFileReader):
+            assert got == _outcome("dense", path, None)
+        assert load_dense(path).values.tolist() == [0.5, 0.25, -1.5]
 
 
 def _record_opens(monkeypatch) -> list:

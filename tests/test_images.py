@@ -29,7 +29,7 @@ from ttcomplete import (
     uniform_ranks,
 )
 from ttcomplete import images
-from ttcomplete.images import _tensor_cells, tensorized_observations
+from ttcomplete.images import _tensor_cells, _tensorized_observations
 
 
 def random_image(rng, side=16):
@@ -224,7 +224,7 @@ class TestCellMap:
         # the same (index, value) pairs; their order is free
         img = random_image(np.random.default_rng(side), side=side)
         for mask in self.masks(side):
-            direct = tensorized_observations(img, mask)
+            direct = _tensorized_observations(img, mask)[0]
             lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
             assert direct.shape == lifted.shape
             pairs = [
@@ -241,7 +241,7 @@ class TestCellMap:
         observed = rng.random(cells) < {"random": rng.uniform(0.01, 0.99), "full": 1.0, "single": 0.0}[kind]
         observed[rng.integers(cells)] = True
         mask = MissingMask(img.shape, observed)
-        direct = tensorized_observations(img, mask)
+        direct = _tensorized_observations(img, mask)[0]
         lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
         # the same (index, value) pairs
         assert direct.shape == lifted.shape
@@ -256,7 +256,7 @@ class TestCellMap:
     def test_fits_on_both_observation_sets_agree(self, side):
         img = random_image(np.random.default_rng(side + 1), side=side)
         mask = self.masks(side)[0]
-        direct = tensorized_observations(img, mask)
+        direct = _tensorized_observations(img, mask)[0]
         lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
         rank = uniform_ranks(direct.shape, 3)
         cfg = OptimizeConfig(max_iters=3)
@@ -272,7 +272,7 @@ class TestCellMap:
         with mock.patch.object(images, "_tensor_cells", wraps=_tensor_cells) as built:
             recovered = complete_image(img, mask, rank, cfg, seed=4)[0]
         assert built.call_count == 1
-        cores = fit_cores(tensorized_observations(img, mask), rank, cfg, seed=4)[0]
+        cores = fit_cores(_tensorized_observations(img, mask)[0], rank, cfg, seed=4)[0]
         steps = detensorize_image(tt_full(cores))
         assert recovered.shape == steps.shape
         assert recovered.values.tobytes() == steps.values.tobytes()

@@ -18,7 +18,7 @@ from ttcomplete import (
     unflatten_params,
     uniform_ranks,
 )
-from ttcomplete.images import tensorized_observations
+from ttcomplete.images import _tensorized_observations
 from ttcomplete.optimize import _WOLFE_C1, _WOLFE_C2, _hs_beta
 
 
@@ -245,7 +245,7 @@ class TestMinimize:
     def test_wolfe_conditions_on_tt_fit(self):
         # the objective the constants were tuned on: a tensorized image fit
         img = synthetic_scene(16, seed=0)
-        obs = tensorized_observations(img, mask_random(img.shape, 0.9, 1))
+        obs = _tensorized_observations(img, mask_random(img.shape, 0.9, 1))[0]
         rank = uniform_ranks(obs.shape, 4)
         _, report = fit_cores(obs, rank, OptimizeConfig(max_iters=10))
         assert report.iterations == 10

@@ -23,6 +23,8 @@ from ttcomplete import (
     unflatten_params,
     uniform_ranks,
 )
+import ttcomplete.complete as complete
+from ttcomplete.optimize import minimize
 from oracles import entry_by_matrix_chain, full_by_entries, full_by_sweep, outer_product
 
 
@@ -252,7 +254,7 @@ class TestParameterPacking:
         assert np.array_equal(flatten_params(cores), flat)
 
     def test_fit_validates_cores_a_fixed_number_of_times(self, monkeypatch):
-        # unflatten_params runs once per trial and must not re-run TTCores's checks
+        # fit_cores builds its core views once per fit, so TTCores's checks do not grow with the evaluations
         shape = TensorShape((4, 4, 4))
         obs = extract_observations(gen_oscillating(shape), mask_random(shape, 0.5, seed=2))
         checks = []
@@ -265,6 +267,15 @@ class TestParameterPacking:
             counts.append((len(checks), report.evals))
         assert counts[0][0] == counts[1][0]
         assert counts[1][1] > counts[0][1]
+
+    def test_fit_returns_views_of_the_optimizer_result(self, monkeypatch):
+        # the callback overwrites one working vector in place; the fitted cores must not be views of it
+        shape = TensorShape((4, 4, 4))
+        obs = extract_observations(gen_oscillating(shape), mask_random(shape, 0.5, seed=2))
+        results = []
+        monkeypatch.setattr(complete, "minimize", lambda *args: results.append(minimize(*args)) or results[-1])
+        cores, _ = fit_cores(obs, TTRank((1, 2, 2, 1)), OptimizeConfig(max_iters=5))
+        assert all(np.shares_memory(c, results[0][0]) for c in cores.cores)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25)
