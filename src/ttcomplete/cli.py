@@ -77,10 +77,6 @@ def _parse_shapes(text: str) -> list[TensorShape]:
     return shapes
 
 
-def _config(args) -> OptimizeConfig:
-    return OptimizeConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
-
-
 def _check_out_dir(path: str):
     """Refuse an output path in a missing directory (exit 3) before any fit."""
     if not os.path.isdir(os.path.dirname(path) or "."):
@@ -101,7 +97,7 @@ def cmd_complete(args) -> int:
     rank = TTRank(tuple(_parse_list(args.ranks, "--ranks")))
     if args.seed < 0:
         raise UsageError(f"--seed must be non-negative, got {args.seed}")
-    config = _config(args)
+    config = OptimizeConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
     _check_out_dir(args.out_prefix)
     if args.image is not None:
         image = load_image(args.image)
@@ -179,7 +175,7 @@ def cmd_sweep(args) -> int:
     shapes = _parse_shapes(args.shapes)
     rates = _parse_list(args.rates, "--rates", float)
     seeds = _parse_list(args.seeds, "--seeds")
-    config = _config(args)
+    config = OptimizeConfig(max_iters=args.max_iters, grad_tol=args.grad_tol)
     if not rates:
         raise UsageError("--rates lists no missing rates")
     if not seeds:

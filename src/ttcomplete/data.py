@@ -204,17 +204,15 @@ def initial_cores(obs: SparseObservations, rank: TTRank, seed: int) -> TTCores:
     ``_START_NOISE``. The two boundary cores are N(0, s^2) with
     s = (spread / sqrt(r_1))^(1/2), so the start predicts about the data's
     spread (:func:`_spread`); an order-1 train's one core is N(0, spread^2),
-    clipped at max float. ``seed`` draws all of the noise, core by core.
+    clipped at max float. The noise is ``random_init(shape, rank, seed)``.
     ``rank`` is capped by ``obs.shape`` (:func:`cap_ranks`).
     """
     shape = obs.shape
     rank = cap_ranks(shape, rank.ranks)
     ranks = rank.ranks
     spread = _spread(obs.values)
-    rng = np.random.default_rng(seed)
     cores = []
-    for n in range(shape.order):
-        noise = rng.standard_normal((ranks[n], shape.sizes[n], ranks[n + 1]))
+    for n, noise in enumerate(random_init(shape, rank, seed).cores):
         if shape.order == 1:
             with np.errstate(over="ignore"):  # a draw past max float becomes max float
                 cores.append(np.nan_to_num(spread * noise))

@@ -92,9 +92,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import TensorShape
+from .core import TensorShape, _integral
 from .errors import BoundsError, NumericError, ShapeError
-from .ttmodel import TTCores
+from .ttmodel import TTCores, _flat
 
 
 @dataclass(eq=False)
@@ -128,13 +128,16 @@ class SparseObservations:
         sizes = self.shape.sizes
         # one reduction per mode runs fast in either memory order, unlike max(axis=0) on C order
         if not (kind in "iu" and indices.min() >= 1 and all(c.max() <= i for c, i in zip(indices.T, sizes))):
-            bad = (indices < 1) | (indices > np.array(sizes))
-            if kind == "f":
-                bad |= indices != np.round(indices)  # NaN included
+            if kind == "O":  # Python objects, as ints past int64: numpy cannot round them
+                integral = np.fromiter(map(_integral, indices.flat), bool, indices.size).reshape(indices.shape)
+            else:
+                integral = np.isfinite(indices) & (indices == np.round(indices))
+            integers = np.where(integral, indices, 0)  # 0 is out of range, and compares where None cannot
+            bad = (integers < 1) | (integers > np.array(sizes))
             if bad.any():  # locate the first bad coordinate, in (observation, mode) order
                 m, n = divmod(int(np.flatnonzero(bad.ravel())[0]), self.shape.order)
                 v = indices[m, n]
-                problem = f"out of range [1, {sizes[n]}]" if float(v).is_integer() else "is not an integer"
+                problem = f"out of range [1, {sizes[n]}]" if integral[m, n] else "is not an integer"
                 raise BoundsError(f"observation {m + 1}: coordinate {v} {problem} in mode {n + 1}", row=m)
         finite = np.isfinite(values)
         if not finite.all():
@@ -408,9 +411,7 @@ class _Join:
                 right_adj = tile.T @ block
         left_grads = self.left.backward(cores[: self.split], left_kept, left_adj)
         right_grads = self.right.backward(right_cores, right_kept, right_adj.T)
-        parts = [g.ravel(order="F") for g in left_grads]
-        parts += [g.transpose(2, 1, 0).ravel(order="F") for g in right_grads[::-1]]
-        return np.concatenate(parts)
+        return _flat([*left_grads, *(g.transpose(2, 1, 0) for g in right_grads[::-1])])
 
 
 def evaluate(cores: TTCores, obs: SparseObservations) -> tuple[float, Callable[[], np.ndarray]]:
@@ -418,9 +419,9 @@ def evaluate(cores: TTCores, obs: SparseObservations) -> tuple[float, Callable[[
 
     f is half the squared residual over the observed entries. ``gradient()``
     runs the backward pass on the state this forward pass kept, so it returns
-    the same bits whenever it runs. The layout matches
-    :func:`ttcomplete.ttmodel.flatten_params`; slices untouched by every
-    observation keep an exactly zero gradient.
+    the same bits whenever it runs, packed by :func:`ttcomplete.ttmodel._flat`
+    as :func:`ttcomplete.ttmodel.flatten_params` packs the cores; slices
+    untouched by every observation keep an exactly zero gradient.
     """
     if cores.shape.sizes != obs.shape.sizes:
         raise ShapeError(f"cores describe shape {cores.shape}, observations shape {obs.shape}")

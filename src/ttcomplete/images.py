@@ -14,6 +14,8 @@ the tensorized image or mask.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .core import DenseTensor, TensorShape, tensor_from_array
@@ -98,24 +100,15 @@ def save_image(path, img: DenseTensor) -> None:
         fh.write(payload)
 
 
+_TOKEN = re.compile(rb"(?:[ \t\r\n]|#[^\n]*)*([^ \t\r\n]*)")  # whitespace and # comments, then the token
+
+
 def _next_token(data: bytes, pos: int) -> tuple[bytes, int]:
     """Read one whitespace-delimited header token, skipping # comments."""
-    n = len(data)
-    while pos < n:
-        c = data[pos : pos + 1]
-        if c in b" \t\r\n":
-            pos += 1
-        elif c == b"#":
-            while pos < n and data[pos : pos + 1] != b"\n":
-                pos += 1
-        else:
-            break
-    start = pos
-    while pos < n and data[pos : pos + 1] not in b" \t\r\n":
-        pos += 1
-    if start == pos:
+    token = _TOKEN.match(data, pos)
+    if not token[1]:
         raise FormatError("unexpected end of PPM header")
-    return data[start:pos], pos
+    return token[1], token.end()
 
 
 def load_image(path) -> DenseTensor:
@@ -147,4 +140,4 @@ def load_image(path) -> DenseTensor:
     if len(payload) > expected:
         raise FormatError(f"trailing bytes after pixel data: {len(payload) - expected}")
     arr = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3)
-    return tensor_from_array(arr.astype(np.float64))
+    return tensor_from_array(arr)

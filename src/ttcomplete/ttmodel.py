@@ -135,9 +135,14 @@ def tt_full(cores: TTCores) -> DenseTensor:
     return DenseTensor(cores.shape, (right.T @ left.T).ravel())
 
 
+def _flat(cores: Sequence[np.ndarray]) -> np.ndarray:
+    """The flat parameter layout: core 1..N, each column-major."""
+    return np.concatenate([c.ravel(order="F") for c in cores])
+
+
 def flatten_params(cores: TTCores) -> np.ndarray:
-    """Pack all cores into one flat vector, core 1..N, each column-major."""
-    return np.concatenate([c.ravel(order="F") for c in cores.cores])
+    """Pack all cores into one flat vector, laid out by :func:`_flat`."""
+    return _flat(cores.cores)
 
 
 def unflatten_params(template: TTCores, flat: np.ndarray) -> TTCores:

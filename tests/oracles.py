@@ -87,6 +87,28 @@ def lin_offset_by_enumeration(sizes, target_idx):
     raise AssertionError(f"{target_idx} not reached in shape {sizes}")
 
 
+def next_ppm_token(data: bytes, pos: int) -> tuple[bytes, int]:
+    """A PPM header token read one byte at a time: skip whitespace and # comments, then take
+    the run of bytes up to the next whitespace. The reference for ``images._next_token``.
+    """
+    n = len(data)
+    while pos < n:
+        c = data[pos : pos + 1]
+        if c in b" \t\r\n":
+            pos += 1
+        elif c == b"#":
+            while pos < n and data[pos : pos + 1] != b"\n":
+                pos += 1
+        else:
+            break
+    start = pos
+    while pos < n and data[pos : pos + 1] not in b" \t\r\n":
+        pos += 1
+    if start == pos:
+        raise FormatError("unexpected end of PPM header")
+    return data[start:pos], pos
+
+
 class WholeFileReader:
     """The text formats' line reader as one whole-file pass: decode it all, split it all,
     then parse one line at a time.

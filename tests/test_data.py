@@ -392,6 +392,25 @@ class TestInitialCores:
         want = random_init(shape, TTRank((1, 1)), seed=2, scale=scale).cores[0]
         assert initial_cores(obs, TTRank((1, 1)), seed=2).cores[0].tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("sizes", [(6,), (5, 4), (3, 4, 5), (4,) * 8 + (3,)])
+    def test_start_is_the_random_init_draw_scaled(self, sizes):
+        # boundary cores sqrt(spread) / r_1^(1/4) times random_init's draw, middle cores
+        # eye + sigma / sqrt(r_{n-1}) times it, an order-1 train's core spread times it
+        shape = TensorShape(sizes)
+        obs = extract_observations(gen_oscillating(shape), mask_random(shape, 0.4, seed=2))
+        start = initial_cores(obs, uniform_ranks(shape, 3), seed=4)
+        ranks = start.rank.ranks
+        spread = data_module._spread(obs.values)
+        sigma = data_module._START_NOISE
+        for n, draw in enumerate(random_init(shape, start.rank, seed=4).cores):
+            if len(sizes) == 1:
+                want = spread * draw
+            elif n in (0, len(sizes) - 1):
+                want = math.sqrt(spread) / ranks[1] ** 0.25 * draw
+            else:
+                want = np.eye(ranks[n], ranks[n + 1])[:, None, :] + sigma / math.sqrt(ranks[n]) * draw
+            assert start.cores[n].tobytes() == want.tobytes()
+
     def test_ignores_observation_order(self):
         img = synthetic_scene(16, seed=10)
         obs = extract_observations(tensorize_image(img), tensorize_mask(mask_random(img.shape, 0.5, seed=10)))

@@ -195,6 +195,31 @@ class TestObservations:
             SparseObservations(TensorShape((3, 3)), coords, np.ones(2))
         assert info.value.row == 1
 
+    @pytest.mark.parametrize(
+        "coords, row, message",
+        [
+            ([[1.5, 2]], 0, "observation 1: coordinate 1.5 is not an integer in mode 1"),
+            ([[1, 1], [2, math.nan]], 1, "observation 2: coordinate nan is not an integer in mode 2"),
+            ([[1, 1], [None, 1]], 1, "observation 2: coordinate None is not an integer in mode 1"),
+            ([[1, 1], [2, math.inf]], 1, "observation 2: coordinate inf is not an integer in mode 2"),
+            ([[1, 1], [0, 1.5]], 1, r"observation 2: coordinate 0 out of range \[1, 3\] in mode 1"),
+            ([[3, 2**64], [None, 1]], 0, rf"observation 1: coordinate {2**64} out of range \[1, 3\] in mode 2"),
+            ([[1, 1], [2, 2.5], [1.5, 1]], 1, "observation 2: coordinate 2.5 is not an integer in mode 2"),
+        ],
+    )
+    @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])
+    def test_first_bad_object_coordinate_is_named(self, coords, row, message, layout):
+        # numpy cannot round Python objects, and None does not compare
+        coords = layout(np.array(coords, dtype=object))
+        with pytest.raises(BoundsError, match=f"^{message}$") as info:
+            SparseObservations(TensorShape((3, 3)), coords, np.ones(len(coords)))
+        assert info.value.row == row
+
+    def test_integral_object_coordinates_are_read_as_ints(self):
+        coords = np.array([[1, 2.0], [np.int32(3), np.float64(1.0)]], dtype=object)
+        obs = SparseObservations(TensorShape((3, 3)), coords, np.ones(2))
+        assert obs.indices.dtype == np.int64 and obs.indices.tolist() == [[1, 2], [3, 1]]
+
     @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8])
     def test_first_bad_integer_coordinate_is_named(self, dtype):
         # the range check runs on the minimum and the column maxima; the

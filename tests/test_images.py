@@ -28,6 +28,7 @@ from ttcomplete import (
     tt_full,
     uniform_ranks,
 )
+from oracles import next_ppm_token
 from ttcomplete import images
 from ttcomplete.images import _tensor_cells, _tensorized_observations
 
@@ -106,6 +107,21 @@ class TestPPM:
         p.write_bytes(b"P6\n# made by hand\n1 1\n255\nabc")
         img = load_image(p)
         assert img.values.tolist() == [float(ord("a")), float(ord("b")), float(ord("c"))]
+
+
+class TestHeaderTokens:
+    @given(st.lists(st.sampled_from(list(b" \t\r\n#P6 0123456789\x0b\x0c\xff")), max_size=30), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_byte_loop(self, chars, data):
+        text = bytes(chars)
+        pos = data.draw(st.integers(0, len(text) + 2), label="pos")
+        outcomes = []
+        for read in (images._next_token, next_ppm_token):
+            try:
+                outcomes.append(read(text, pos))
+            except FormatError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestTensorize:
