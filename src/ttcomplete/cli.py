@@ -17,7 +17,7 @@ import numpy as np
 
 from .complete import complete_image, fit_cores
 from .core import TensorShape
-from .data import extract_observations, gen_oscillating, mask_block, mask_random, mask_rows, observed_count
+from .data import gen_oscillating, mask_block, mask_random, mask_rows, observed_count
 from .errors import FormatError, NumericError, ShapeError
 from .fileio import _write, load_dense, load_sparse, save_dense, save_model
 from .images import detensorize_image, load_image, save_image, tensorize_image
@@ -159,10 +159,7 @@ def _sweep_point(shape: TensorShape, rate: float, seed: int, rank_value: int, co
     start = time.perf_counter()
     truth = gen_oscillating(shape)
     mask = mask_random(shape, rate, seed)
-    obs = extract_observations(truth, mask)
-    rank = uniform_ranks(shape, rank_value)
-    cores, report = fit_cores(obs, rank, config, seed)
-    est = tt_full(cores)
+    est, _, report = complete_image(truth, mask, uniform_ranks(shape, rank_value), config, seed, tensorize=False)
     err = rse(est, truth)
     seconds = time.perf_counter() - start
     return (

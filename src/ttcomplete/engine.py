@@ -137,6 +137,7 @@ class SparseObservations:
             if bad.any():  # locate the first bad coordinate, in (observation, mode) order
                 m, n = divmod(int(np.flatnonzero(bad.ravel())[0]), self.shape.order)
                 v = indices[m, n]
+                v = repr(v) if isinstance(v, str) else v  # quoted, so a string never reads as a number
                 problem = f"out of range [1, {sizes[n]}]" if integral[m, n] else "is not an integer"
                 raise BoundsError(f"observation {m + 1}: coordinate {v} {problem} in mode {n + 1}", row=m)
         finite = np.isfinite(values)

@@ -179,3 +179,54 @@ class WholeFileReader:
         for k in range(self.pos, len(self.lines)):
             if self.lines[k].strip():
                 raise FormatError(f"line {k + 1}: trailing content after {what}")
+
+
+# The line search's step models as they were with one floating-point guard in
+# each model, kept verbatim as the reference for ``optimize._interpolate``.
+
+
+def _cubic_min(a, fa, fpa, b, fb, c, fc):
+    """Minimizer of the cubic through (a, fa) with slope fpa, (b, fb), (c, fc)."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a
+            dc = c - a
+            denom = (db * dc) ** 2 * (db - dc)
+            d1 = np.array([[dc**2, -(db**2)], [-(dc**3), db**3]])
+            aa, bb = np.dot(d1, np.array([fb - fa - fpa * db, fc - fa - fpa * dc])) / denom
+            radical = bb * bb - 3.0 * aa * fpa
+            xmin = a + (-bb + np.sqrt(radical)) / (3.0 * aa)
+        except (ArithmeticError, FloatingPointError):
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _quad_min(a, fa, fpa, b, fb):
+    """Minimizer of the quadratic through (a, fa) with slope fpa and (b, fb)."""
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        try:
+            db = b - a
+            curv = (fb - fa - fpa * db) / (db * db)
+            xmin = a - fpa / (2.0 * curv)
+        except (ArithmeticError, FloatingPointError):
+            return None
+    return xmin if np.isfinite(xmin) else None
+
+
+def _interpolate(lo, hi, rec):
+    """A trial inside the bracket from ``lo`` = (a, f, slope) to ``hi`` = (a, f).
+
+    The cubic through lo, hi and ``rec`` comes first, then the quadratic
+    through lo and hi, then bisection, each rejected when it lands in the
+    outer fifth (cubic) or tenth (quadratic) of the bracket.
+    """
+    (a_lo, f_lo, d_lo), (a_hi, f_hi) = lo, hi
+    dalpha = a_hi - a_lo
+    left, right = (a_lo, a_hi) if dalpha > 0 else (a_hi, a_lo)
+    cchk, qchk = 0.2 * abs(dalpha), 0.1 * abs(dalpha)
+    a_j = _cubic_min(a_lo, f_lo, d_lo, a_hi, f_hi, *rec)
+    if a_j is None or a_j > right - cchk or a_j < left + cchk:
+        a_j = _quad_min(a_lo, f_lo, d_lo, a_hi, f_hi)
+        if a_j is None or a_j > right - qchk or a_j < left + qchk:
+            a_j = a_lo + 0.5 * dalpha
+    return a_j

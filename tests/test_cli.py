@@ -403,7 +403,7 @@ class TestMissingOutputDirectory:
 
     def test_sweep(self, tmp_path, capsys):
         argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0,1"]
-        with mock.patch.object(cli, "fit_cores") as fit:
+        with mock.patch.object(cli, "complete_image") as fit:
             assert main(argv + ["--out", str(tmp_path / "no" / "such.csv")]) == 3
         fit.assert_not_called()
         assert "does not exist" in capsys.readouterr().err
@@ -413,20 +413,22 @@ class TestMissingOutputDirectory:
 class TestFitDefaults:
     """Without fit flags, both fitting commands fit with ``OptimizeConfig()``."""
 
-    def fitted_config(self, argv):
-        with mock.patch.object(cli, "fit_cores", side_effect=RuntimeError("stop before fitting")) as fit:
+    def fitted_config(self, argv, fit_name, position):
+        with mock.patch.object(cli, fit_name, side_effect=RuntimeError("stop before fitting")) as fit:
             with pytest.raises(RuntimeError, match="stop before fitting"):
                 main(argv)
-        return fit.call_args.args[2]
+        return fit.call_args.args[position]
 
     def test_complete(self, tmp_path):
         obs_path, _ = write_small_problem(tmp_path)
         argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1"]
-        assert self.fitted_config(argv + ["--out-prefix", str(tmp_path / "run")]) == OptimizeConfig()
+        assert self.fitted_config(argv + ["--out-prefix", str(tmp_path / "run")], "fit_cores", 2) == OptimizeConfig()
 
     def test_sweep(self, tmp_path):
+        # a sweep point fits through complete_image(truth, mask, rank, config, seed, tensorize=False)
         argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0"]
-        assert self.fitted_config(argv + ["--out", str(tmp_path / "s.csv")]) == OptimizeConfig()
+        config = self.fitted_config(argv + ["--out", str(tmp_path / "s.csv")], "complete_image", 3)
+        assert config == OptimizeConfig()
 
 
 class TestUsageErrors:
@@ -485,7 +487,7 @@ class TestUsageErrors:
     def test_sweep(self, tmp_path, capsys, flag, value, message):
         argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0", "--out", str(tmp_path / "s.csv")]
         # the later occurrence of a flag wins; no grid point is fitted
-        with mock.patch.object(cli, "fit_cores") as fit:
+        with mock.patch.object(cli, "complete_image") as fit:
             assert main(argv + [flag, value]) == 2
         fit.assert_not_called()
         assert message in capsys.readouterr().err

@@ -205,6 +205,9 @@ class TestObservations:
             ([[1, 1], [0, 1.5]], 1, r"observation 2: coordinate 0 out of range \[1, 3\] in mode 1"),
             ([[3, 2**64], [None, 1]], 0, rf"observation 1: coordinate {2**64} out of range \[1, 3\] in mode 2"),
             ([[1, 1], [2, 2.5], [1.5, 1]], 1, "observation 2: coordinate 2.5 is not an integer in mode 2"),
+            # a string is quoted, so that it does not read as a number; bytes print as their repr already
+            ([[1, "2"]], 0, "observation 1: coordinate '2' is not an integer in mode 2"),
+            ([[1, 1], [b"2", 1]], 1, "observation 2: coordinate b'2' is not an integer in mode 1"),
         ],
     )
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttcomplete import (
     NumericError,
@@ -20,6 +22,8 @@ from ttcomplete import (
 )
 from ttcomplete.images import _tensorized_observations
 from ttcomplete.optimize import _WOLFE_C1, _WOLFE_C2, _hs_beta
+
+import oracles
 
 
 def eager(fg):
@@ -564,10 +568,27 @@ class TestLineSearchTrials:
         assert ended == outcome
 
 
+# bracket numbers: signed zeros, subnormals, huge values and ordinary ones, each a float or an np.float64
+_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1.0, -1.0, 0.5]
+_NUMBERS = st.tuples(
+    st.one_of(st.sampled_from(_EDGES), st.floats(-1e300, 1e300), st.floats(-4.0, 4.0)), st.booleans()
+).map(lambda pair: np.float64(pair[0]) if pair[1] else pair[0])
+
+
 class TestFallbacks:
-    def test_quadratic_through_equal_points_has_no_minimizer(self):
-        # b == a makes the curvature 0/0, which the floating-point guard turns into None
-        assert optimize._quad_min(1.0, 0.0, -1.0, 1.0, 0.0) is None
+    def test_zero_width_bracket_bisects(self):
+        # hi == lo makes both models divide by zero; the guard skips them and the trial bisects
+        assert optimize._interpolate((1.0, 0.0, -1.0), (1.0, 0.0), (0.0, 0.0)) == 1.0
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_interpolate_matches_the_per_model_guards(self, data):
+        a_lo, f_lo, d_lo, f_hi, a_rec, f_rec = (data.draw(_NUMBERS) for _ in range(6))
+        a_hi = a_lo if data.draw(st.booleans()) else data.draw(_NUMBERS)
+        args = (a_lo, f_lo, d_lo), (a_hi, f_hi), (a_rec, f_rec)
+        got, want = optimize._interpolate(*args), oracles._interpolate(*args)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_underflowed_slope_takes_the_capped_first_step(self):
         # g.g = 1e-340 underflows to -0.0, so the slope along -g looks like no
