@@ -230,7 +230,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_complete.set_defaults(run=cmd_complete)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[fit], help="grid of synthetic completion runs, one CSV row each"
+        "sweep",
+        parents=[fit],
+        help="grid of synthetic completion runs, one CSV row each",
+        description="Fit gen_oscillating truths over a grid of shapes, missing rates and seeds, one CSV row "
+        "each. gen_oscillating is not low-rank at small shapes, so a row's rse measures how well a rank-r "
+        "model fits that function, not whether completion recovers a low-rank truth: 10x10x10 at missing "
+        "rate 0.5 and rank 3 reaches a held-out RSE of 2.00, worse than filling zeros.",
     )
     p_sweep.add_argument("--shapes", required=True, help="comma list, e.g. 26x26x26,7x7x7x7x7")
     p_sweep.add_argument("--rates", required=True, help="comma list of missing rates in [0,1)")

@@ -1,7 +1,11 @@
 """Text serialization for observations, dense tensors, and model parameters.
 
-All formats are line-oriented ASCII. Floats are written with Python's
-shortest round-trip representation, so load(save(x)) reproduces x bit-exact.
+All formats are line-oriented ASCII. Floats are written as Python's shortest
+round-trip ``repr``, byte for byte, so load(save(x)) reproduces x bit-exact.
+The text is computed in numpy, ``_ROWS`` values at a time, not by a ``repr``
+call per value: ``_shortest`` finds the digits by Schubfach and ``_format``
+lays them out by repr's rules. The writers refuse a non-finite value, which no
+loader reads back, with a FormatError before the file is opened.
 
 Every number in every format goes through ``_LineReader.table``, so all loaders
 share one rule set: the file is ASCII; each line holds exactly its block's
@@ -16,9 +20,9 @@ Reads and writes stream: memory holds the parsed arrays plus one block, never
 the whole file's text or the whole body as Python objects. A read block is
 ``_BLOCK`` characters plus the rest of its last line; a file whose only line
 ends are ``\\x0b``, ``\\x0c`` or ``\\x1c``-``\\x1e``, which no writer here makes,
-is read whole and loads the same. Lines are parsed, and values written,
-``_CHUNK`` at a time, near the cost of the per-value builtins (``int``,
-``float``, ``repr``). After a fault the reader reads on to the end of the file,
+is read whole and loads the same. Lines are parsed ``_CHUNK`` at a time, near
+the cost of the per-value builtins (``int``, ``float``), and written ``_ROWS``
+at a time. After a fault the reader reads on to the end of the file,
 one block at a time and keeping none, only to rank it; a parse block that fails
 is re-read line by line to name its first bad line.
 """
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import io
 from array import array
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -38,32 +42,213 @@ from .ttmodel import TTCores, TTRank, flatten_params, unflatten_params
 
 SPARSE_MAGIC = "stto-sparse v1"
 DENSE_MAGIC = "stto-dense v1"
-_CHUNK = 256  # lines per parsed or written block
+_CHUNK = 256  # lines per parsed block
+_ROWS = 1024  # lines per formatted block of a written body
 _BLOCK = 1 << 16  # characters per block, which then runs on to the end of its last line
 
 
 def _write(path, head, body) -> None:
-    """Write the head lines, then the body's str lines; items carry no newline.
+    """Write each item of ``head`` and then of ``body``, each followed by a newline.
 
-    The body is joined ``_CHUNK`` lines per write: fewer calls than a write per
-    line, and a peak memory of one block's strings, not of the whole body's,
-    when ``body`` is an iterator that makes its lines as they are taken, as
-    ``_lines`` does.
+    An item may hold several lines, as the blocks of ``_text`` do; a peak
+    memory of one item, not of the whole body, when ``body`` makes its items as
+    they are taken.
     """
     with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
-        fh.writelines(f"{line}\n" for line in head)
-        body = iter(body)
-        while chunk := list(islice(body, _CHUNK)):
-            fh.write("\n".join(chunk) + "\n")
+        fh.writelines(f"{item}\n" for item in chain(head, body))
 
 
-def _lines(fmt, *columns):
-    """``fmt`` of each row of the equal-length array ``columns``, as a lazy iterator.
+# Shortest round-trip digits by Schubfach (R. Giulietti, "The Schubfach way to render doubles"),
+# the algorithm of OpenJDK's Double.toString, on uint64 arrays. A finite double c * 2^q
+# (c < 2^53) has the digits f * 10^k with k = floor(log10(2^q)), or floor(log10(3/4 2^q)) for the
+# narrower interval below a power of two. g(k) is 10^-k to 126 bits, 2^125 <= g < 2^126, rounded up;
+# _G holds its high and low 63 bits for k in [-324, 292].
+_K_MIN = (-1074 * 661_971_961_083) >> 41
+_M32, _M63 = (1 << 32) - 1, (1 << 63) - 1
 
-    Only ``_CHUNK`` rows at a time are turned into Python numbers.
+
+def _g_table() -> np.ndarray:
+    halves = []
+    for k in range(_K_MIN, ((971 * 661_971_961_083) >> 41) + 1):
+        r = ((-k * 913_124_641_741) >> 38) - 125  # 10^-k = beta 2^r with 2^125 <= beta < 2^126
+        g = (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+        halves.append((g >> 63, g & _M63))
+    return np.array(halves, dtype=np.uint64).T.copy()
+
+
+_G = _g_table()
+_POW10 = 10 ** np.arange(18, dtype=np.uint64)
+# 4 ASCII digits of each of 0..9999, built from small arrays: large temporaries at import raise peak RSS
+_DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1).view(np.uint32).ravel()
+# A line of a float: "-", "0", 17 integer digits, ".", "000", 17 fraction digits, "e", sign and 3 exponent
+# digits, newline. Both digit fields hold the same 17 digits, so a mask of kept bytes lays out any repr.
+_TEMPLATE = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b"e+000\n", dtype=np.uint8)
+
+
+def _interval(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """k, c mod 2 and cp: the centre and the lower and upper ends of each |x|'s rounding interval.
+
+    Those are 4 c, 4 c - 2 (4 c - 1 below a power of two) and 4 c + 2, times 2^h.
     """
-    starts = range(0, len(columns[0]), _CHUNK)
-    return chain.from_iterable(map(fmt, *(c[lo : lo + _CHUNK].tolist() for c in columns)) for lo in starts)
+    bits = x.view(np.uint64)
+    t = bits & ((1 << 52) - 1)
+    bq = (bits >> 52) & 0x7FF
+    c = t | (np.minimum(bq, 1) << 52)
+    q = np.maximum(bq, 1).view(np.int64) - 1075
+    irregular = (t == 0) & (bq > 1)  # a power of two above the least normal: the interval below is half as wide
+    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    h = (q + ((-k * 913_124_641_741) >> 38) + 2).view(np.uint64)  # 2..5, so cp < 2^61
+    cb = c << 2
+    return k, c & 1, np.stack((cb, cb - 2 + irregular, cb + 2)) << h
+
+
+def _rop(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """rop(g cp 2^-127), rounded to odd, for g = (g1, g0) of shape (2, n) and each row of cp, as OpenJDK computes it.
+
+    That takes the high 64 bits of g0 cp and all 128 of g1 cp, here from 32-bit
+    limbs, where a1 b0 + a0 b1 < 2^63 + 2^61 cannot overflow.
+    """
+    a1, a0 = g >> 32, g & _M32
+    b1, b0 = (cp >> 32)[:, None], (cp & _M32)[:, None]
+    low = a0 * b0  # the dels keep at most three (3, 2, n) arrays alive, a written block's peak memory
+    low >>= 32
+    mid = a1 * b0
+    del b0
+    part = a0 * b1
+    mid += part
+    low += np.bitwise_and(mid, _M32, out=part)
+    low >>= 32
+    mid >>= 32
+    mid += low
+    del low
+    mid += np.multiply(a1, b1, out=part)  # the high 64 bits of g1 cp and of g0 cp
+    del part
+    z = (g[0] * cp >> 1) + mid[:, 1]
+    return (mid[:, 0] + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Digits ``f`` (uint64, maybe with trailing zeros) and exponents ``k``: |x| = f 10^k, as repr rounds it.
+
+    ``x`` is finite float64; a zero gets meaningless digits. Names follow Giulietti's paper.
+    """
+    k, out, cp = _interval(x)
+    vb, vbl, vbr = _rop(_G.take(k - _K_MIN, axis=1), cp)
+    vbl += out  # an odd c excludes the interval's ends
+    vbr -= out
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin = vbl <= sp10 << 2
+    wpin = (sp10 + 10) << 2 <= vbr
+    uin = vbl <= s << 2
+    win = (s + 1) << 2 <= vbr
+    closer_t = vb + (s & 1) > (s << 2) + 2  # ties go to the even digit
+    f = np.where(uin == win, closer_t, win) + s
+    shorter = (upin != wpin) & (s >= 10)  # one of the two candidates one digit shorter lies in the interval
+    return np.where(shorter, sp10 + np.uint64(10) * wpin, f), k
+
+
+def _digits(v: np.ndarray, groups: int) -> np.ndarray:
+    """ASCII digits of the non-negative ints ``v`` below 10^(4 groups), zero-padded, as uint8 of shape
+    (*v.shape, 4 groups)."""
+    parts = []
+    for _ in range(groups - 1):
+        high = v // 10_000
+        parts.append(v - high * 10_000)
+        v = high
+    parts.append(v)
+    return _DIGITS4.take(np.stack(parts[::-1], axis=-1)).view(np.uint8)
+
+
+def _layouts() -> np.ndarray:
+    """The kept bytes of ``_TEMPLATE``, in row ``36 cls + 2 n + negative``.
+
+    A value of ``n`` significant digits, the first with place value 10^(p-1),
+    has class p + 3 in fixed notation (-4 < p <= 16), else 20 for a 2-digit
+    exponent and 21 for a 3-digit one.
+    """
+    cls, n, negative = np.ix_(np.arange(22), np.arange(18), np.arange(2))
+    p = cls - 3
+    fixed = p <= 16
+    small = p <= 0  # 0.000ddd
+    split = np.where(fixed, np.maximum(p, 0), 1)  # digits before the point
+    end = np.where(fixed, np.maximum(n, p + 1), n)  # an integral value ends in ".0"
+    j = np.arange(17)[:, None, None, None]
+    exponent = ~fixed
+    kept = [
+        negative == 1,
+        small,
+        *(j < split),
+        fixed | (n > 1),
+        *(j[:3] < np.where(small, -p, 0)),
+        *((j >= split) & (j < end)),
+        exponent,
+        exponent,
+        cls == 21,
+        exponent,
+        exponent,
+        np.True_,
+    ]
+    return np.stack(np.broadcast_arrays(*kept), axis=-1).reshape(-1, _TEMPLATE.size)
+
+
+_LAYOUTS = _layouts()
+# By p + 323, for the p of 5e-324 up to that of the largest double: the sign and 3 digits of the
+# exponent p - 1, and the first row of p's class in _LAYOUTS.
+_P = np.arange(-323, 310)
+_EXPONENT = _DIGITS4.take(np.abs(_P - 1)).view(np.uint8).reshape(-1, 4).copy()
+_EXPONENT[:, 0] = np.where(_P < 1, ord("-"), ord("+"))
+_CLASS = 36 * np.where((_P > -4) & (_P <= 16), _P + 3, 20 + (np.abs(_P - 1) >= 100))
+
+
+def _format(x: np.ndarray, coords: np.ndarray | None = None, groups: int = 0) -> np.ndarray:
+    """The lines ``repr(v)`` of the finite float64 ``x`` as ASCII bytes (uint8), each led by its row of ``coords``.
+
+    ``coords`` are positive int64 below 10^(4 groups), one row per value, each
+    followed by a space.
+    """
+    f, k = _shortest(x)
+    zero = x == 0
+    f[zero] = 0
+    length = np.searchsorted(_POW10, f, "right")
+    digits = _digits((f * _POW10.take(17 - length)).view(np.int64), 5)[:, 3:]  # 17 digits, left-aligned
+    n = np.minimum(17 - (digits[:, ::-1] != 48).argmax(axis=1), length)  # significant digits; 0 for a zero
+    at = length + k + 323
+    at[zero] = 324  # p = 1: "0.0"
+    lead = 0 if coords is None else coords.shape[1] * (4 * groups + 1)
+    canvas = np.empty((x.size, lead + _TEMPLATE.size), np.uint8)
+    kept = np.empty(canvas.shape, bool)
+    row, keep = canvas[:, lead:], kept[:, lead:]
+    row[:] = _TEMPLATE
+    row[:, 2:19] = digits
+    row[:, 23:40] = digits
+    row[:, 41:45] = _EXPONENT.take(at, axis=0)
+    keep[:] = _LAYOUTS.take(_CLASS.take(at) + 2 * n + np.signbit(x), axis=0)
+    if lead:
+        fields = canvas[:, :lead].reshape(x.size, -1, 4 * groups + 1)  # a view: the last axis splits
+        fields[:, :, :-1] = _digits(coords, groups)
+        fields[:, :, -1] = ord(" ")
+        keeps = kept[:, :lead].reshape(fields.shape)
+        keeps[:, :, :-1] = np.arange(4 * groups) >= (fields[:, :, :-1] != 48).argmax(axis=2)[:, :, None]
+        keeps[:, :, -1] = True
+    return canvas[kept]
+
+
+def _text(values: np.ndarray, coords: np.ndarray | None = None):
+    """The lines of ``_format``, ``_ROWS`` at a time, as str blocks without their last newline."""
+    groups = 0 if coords is None else -(-len(str(int(coords.max()))) // 4)
+    for lo in range(0, values.size, _ROWS):
+        rows = None if coords is None else coords[lo : lo + _ROWS]
+        yield str(_format(values[lo : lo + _ROWS], rows, groups)[:-1], "ascii")
+
+
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    """``values``, once none is non-finite; else a FormatError naming the first."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise FormatError(f"{what} {i + 1}: non-finite value {float(values[i])!r} cannot be saved")
+    return values
 
 
 def _fill(rows, ints: int, value: bool, int_out: array, float_out: array) -> bool:
@@ -189,14 +374,14 @@ class _LineReader:
 def save_sparse(path, obs: SparseObservations) -> None:
     """Write observations: magic, N, sizes, M, then one `i_1 .. i_N value` line each.
 
-    The format holds each cell once: repeated cells raise FormatError before the file is opened.
+    The format holds each cell once: repeated cells raise FormatError before the file is opened,
+    as does a value made non-finite after ``obs`` checked it.
     """
     if (repeated := obs.repeated_rows()).size:
         cell = tuple(obs.indices[repeated[0]].tolist())
         raise FormatError(f"observation {repeated[0] + 1}: duplicate multi-index {cell} cannot be saved")
     head = (SPARSE_MAGIC, obs.shape.order, " ".join(map(str, obs.shape.sizes)), obs.count)
-    record = " ".join(["{}"] * obs.shape.order + ["{!r}"]).format
-    _write(path, head, _lines(record, *obs.indices.T, obs.values))
+    _write(path, head, _text(_finite(obs.values, "observation"), obs.indices))
 
 
 def load_sparse(path, check_shape=None) -> SparseObservations:
@@ -231,9 +416,13 @@ def load_sparse(path, check_shape=None) -> SparseObservations:
 
 
 def save_dense(path, t: DenseTensor) -> None:
-    """Write a dense tensor: magic, N, sizes, then one value per line (column-major)."""
+    """Write a dense tensor: magic, N, sizes, then one value per line (column-major).
+
+    A non-finite value raises FormatError before the file is opened.
+    """
+    values = _finite(t.values, "value")
     head = (DENSE_MAGIC, t.shape.order, " ".join(map(str, t.shape.sizes)))
-    _write(path, head, _lines(float.__repr__, t.values))
+    _write(path, head, _text(values))
 
 
 def load_dense(path) -> DenseTensor:
@@ -246,13 +435,17 @@ def load_dense(path) -> DenseTensor:
 
 
 def save_model(path, cores: TTCores) -> None:
-    """Write TT parameters: N, sizes, rank chain, then the flat vector one value per line."""
+    """Write TT parameters: N, sizes, rank chain, then the flat vector one value per line.
+
+    A non-finite parameter raises FormatError before the file is opened.
+    """
+    flat = _finite(flatten_params(cores), "parameter")
     head = (
         cores.shape.order,
         " ".join(map(str, cores.shape.sizes)),
         " ".join(map(str, cores.rank.ranks)),
     )
-    _write(path, head, _lines(repr, flatten_params(cores)))
+    _write(path, head, _text(flat))
 
 
 def load_model(path) -> TTCores:

@@ -230,3 +230,31 @@ def _interpolate(lo, hi, rec):
         if a_j is None or a_j > right - qchk or a_j < left + qchk:
             a_j = a_lo + 0.5 * dalpha
     return a_j
+
+
+# Reference text writers: one line at a time, each number through Python's
+# ``str`` or ``repr``, which ``fileio``'s numpy formatting must match byte for byte.
+
+
+def _text(head, body) -> bytes:
+    return "".join(f"{line}\n" for line in itertools.chain(head, body)).encode("ascii")
+
+
+def sparse_text(obs) -> bytes:
+    """The bytes of ``save_sparse(obs)``."""
+    head = ("stto-sparse v1", obs.shape.order, " ".join(map(str, obs.shape.sizes)), obs.count)
+    record = " ".join(["{}"] * obs.shape.order + ["{!r}"]).format
+    return _text(head, map(record, *obs.indices.T.tolist(), obs.values.tolist()))
+
+
+def dense_text(t) -> bytes:
+    """The bytes of ``save_dense(t)``."""
+    head = ("stto-dense v1", t.shape.order, " ".join(map(str, t.shape.sizes)))
+    return _text(head, map(repr, t.values.tolist()))
+
+
+def model_text(cores) -> bytes:
+    """The bytes of ``save_model(cores)``."""
+    head = (cores.shape.order, " ".join(map(str, cores.shape.sizes)), " ".join(map(str, cores.rank.ranks)))
+    flat = np.concatenate([core.ravel(order="F") for core in cores.cores])
+    return _text(head, map(repr, flat.tolist()))

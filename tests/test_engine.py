@@ -125,13 +125,18 @@ def level_kinds(trie):
 
 
 def _max_fd_error(cores, obs):
-    """Largest relative gap between the analytic gradient and central differences."""
+    """Largest relative gap between the analytic gradient and central differences.
+
+    The objective is quadratic in each single parameter, so a central
+    difference is exact but for rounding, whose relative size is about
+    1e-16 * f / (eps * |g|); a step of 1e-3 keeps it 100 times below that of 1e-5.
+    """
 
     def f(flat):
         return objective(unflatten_params(cores, flat), obs)
 
     analytic = gradient(cores, obs)
-    fd = central_difference_gradient(f, flatten_params(cores), eps=1e-5)
+    fd = central_difference_gradient(f, flatten_params(cores), eps=1e-3)
     denom = np.maximum(np.abs(analytic), 1e-8)
     return np.max(np.abs(analytic - fd) / denom)
 
@@ -562,10 +567,11 @@ class TestPrefixTrie:
 
 
 class TestProperties:
-    # Central differences at eps=1e-5 carry rounding error near 1e-11 * f, so
-    # about one random draw in a thousand has a gradient entry too small for
-    # the 1e-6 relative tolerance, whatever computes the gradient. Fixed draws
-    # keep the check deterministic without loosening it.
+    # Central differences carry rounding error (see _max_fd_error), so a rare
+    # draw has a gradient entry too small for the 1e-6 relative tolerance,
+    # whatever computes the gradient. Fixed draws keep the check deterministic
+    # without loosening it. They also depend on the numeric constants
+    # Hypothesis collects from the source, so any source change can redraw them.
     @given(trie_instances())
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_gradient_matches_finite_differences(self, instance):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import ttcomplete.engine as engine
 import ttcomplete.fileio as fileio
-from oracles import WholeFileReader
+from oracles import WholeFileReader, dense_text, model_text, sparse_text
 from ttcomplete import (
     CapacityError,
     DenseTensor,
@@ -23,6 +23,7 @@ from ttcomplete import (
     TensorShape,
     extract_observations,
     flatten_params,
+    unflatten_params,
     gen_oscillating,
     load_dense,
     load_model,
@@ -149,6 +150,15 @@ class TestSparseFormat:
         with pytest.raises(FormatError, match="line 6: non-finite"):
             load_sparse(path)
 
+    def test_value_made_non_finite_refused_before_the_file_is_opened(self, tmp_path):
+        # the numpy formatter reads any bit pattern as a finite double; it must not write one for a NaN
+        obs = SparseObservations(TensorShape((3, 3)), np.array([[1, 1], [2, 2], [3, 3]]), np.array([1.0, 2.0, 3.0]))
+        obs.values[1] = np.nan
+        path = tmp_path / "obs.txt"
+        with pytest.raises(FormatError, match="^observation 2: non-finite value nan cannot be saved$"):
+            save_sparse(path, obs)
+        assert not path.exists()
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=15, deadline=None)
     def test_round_trip_random(self, seed):
@@ -183,6 +193,15 @@ class TestDenseFormat:
         path = tmp_path / "dense.txt"
         save_dense(path, t)
         assert path.read_bytes() == b"stto-dense v1\n1\n5\n0.1\n-2.0\n1e-300\n5e-324\n1e+16\n"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_refused_before_the_file_is_opened(self, tmp_path, bad):
+        # load_dense rejects a "nan" or "inf" line, so the writer must not make one
+        path = tmp_path / "dense.txt"
+        t = DenseTensor(TensorShape((6,)), np.array([1.0, 2.0, 3.0, 4.0, bad, np.nan]))
+        with pytest.raises(FormatError, match=f"^value 5: non-finite value {bad!r} cannot be saved$"):
+            save_dense(path, t)
+        assert not path.exists()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -222,6 +241,16 @@ class TestModelFormat:
         assert lines[1] == "2 2"
         assert lines[2] == "1 2 1"
         assert len(lines) == 3 + cores.param_count
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_parameter_refused_before_the_file_is_opened(self, tmp_path, bad):
+        cores = random_init(TensorShape((3, 4, 2)), TTRank((1, 2, 3, 1)), seed=9)
+        flat = flatten_params(cores)
+        flat[[7, 20]] = bad
+        path = tmp_path / "model.txt"
+        with pytest.raises(FormatError, match=f"^parameter 8: non-finite value {bad!r} cannot be saved$"):
+            save_model(path, unflatten_params(cores, flat))
+        assert not path.exists()
 
     def test_invalid_rank_chain(self, tmp_path):
         path = tmp_path / "model.txt"
@@ -449,6 +478,97 @@ class TestWriterBlocks:
         obs = _sparse48()
         obs.repeated_rows()  # the duplicate check's sort is cached on ``obs``; it holds arrays, not lines
         assert _peak(save_sparse, tmp_path / "s.txt", obs) < 2**19
+
+
+def _floats(bits) -> np.ndarray:
+    """The float64 values of the given 64-bit patterns."""
+    return np.asarray(bits, dtype=np.uint64).view(np.float64)
+
+
+def _all_three(tmp_path, values, rng) -> None:
+    """Write ``values`` with each writer and compare each file with the per-value writer's bytes."""
+    m = values.size
+    t = DenseTensor(TensorShape((m,)), values)
+    save_dense(tmp_path / "d.txt", t)
+    assert (tmp_path / "d.txt").read_bytes() == dense_text(t)
+    cores = unflatten_params(random_init(TensorShape((m,)), TTRank((1, 1)), seed=0), values)
+    save_model(tmp_path / "m.txt", cores)
+    assert (tmp_path / "m.txt").read_bytes() == model_text(cores)
+    shape = TensorShape((m, 99_999, 3))
+    cells = rng.choice(shape.element_count, size=m, replace=False)
+    coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
+    obs = SparseObservations(shape, coords, values)
+    save_sparse(tmp_path / "s.txt", obs)
+    assert (tmp_path / "s.txt").read_bytes() == sparse_text(obs)
+
+
+class TestFloatText:
+    """The writers format numbers in numpy; ``repr`` and ``str`` of each value, in ``oracles``, are the reference."""
+
+    FINITE = st.integers(0, 2**64 - 1).filter(lambda b: b >> 52 & 0x7FF != 0x7FF)  # every finite double
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (0.0, "0.0"),
+            (-0.0, "-0.0"),
+            (773247325567427.75, "773247325567427.8"),  # a tie between two shortest candidates: the even one
+            (9999999999999998.0, "9999999999999998.0"),  # the largest below 1e16, written in fixed notation
+            (1e16, "1e+16"),
+            (0.0001, "0.0001"),
+            (1e-5, "1e-05"),
+            (1.7976931348623157e308, "1.7976931348623157e+308"),
+            (-1.7976931348623157e308, "-1.7976931348623157e+308"),
+            (2.2250738585072014e-308, "2.2250738585072014e-308"),  # the least normal
+            (5e-324, "5e-324"),  # the least subnormal: its shortest is one digit
+            (1e-323, "1e-323"),
+            (123.0, "123.0"),
+            (0.1, "0.1"),
+        ],
+    )
+    def test_line(self, tmp_path, value, text):
+        save_dense(tmp_path / "d.txt", DenseTensor(TensorShape((1,)), [value]))
+        assert (tmp_path / "d.txt").read_bytes() == f"stto-dense v1\n1\n1\n{text}\n".encode()
+
+    def test_powers_of_two_and_ten(self, tmp_path):
+        # each power of two above the least normal has a rounding interval half as wide below it
+        powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)])
+        _all_three(tmp_path, np.concatenate([powers, -powers]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_body_lengths_around_one_block(self, tmp_path, step):
+        rng = np.random.default_rng(step + 1)
+        values = _floats(rng.integers(0, 2**64, fileio._ROWS + step, dtype=np.uint64, endpoint=False))
+        _all_three(tmp_path, np.where(np.isfinite(values), values, 1.5), rng)
+
+    def test_many_bit_patterns(self, tmp_path):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2**64, 1 << 16, dtype=np.uint64, endpoint=False)
+        subnormal = bits[: 1 << 12] & np.uint64((1 << 52) - 1)
+        ties = rng.integers(0, 2**53, 1 << 12) / 2.0 ** rng.integers(1, 8, 1 << 12)  # exact halves, quarters, ...
+        short = rng.integers(1, 10**6, 1 << 12) * 10.0 ** rng.integers(-30, 30, 1 << 12)  # few significant digits
+        values = np.concatenate([_floats(bits), _floats(subnormal), ties, short])
+        t = DenseTensor(TensorShape((values.size,)), np.where(np.isfinite(values), values, 0.0))
+        save_dense(tmp_path / "d.txt", t)
+        assert (tmp_path / "d.txt").read_bytes() == dense_text(t)
+
+    @given(st.data(), st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_writers_match_the_per_value_writers(self, data, rows):
+        sizes = data.draw(st.lists(st.integers(1, 10**6), min_size=1, max_size=3) | st.tuples(st.integers(1, 2**62)))
+        cells = st.tuples(*(st.integers(1, s) for s in sizes))
+        coords = data.draw(st.lists(cells, min_size=1, max_size=12, unique=True))
+        values = _floats(data.draw(st.lists(self.FINITE, min_size=len(coords), max_size=len(coords))))
+        obs = SparseObservations(TensorShape(tuple(sizes)), np.array(coords, dtype=np.int64), values)
+        t = DenseTensor(TensorShape((values.size,)), values)
+        cores = unflatten_params(random_init(TensorShape((values.size,)), TTRank((1, 1)), seed=0), values)
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_ROWS", rows):
+            save_sparse(Path(tmp) / "s.txt", obs)
+            save_dense(Path(tmp) / "d.txt", t)
+            save_model(Path(tmp) / "m.txt", cores)
+            assert (Path(tmp) / "s.txt").read_bytes() == sparse_text(obs)
+            assert (Path(tmp) / "d.txt").read_bytes() == dense_text(t)
+            assert (Path(tmp) / "m.txt").read_bytes() == model_text(cores)
 
 
 def _sparse48() -> SparseObservations:
