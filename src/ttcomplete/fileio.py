@@ -8,23 +8,22 @@ lays them out by repr's rules. The writers refuse a non-finite value, which no
 loader reads back, with a FormatError before the file is opened.
 
 Every number in every format goes through ``_LineReader.table``, so all loaders
-share one rule set: the file is ASCII; each line holds exactly its block's
+share one rule set: the file is ASCII; each line holds exactly its table's
 fields; integers parse as Python's ``int`` and fit in int64; floats parse as
 ``float`` and are finite; only blank lines follow the last record. A violation
 raises a FormatError naming the first bad line. Faults rank in a fixed order: a
-non-ASCII byte anywhere in the file comes first, then, within a block of n
-lines, a file that ends before the block does, then the block's first
+non-ASCII byte anywhere in the file comes first, then, within a table of n
+lines, a file that ends before the table does, then the table's first
 malformed line, then its first non-finite value.
 
 Reads and writes stream: memory holds the parsed arrays plus one block, never
-the whole file's text or the whole body as Python objects. A read block is
-``_BLOCK`` characters plus the rest of its last line; a file whose only line
-ends are ``\\x0b``, ``\\x0c`` or ``\\x1c``-``\\x1e``, which no writer here makes,
-is read whole and loads the same. Lines are parsed ``_CHUNK`` at a time, near
-the cost of the per-value builtins (``int``, ``float``), and written ``_ROWS``
-at a time. After a fault the reader reads on to the end of the file,
-one block at a time and keeping none, only to rank it; a parse block that fails
-is re-read line by line to name its first bad line.
+the whole file's text or the whole body as Python objects. A loader decodes and
+parses one block at a time, ``_BLOCK`` characters plus the rest of its last
+line; a file whose only line ends are ``\\x0b``, ``\\x0c`` or ``\\x1c``-``\\x1e``,
+which no writer here makes, is read whole and loads the same. A writer formats
+``_ROWS`` lines at a time. After a fault the reader reads on to the end of the
+file, one block at a time and keeping none, only to rank it; a block that fails
+to parse is re-walked line by line to name its first bad line.
 """
 
 from __future__ import annotations
@@ -42,9 +41,8 @@ from .ttmodel import TTCores, TTRank, flatten_params, unflatten_params
 
 SPARSE_MAGIC = "stto-sparse v1"
 DENSE_MAGIC = "stto-dense v1"
-_CHUNK = 256  # lines per parsed block
 _ROWS = 1024  # lines per formatted block of a written body
-_BLOCK = 1 << 16  # characters per block, which then runs on to the end of its last line
+_BLOCK = 1 << 13  # characters per read and parsed block, which then runs on to the end of its last line
 
 
 def _write(path, head, body) -> None:
@@ -281,19 +279,19 @@ class _LineReader:
         self.lines: list[str] = []  # decoded lines not yet taken
 
     def _more(self) -> bool:
-        """Decode the next block's lines onto ``lines``; False at the end of the file."""
+        """Decode the next block's lines into ``lines``, once all before are taken; False at the end of the file."""
         text = self.fh.read(_BLOCK) + self.fh.readline()
         if not text.isascii():
             bad = next(i for i, ch in enumerate(text) if not ch.isascii())
-            line = self.pos + len(self.lines) + len((text[:bad] + "?").splitlines())
+            line = self.pos + len((text[:bad] + "?").splitlines())
             raise FormatError(f"line {line}: non-ASCII byte {ord(text[bad]) - 0xDC00:#04x}")
-        self.lines += text.splitlines()
+        self.lines = text.splitlines()
         return bool(text)
 
-    def take(self, k: int) -> list[str]:
-        """The next ``k`` lines; fewer only at the end of the file."""
-        while len(self.lines) < k and self._more():
-            pass
+    def take(self, k: int | None = None) -> list[str]:
+        """The next ``k`` (or all) of the lines decoded, decoding the next block if none are left; [] at the end."""
+        if not self.lines:
+            self._more()
         lines = self.lines[:k]
         del self.lines[:k]
         self.pos += len(lines)
@@ -305,11 +303,10 @@ class _LineReader:
         A non-ASCII byte anywhere in the file is the first fault, so every other
         fault calls this before it is raised.
         """
-        while True:
+        self.pos += len(self.lines)
+        while self._more():
             self.pos += len(self.lines)
-            self.lines = []
-            if not self._more():
-                return self.pos
+        return self.pos
 
     def fault(self, line: int, message: str) -> FormatError:
         """The FormatError for a fault at 1-based ``line``, once ``rest`` finds no earlier-ranked one."""
@@ -322,6 +319,7 @@ class _LineReader:
     def table(self, what: str, n: int, ints: int = 0, value: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Parse the next ``n`` lines of ``ints`` integers and then, if ``value``, one float.
 
+        Each decoded block's lines, up to the table's last, are parsed at once.
         Returns an (n, ints) int64 array and the n floats (none without ``value``).
         """
         start, stop = self.pos, self.pos + n
@@ -329,9 +327,9 @@ class _LineReader:
         int_out, float_out = array("q"), array("d")
         nonfinite = None  # the first non-finite value's line and message
         while (lo := self.pos) < stop:
-            lines = self.take(want := min(_CHUNK, stop - lo))
+            lines = self.take(stop - lo)
             rows = [line.split() for line in lines]
-            if len(lines) < want or not _fill(rows, ints, value, int_out, float_out):
+            if not lines or not _fill(rows, ints, value, int_out, float_out):
                 if (total := self.rest()) < stop:  # a short table ranks before a malformed line
                     raise FormatError(f"line {total + 1}: missing {what} ({n} lines expected, {total - start} found)")
                 for k, (parts, line) in enumerate(zip(rows, lines), lo + 1):  # re-walk it for the first bad line
@@ -365,7 +363,7 @@ class _LineReader:
 
     def end(self, what: str) -> None:
         """Reject anything but blank lines after the last record."""
-        while lines := self.take(_CHUNK):
+        while lines := self.take():
             for k, line in enumerate(lines, self.pos - len(lines) + 1):
                 if line.strip():
                     raise self.fault(k, f"trailing content after {what}")

@@ -143,8 +143,7 @@ class TestComplete:
 
     @pytest.mark.parametrize("max_iters", [1, 2, 4])
     def test_trace_and_metrics_bytes(self, tmp_path, capsys, monkeypatch, max_iters):
-        # two-line blocks and traces of 2, 3 and 5 records; the metrics body is empty
-        monkeypatch.setattr(fileio, "_CHUNK", 2)
+        # traces of 2, 3 and 5 records; the metrics body is empty
         items = {}
 
         def write(path, head, body):

@@ -1,4 +1,5 @@
 import gc
+import io
 import re
 import tempfile
 import tracemalloc
@@ -355,9 +356,12 @@ class TestMalformedEveryFormat:
 
 
 @pytest.fixture(params=[2, 3])
-def chunk(request, monkeypatch):
-    """A small ``fileio._CHUNK``, so that short files span several blocks."""
-    monkeypatch.setattr(fileio, "_CHUNK", request.param)
+def per_block(request, monkeypatch):
+    """A count p of records; ``fileio._BLOCK`` = 3p, so that a block holds p records of 4 characters.
+
+    Short files then span several blocks, of 1 to 3 records in each format.
+    """
+    monkeypatch.setattr(fileio, "_BLOCK", 3 * request.param)
     return request.param
 
 
@@ -369,16 +373,17 @@ def _load_error(load, path) -> str:
 
 class TestChunkBoundaries:
     # A bad line at every position of the first two blocks must give the
-    # message that one-line blocks give, which is the line-by-line parse.
+    # message that one-character blocks give, which end at each line's end:
+    # the line-by-line parse, but for a blank line, which takes the next with it.
     @pytest.mark.parametrize("fmt", FORMATS)
     @pytest.mark.parametrize("case", MALFORMED)
-    def test_bad_line_anywhere(self, tmp_path, monkeypatch, chunk, fmt, case):
+    def test_bad_line_anywhere(self, tmp_path, monkeypatch, per_block, fmt, case):
         load, header, record = FORMATS[fmt]
         count, values, offset, message = MALFORMED[case]
         inside = count == len(values) and offset <= count  # the bad line is one of the records
         path = tmp_path / "bad.txt"
-        for at in range(1 if inside else offset, 2 * chunk + 1):
-            for after in (0, 1, chunk) if inside else (0,):
+        for at in range(1 if inside else offset, 2 * per_block + 1):
+            for after in (0, 1, per_block) if inside else (0,):
                 if inside:  # the bad record at `at`, then `after` good ones
                     records = ["0.5"] * (at - 1) + [values[offset - 1]] + ["0.5"] * after
                     n = at + after
@@ -391,20 +396,22 @@ class TestChunkBoundaries:
                 got = _load_error(load, path)
                 assert re.match(rf"line {len(head) + at}: .*({message})", got), (at, after, got)
                 with monkeypatch.context() as line_by_line:
-                    line_by_line.setattr(fileio, "_CHUNK", 1)
+                    line_by_line.setattr(fileio, "_BLOCK", 1)
                     assert got == _load_error(load, path)
 
     @pytest.mark.parametrize("order", ["width first", "token first"])
-    def test_two_bad_lines_in_one_block(self, tmp_path, chunk, order):
+    def test_two_bad_lines_in_one_block(self, tmp_path, per_block, order):
+        # the good records before the pair move it across the blocks, so that some files hold it in one
         bad = ["2.0 7", "2.0x"] if order == "width first" else ["2.0x", "2.0 7"]
         path = tmp_path / "bad.txt"
-        _write_lines(path, ["stto-dense v1", "1", str(chunk)] + ["0.5"] * (chunk - 2) + bad)
         message = "value has 2 fields" if order == "width first" else "malformed value '2.0x'"
-        with pytest.raises(FormatError, match=f"^line {2 + chunk}: {message}"):
-            load_dense(path)
+        for good in range(per_block):
+            _write_lines(path, ["stto-dense v1", "1", str(good + 2)] + ["0.5"] * good + bad)
+            with pytest.raises(FormatError, match=f"^line {4 + good}: {message}"):
+                load_dense(path)
 
     @pytest.mark.parametrize("gap", [0, 1, 3])
-    def test_malformed_wins_over_an_earlier_non_finite_value(self, tmp_path, chunk, gap):
+    def test_malformed_wins_over_an_earlier_non_finite_value(self, tmp_path, per_block, gap):
         # the finite check runs after the whole table, so a later bad token is reported
         path = tmp_path / "bad.txt"
         records = ["1 nan"] + ["1 0.5"] * gap + ["1 x"]
@@ -413,11 +420,12 @@ class TestChunkBoundaries:
             load_sparse(path)
 
     @pytest.mark.parametrize("coordinate", [2**63, -(2**63) - 1])
-    def test_int64_overflow_in_a_blocks_last_record(self, tmp_path, chunk, coordinate):
+    def test_int64_overflow_in_a_blocks_last_record(self, tmp_path, per_block, coordinate):
+        # the bad record is longer than a block, so no later line starts in its block
         path = tmp_path / "bad.txt"
-        records = ["1 1 0.5"] * (chunk - 1) + [f"1 {coordinate} 0.5", "2 2 0.5"]
+        records = ["1 1 0.5"] * (per_block - 1) + [f"1 {coordinate} 0.5", "2 2 0.5"]
         _write_lines(path, ["stto-sparse v1", "2", "3 3", str(len(records))] + records)
-        message = f"^line {4 + chunk}: malformed observation '1 {coordinate} 0.5'"
+        message = f"^line {4 + per_block}: malformed observation '1 {coordinate} 0.5'"
         with pytest.raises(FormatError, match=message):
             load_sparse(path)
 
@@ -428,19 +436,21 @@ def _reference(lines) -> bytes:
 
 
 class TestWriterBlocks:
-    # with C = 3: body lengths 0, 1, C - 1, C, C + 1 and 2C + 1
+    # with _ROWS = R = 3: body lengths 0, 1, R - 1, R, R + 1 and 2R + 1; the peak tests keep _ROWS
     LENGTHS = [0, 1, 2, 3, 4, 7]
 
-    @pytest.fixture(autouse=True)
-    def three_line_blocks(self, monkeypatch):
-        monkeypatch.setattr(fileio, "_CHUNK", 3)
+    @pytest.fixture
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(fileio, "_ROWS", 3)
 
+    @pytest.mark.usefixtures("three_row_blocks")
     @pytest.mark.parametrize("n", LENGTHS)
     def test_write(self, tmp_path, n):
         head, body = ["# head", 7], [f"line {i}" for i in range(n)]
         fileio._write(tmp_path / "out.txt", head, iter(body))
         assert (tmp_path / "out.txt").read_bytes() == _reference(head + body)
 
+    @pytest.mark.usefixtures("three_row_blocks")
     @pytest.mark.parametrize("n", LENGTHS[1:])
     def test_save_dense(self, tmp_path, n):
         values = np.random.default_rng(n).standard_normal(n) * 10.0 ** np.arange(-150, -150 + 50 * n, 50)
@@ -448,6 +458,7 @@ class TestWriterBlocks:
         expected = _reference(["stto-dense v1", 1, n, *map(repr, values.tolist())])
         assert (tmp_path / "d.txt").read_bytes() == expected
 
+    @pytest.mark.usefixtures("three_row_blocks")
     @pytest.mark.parametrize("n", LENGTHS[1:])
     def test_save_sparse(self, tmp_path, n):
         shape = TensorShape((n, 12, 2))
@@ -461,6 +472,7 @@ class TestWriterBlocks:
         expected = _reference(["stto-sparse v1", 3, f"{n} 12 2", n, *records])
         assert (tmp_path / "s.txt").read_bytes() == expected
 
+    @pytest.mark.usefixtures("three_row_blocks")
     @pytest.mark.parametrize("n", LENGTHS[1:])
     def test_save_model(self, tmp_path, n):
         cores = random_init(TensorShape((n,)), TTRank((1, 1)), seed=n)
@@ -592,10 +604,11 @@ def _peak(fn, *args) -> int:
 
 class TestStreamingReads:
     def test_load_dense_peak_memory(self, tmp_path):
-        # the 0.84 MiB of values plus one block; the whole text with one str per line would be 10 MiB
+        # the 0.84 MiB of values plus one 8 KiB block, 1.09 MiB; 64 KiB blocks read 2.32 MiB, and the
+        # whole text with one str per line would be 10 MiB
         t = DenseTensor(TensorShape((48, 48, 48)), np.random.default_rng(0).standard_normal(48**3))
         save_dense(tmp_path / "d.txt", t)
-        assert _peak(load_dense, tmp_path / "d.txt") < 2 * 2**20
+        assert _peak(load_dense, tmp_path / "d.txt") < 1.5 * 2**20
 
     def test_load_sparse_peak_memory(self, tmp_path):
         # the 1.4 MiB of indices and values plus one block; the whole text with one str per line would be 6.1 MiB
@@ -612,7 +625,7 @@ class TestStreamingReads:
         else:
             save_sparse(path, _sparse48())
         path.write_bytes(path.read_bytes().replace(b"\n", end))
-        load, bound = (load_dense, 2 * 2**20) if fmt == "dense" else (load_sparse, 3 * 2**20)
+        load, bound = (load_dense, 1.5 * 2**20) if fmt == "dense" else (load_sparse, 3 * 2**20)
         assert _peak(load, path) < bound
 
     @pytest.mark.parametrize(
@@ -635,7 +648,7 @@ class TestStreamingReads:
         path.write_bytes(raw)
         with open(path, "rb") as fh:
             rd = fileio._LineReader(fh)
-            assert rd.take(len(lines) + 1) == lines
+            assert [line for part in iter(rd.take, []) for line in part] == lines
             assert rd.pos == rd.rest() == len(lines)
 
     @pytest.mark.parametrize(
@@ -669,6 +682,19 @@ class TestStreamingReads:
             with pytest.raises(FormatError, match="^line 4: malformed value 'x'$"):
                 load_dense(path)
         assert fill.call_count == 2 + 2  # the header's two tables, the record block and its re-walk
+
+    def test_one_parse_per_block(self, tmp_path, monkeypatch):
+        # the records of each decoded block are parsed at once, never gathered across blocks
+        monkeypatch.setattr(fileio, "_BLOCK", 32)  # the header and 3 records, then 9 records a block
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"stto-dense v1\n1\n3000\n" + b"0.5\n" * 3000)
+        with mock.patch.object(fileio, "_fill", wraps=fileio._fill) as fill, mock.patch.object(
+            fileio._LineReader, "_more", autospec=True, side_effect=fileio._LineReader._more
+        ) as more:
+            assert load_dense(path).values.size == 3000
+        blocks = more.call_count - 1  # the last call finds the end of the file
+        assert blocks == 1 + 2997 // 9
+        assert fill.call_count == 2 + blocks  # the header's two tables, then one parse per block
 
 
 def _refuse(shape):
@@ -748,12 +774,11 @@ def _outcome(fmt, path, check_shape):
 
 
 class TestMatchesTheWholeFileReader:
-    # The streaming reader, at any parse and read block sizes, loads what the
-    # whole-file reference loads and refuses what it refuses with the same text.
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 256])
+    # The streaming reader, at any block size, loads what the whole-file
+    # reference loads and refuses what it refuses with the same text.
     @given(st.sampled_from(["sparse", "dense", "model"]), st.sampled_from([1, 2, 3, 7, 64]), st.booleans(), st.data())
     @settings(max_examples=150, deadline=None)
-    def test_mutated_files(self, chunk, fmt, block, refuse, data):
+    def test_mutated_files(self, fmt, block, refuse, data):
         raw = data.draw(_valid_file(fmt))
         for _ in range(data.draw(st.integers(0, 3))):
             raw = data.draw(_mutated(raw))
@@ -761,7 +786,7 @@ class TestMatchesTheWholeFileReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "file.txt"
             path.write_bytes(raw)
-            with mock.patch.object(fileio, "_CHUNK", chunk), mock.patch.object(fileio, "_BLOCK", block):
+            with mock.patch.object(fileio, "_BLOCK", block):
                 got = _outcome(fmt, path, check_shape)
             with mock.patch.object(fileio, "_LineReader", WholeFileReader):
                 expected = _outcome(fmt, path, check_shape)
@@ -774,21 +799,43 @@ def _dense_with_cr_at(offset: int, end: bytes) -> bytes:
     return head + b" " * (offset - len(head) - 3) + b"0.5" + end + b"0.25" + end + b"-1.5" + end
 
 
+class _Chunks(io.BufferedReader):
+    """A binary file that keeps the size of each chunk a text layer over it reads, by ``read1``, to decode."""
+
+    def __init__(self, path):
+        super().__init__(io.FileIO(path))
+        self.sizes = []
+
+    def read1(self, size=-1):
+        data = super().read1(size)
+        self.sizes.append(len(data))
+        return data
+
+
 class TestLineEndAtABoundary:
-    # A \r that ends the decoder's 8 KiB chunk or a block: with its \n it is
-    # still one line end, and alone it still ends its line.
+    # A \r that ends the decoder's chunk or a block's read: with its \n it is
+    # still one line end, and alone it still ends its line. The decoder reads
+    # max(8 KiB, what a read asks for) at a time.
     @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["CRLF", "CR"])
-    @pytest.mark.parametrize("offset, block", [(8191, None), (9999, 10_000), (65535, None)], ids=["chunk", "block", "both"])
-    def test_loads_as_the_whole_file_reader_does(self, tmp_path, monkeypatch, offset, block, end):
+    @pytest.mark.parametrize(
+        "offset, block, ends",
+        [(8191, 4096, "chunk"), (4095, 4096, "read"), (8191, None, "chunk read")],
+        ids=["chunk", "block", "both"],
+    )
+    def test_loads_as_the_whole_file_reader_does(self, tmp_path, monkeypatch, offset, block, ends, end):
         if block is not None:
             monkeypatch.setattr(fileio, "_BLOCK", block)
         raw = _dense_with_cr_at(offset, end)
         assert raw[offset : offset + 1] == b"\r"
         path = tmp_path / "d.txt"
         path.write_bytes(raw)
-        with open(path, "rb") as fh:
+        with _Chunks(path) as fh:
             rd = fileio._LineReader(fh)
-            assert rd.fh._CHUNK_SIZE == 8192  # the decoder's chunk, which "chunk" and "both" end at the \r
+            while rd.take():
+                pass
+            at_chunk_end = offset in np.cumsum(fh.sizes) - 1
+        first_read_end = offset == fileio._BLOCK - 1
+        assert (at_chunk_end, first_read_end) == ("chunk" in ends, "read" in ends)
         got = _outcome("dense", path, None)
         with mock.patch.object(fileio, "_LineReader", WholeFileReader):
             assert got == _outcome("dense", path, None)
@@ -842,19 +889,19 @@ class TestFileHandles:
 
 class TestRoundTripAcrossBlocks:
     @given(
-        st.integers(1, 5),
+        st.integers(1, 24),
         st.lists(st.integers(1, 4), min_size=1, max_size=3),
         st.data(),
     )
     @settings(max_examples=40, deadline=None)
-    def test_sparse(self, chunk, sizes, data):
+    def test_sparse(self, block, sizes, data):
         shape = TensorShape(tuple(sizes))
         cells = data.draw(st.lists(st.integers(0, shape.element_count - 1), min_size=1, unique=True))
         finite = st.floats(allow_nan=False, allow_infinity=False)
         values = data.draw(st.lists(finite, min_size=len(cells), max_size=len(cells)))
         coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
         obs = SparseObservations(shape, coords, np.array(values))
-        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_CHUNK", chunk):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(fileio, "_BLOCK", block):
             path = Path(tmp) / "obs.txt"
             save_sparse(path, obs)
             again = load_sparse(path)
