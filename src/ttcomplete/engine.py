@@ -153,7 +153,10 @@ class SparseObservations:
     def repeated_rows(self) -> np.ndarray:
         """Ascending rows whose multi-index an earlier row already holds."""
         order, fresh = self._sorted
-        return np.sort(order[1:][~fresh[-1, 1:]])
+        fresh = fresh[-1, 1:]
+        if fresh.all():  # no repeat: answered without a temporary as long as the rows
+            return order[:0]
+        return np.sort(order[1:][~fresh])
 
     @functools.cached_property
     def _sorted(self) -> tuple[np.ndarray, np.ndarray]:

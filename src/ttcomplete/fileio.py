@@ -2,10 +2,13 @@
 
 All formats are line-oriented ASCII. Floats are written as Python's shortest
 round-trip ``repr``, byte for byte, so load(save(x)) reproduces x bit-exact.
-The text is computed in numpy, ``_ROWS`` values at a time, not by a ``repr``
-call per value: ``_shortest`` finds the digits by Schubfach and ``_format``
-lays them out by repr's rules. The writers refuse a non-finite value, which no
-loader reads back, with a FormatError before the file is opened.
+The text is computed in numpy, ``_ROWS`` = 4,096 values at a time, not by a
+``repr`` call per value: ``_shortest`` finds the digits by Schubfach and
+``_format`` lays them out by repr's rules, and a block's bytes are written as
+they are. A block takes about 100 bytes of scratch per value, so each writer's
+traced peak is about 410-430 KiB; a scan of 1,024 to 8,192 rows chose the
+block (see ``_ROWS``). The writers refuse a non-finite value, which no loader
+reads back, with a FormatError before the file is opened.
 
 Every number in every format goes through ``_LineReader.table``, so all loaders
 share one rule set: the file is ASCII; each line holds exactly its table's
@@ -17,7 +20,8 @@ lines, a file that ends before the table does, then the table's first
 malformed line, then its first non-finite value.
 
 Reads and writes stream: memory holds the parsed arrays plus one block, never
-the whole file's text or the whole body as Python objects. A loader decodes and
+the whole file's text or the whole body as Python objects, and a writer makes
+no array as long as its body. A loader decodes and
 parses one block at a time, ``_BLOCK`` characters plus the rest of its last
 line; a file whose only line ends are ``\\x0b``, ``\\x0c`` or ``\\x1c``-``\\x1e``,
 which no writer here makes, is read whole and loads the same. A writer formats
@@ -43,23 +47,28 @@ import numpy as np
 from .core import DenseTensor, TensorShape
 from .engine import SparseObservations
 from .errors import BoundsError, FormatError
-from .ttmodel import TTCores, TTRank, flatten_params, unflatten_params
+from .ttmodel import TTCores, TTRank, _flat_blocks, unflatten_params
 
 SPARSE_MAGIC = "stto-sparse v1"
 DENSE_MAGIC = "stto-dense v1"
-_ROWS = 1024  # lines per formatted block of a written body
+# Lines per formatted block of a written body. A block takes about 100 bytes of scratch per value, most
+# while Schubfach scales an interval end or a sparse block's lines are compressed. Traced peaks of
+# save_dense / save_sparse / save_model on a 48^3 tensor, 44,237 records and 110,544 parameters: 116 /
+# 131 / 108 KiB at 1,024 rows, 209 / 222 / 209 at 2,048, 411 / 433 / 411 at 4,096 and 815 / 856 / 815 at
+# 8,192. 4,096 is the largest power of two under the writers' 512 KiB bound, and no slower than 8,192.
+_ROWS = 4096
 _BLOCK = 1 << 13  # characters per read and parsed block, which then runs on to the end of its last line
 
 
 def _write(path, head, body) -> None:
-    """Write each item of ``head`` and then of ``body``, each followed by a newline.
-
-    An item may hold several lines, as the blocks of ``_text`` do; a peak
-    memory of one item, not of the whole body, when ``body`` makes its items as
-    they are taken.
+    """Write each item of ``head`` and then of ``body``: a uint8 array of whole lines, as ``_text`` makes,
+    from its own memory; anything else as its ``str`` in ASCII, other characters backslash-escaped, and a
+    newline. A peak memory of one item, not of the whole body, when ``body`` makes its items as taken.
     """
-    with open(path, "w", encoding="ascii", errors="backslashreplace") as fh:
-        fh.writelines(f"{item}\n" for item in chain(head, body))
+    with open(path, "wb") as fh:
+        for item in chain(head, body):
+            fh.write(item if isinstance(item, np.ndarray) else f"{item}\n".encode("ascii", "backslashreplace"))
+            del item  # a block is freed before the next is made
 
 
 # Shortest round-trip digits by Schubfach (R. Giulietti, "The Schubfach way to render doubles"),
@@ -84,175 +93,239 @@ _G = _g_table()
 _POW10 = 10 ** np.arange(18, dtype=np.uint64)
 # 4 ASCII digits of each of 0..9999, built from small arrays: large temporaries at import raise peak RSS
 _DIGITS4 = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), -1).view(np.uint32).ravel()
-# A line of a float: "-", "0", 17 integer digits, ".", "000", 17 fraction digits, "e", sign and 3 exponent
-# digits, newline. Both digit fields hold the same 17 digits, so a mask of kept bytes lays out any repr.
-_TEMPLATE = np.frombuffer(b"-0" + b"0" * 17 + b".000" + b"0" * 17 + b"e+000\n", dtype=np.uint8)
 
 
-def _interval(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k, c mod 2 and cp: the centre and the lower and upper ends of each |x|'s rounding interval.
+def _mul(g: np.ndarray, b1: np.ndarray, b0: np.ndarray, low: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """The high 64 bits of g cp, and its low 64 bits if ``low``, for g < 2^63 and cp = b1 2^32 + b0 < 2^61.
 
-    Those are 4 c, 4 c - 2 (4 c - 1 below a power of two) and 4 c + 2, times 2^h.
+    From 32-bit limbs, where a1 b0 + a0 b1 < 2^63 + 2^61 cannot overflow. ``g`` is overwritten.
     """
-    bits = x.view(np.uint64)
-    t = bits & ((1 << 52) - 1)
-    bq = (bits >> 52) & 0x7FF
-    c = t | (np.minimum(bq, 1) << 52)
-    q = np.maximum(bq, 1).view(np.int64) - 1075
-    irregular = (t == 0) & (bq > 1)  # a power of two above the least normal: the interval below is half as wide
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + ((-k * 913_124_641_741) >> 38) + 2).view(np.uint64)  # 2..5, so cp < 2^61
-    cb = c << 2
-    return k, c & 1, np.stack((cb, cb - 2 + irregular, cb + 2)) << h
-
-
-def _rop(g: np.ndarray, cp: np.ndarray) -> np.ndarray:
-    """rop(g cp 2^-127), rounded to odd, for g = (g1, g0) of shape (2, n) and each row of cp, as OpenJDK computes it.
-
-    That takes the high 64 bits of g0 cp and all 128 of g1 cp, here from 32-bit
-    limbs, where a1 b0 + a0 b1 < 2^63 + 2^61 cannot overflow.
-    """
-    a1, a0 = g >> 32, g & _M32
-    b1, b0 = (cp >> 32)[:, None], (cp & _M32)[:, None]
-    low = a0 * b0  # the dels keep at most three (3, 2, n) arrays alive, a written block's peak memory
-    low >>= 32
+    a1 = g >> 32
+    a0 = np.bitwise_and(g, _M32, out=g)
+    t = a0 * b0
     mid = a1 * b0
-    del b0
-    part = a0 * b1
-    mid += part
-    low += np.bitwise_and(mid, _M32, out=part)
-    low >>= 32
+    mid += np.multiply(a0, b1, out=a0)
+    y0 = None
+    if low:
+        y0 = mid << 32
+        y0 += t
+    t >>= 32
+    t += np.bitwise_and(mid, _M32, out=a0)
+    del a0, g
+    t >>= 32
     mid >>= 32
-    mid += low
-    del low
-    mid += np.multiply(a1, b1, out=part)  # the high 64 bits of g1 cp and of g0 cp
-    del part
-    z = (g[0] * cp >> 1) + mid[:, 1]
-    return (mid[:, 0] + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+    mid += t
+    del t
+    mid += np.multiply(a1, b1, out=a1)
+    return mid, y0
+
+
+def _rop(k: np.ndarray, cp: np.ndarray) -> np.ndarray:
+    """rop(g cp 2^-127), rounded to odd, for g = g(k) and ``k`` offset by -_K_MIN, as OpenJDK computes it.
+
+    That takes the high 64 bits of g0 cp and all 128 of g1 cp, one (n,) row at a time.
+    """
+    b1, b0 = cp >> 32, cp & _M32
+    x1, _ = _mul(_G[1].take(k), b1, b0)
+    vb, z = _mul(_G[0].take(k), b1, b0, low=True)
+    del b1, b0
+    z >>= 1
+    z += x1
+    del x1
+    vb += z >> 63
+    z &= _M63
+    z += _M63
+    z >>= 63
+    vb |= z
+    return vb
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Digits ``f`` (uint64, maybe with trailing zeros) and exponents ``k``: |x| = f 10^k, as repr rounds it.
 
-    ``x`` is finite float64; a zero gets meaningless digits. Names follow Giulietti's paper.
+    ``x`` is finite float64; a zero gets meaningless digits. Names follow Giulietti's paper. The
+    rounding interval's centre and ends are scaled one at a time, and each temporary is freed or
+    overwritten once spent, so about 100 bytes of scratch per value are alive at most.
     """
-    k, out, cp = _interval(x)
-    vb, vbl, vbr = _rop(_G.take(k - _K_MIN, axis=1), cp)
-    vbl += out  # an odd c excludes the interval's ends
+    bits = x.view(np.uint64)
+    c = bits & ((1 << 52) - 1)
+    q = bits >> 52
+    q &= 0x7FF
+    irregular = (c == 0) & (q > 1)  # a power of two above the least normal: the interval below is half as wide
+    c |= np.minimum(q, 1) << 52
+    out = (c & 1).astype(bool)  # an odd c excludes the interval's ends
+    q = np.maximum(q, 1, out=q).view(np.int64)
+    q -= 1075
+    k = q * 661_971_961_083
+    k -= irregular * 274_743_187_321
+    k >>= 41
+    q += (-k * 913_124_641_741) >> 38
+    q += 2  # h, 2..5, so every cp < 2^61
+    h = q.view(np.uint64)
+    c <<= h + 2  # cp = 4 c 2^h; the ends are cp + d and cp - d, or cp - d / 2 below a power of two
+    d = np.left_shift(np.uint64(2), h, out=h)
+    del q, h
+    k -= _K_MIN
+    vb = _rop(k, c)
+    c += d
+    vbr = _rop(k, c)
+    c -= d
+    d >>= irregular
+    c -= d
+    del d
+    vbl = _rop(k, c)
+    del c
+    k += _K_MIN
+    vbl += out
     vbr -= out
-    s = vb >> 2
-    sp10 = s // 10 * 10
-    upin = vbl <= sp10 << 2
-    wpin = (sp10 + 10) << 2 <= vbr
-    uin = vbl <= s << 2
-    win = (s + 1) << 2 <= vbr
-    closer_t = vb + (s & 1) > (s << 2) + 2  # ties go to the even digit
-    f = np.where(uin == win, closer_t, win) + s
-    shorter = (upin != wpin) & (s >= 10)  # one of the two candidates one digit shorter lies in the interval
-    return np.where(shorter, sp10 + np.uint64(10) * wpin, f), k
+    s4 = vb & ~np.uint64(3)  # 4 s
+    t4 = vb // 40 * 40  # 4 s rounded down to a multiple of 40
+    upin = vbl <= t4
+    wpin = t4 + 40 <= vbr
+    # s + 1 when s is out of the interval, or both are in and v is closer to s + 1; ties go to the even digit
+    closer = (np.right_shift(np.uint64(0xC8), vb & 7) & 1).astype(bool)
+    up = (vbl > s4) | ((s4 + 4 <= vbr) & closer)
+    s4 >>= 2
+    s4 += up
+    shorter = (upin != wpin) & (vb >= 40)  # one of the two candidates one digit shorter lies in the interval
+    t4 >>= 2
+    t4 += wpin * np.uint64(10)
+    return np.where(shorter, t4, s4), k
 
 
 def _digits(v: np.ndarray, groups: int) -> np.ndarray:
-    """ASCII digits of the non-negative ints ``v`` below 10^(4 groups), zero-padded, as uint8 of shape
+    """ASCII digits of the non-negative int64 ``v`` below 10^(4 groups), zero-padded, as uint8 of shape
     (*v.shape, 4 groups)."""
-    parts = []
-    for _ in range(groups - 1):
-        high = v // 10_000
-        parts.append(v - high * 10_000)
-        v = high
-    parts.append(v)
-    return _DIGITS4.take(np.stack(parts[::-1], axis=-1)).view(np.uint8)
+    parts = v[..., None]
+    if groups > 1:
+        parts = np.empty((*v.shape, groups), np.int64)
+        for j in range(groups - 1, 0, -1):
+            v, parts[..., j] = np.divmod(v, 10_000)
+        parts[..., 0] = v
+    return _DIGITS4.take(parts).view(np.uint8)
+
+
+# A line of a float: "-", "0", ".", "000", 18 places X, then "e", sign and 2 or 3 exponent digits
+# right-aligned in 5 places, and a newline. X holds the digits left-aligned in 17 places, with the
+# point put in among them, or after them for 0.000ddd. A mask of kept bytes lays out any repr, and
+# keeps most of a line in one run of bytes.
+_TEMPLATE = np.frombuffer(b"-0.000", dtype=np.uint8)
+_WIDTH = _TEMPLATE.size + 18 + 6
 
 
 def _layouts() -> np.ndarray:
-    """The kept bytes of ``_TEMPLATE``, in row ``36 cls + 2 n + negative``.
+    """The kept bytes of a line, in row ``38 cls + 2 m + negative``.
 
-    A value of ``n`` significant digits, the first with place value 10^(p-1),
-    has class p + 3 in fixed notation (-4 < p <= 16), else 20 for a 2-digit
-    exponent and 21 for a 3-digit one.
+    A value whose first significant digit has place value 10^(p-1) has class
+    p + 3 in fixed notation (-4 < p <= 16), else 20 for a 2-digit exponent and
+    21 for a 3-digit one. X ends at its last nonzero digit, m places in; fixed
+    notation keeps a digit after the point.
     """
-    cls, n, negative = np.ix_(np.arange(22), np.arange(18), np.arange(2))
+    cls, m, negative = np.ix_(np.arange(22), np.arange(19), np.arange(2))
     p = cls - 3
-    fixed = p <= 16
     small = p <= 0  # 0.000ddd
-    split = np.where(fixed, np.maximum(p, 0), 1)  # digits before the point
-    end = np.where(fixed, np.maximum(n, p + 1), n)  # an integral value ends in ".0"
-    j = np.arange(17)[:, None, None, None]
-    exponent = ~fixed
+    exponent = cls >= 20
+    end = np.where(small | exponent, m, np.maximum(m, p + 2))
+    j = np.arange(18)[:, None, None, None]
     kept = [
         negative == 1,
         small,
-        *(j < split),
-        fixed | (n > 1),
-        *(j[:3] < np.where(small, -p, 0)),
-        *((j >= split) & (j < end)),
-        exponent,
-        exponent,
+        small,
+        *(small & (j[:3] >= 3 + p)),  # the last -p of "000"
+        *(j < end),
         cls == 21,
-        exponent,
-        exponent,
+        *[exponent] * 4,
         np.True_,
     ]
-    return np.stack(np.broadcast_arrays(*kept), axis=-1).reshape(-1, _TEMPLATE.size)
+    return np.stack(np.broadcast_arrays(*kept), axis=-1).reshape(-1, _WIDTH)
 
 
 _LAYOUTS = _layouts()
-# By p + 323, for the p of 5e-324 up to that of the largest double: the sign and 3 digits of the
-# exponent p - 1, and the first row of p's class in _LAYOUTS.
+# By p + 323, for the p of 5e-324 up to that of the largest double: the exponent p - 1 and a newline,
+# and the first row of p's class in _LAYOUTS with the place of the point in X.
 _P = np.arange(-323, 310)
-_EXPONENT = _DIGITS4.take(np.abs(_P - 1)).view(np.uint8).reshape(-1, 4).copy()
-_EXPONENT[:, 0] = np.where(_P < 1, ord("-"), ord("+"))
-_CLASS = 36 * np.where((_P > -4) & (_P <= 16), _P + 3, 20 + (np.abs(_P - 1) >= 100))
+_EXPONENT = np.frombuffer("".join(f"{f'e{p - 1:+03d}':>5}\n" for p in _P.tolist()).encode(), np.uint8).reshape(-1, 6)
+_FIXED = (_P > -4) & (_P <= 16)
+_CLASS = np.stack([38 * np.where(_FIXED, _P + 3, 20 + (np.abs(_P - 1) >= 100)), np.where(_FIXED, _P, 1)], axis=1)
+_CLASS[_FIXED & (_P < 1), 1] = 17
 
 
-def _format(x: np.ndarray, coords: np.ndarray | None = None, groups: int = 0) -> np.ndarray:
+def _format(x: np.ndarray, coords: np.ndarray | None = None, width: int = 0) -> np.ndarray:
     """The lines ``repr(v)`` of the finite float64 ``x`` as ASCII bytes (uint8), each led by its row of ``coords``.
 
-    ``coords`` are positive int64 below 10^(4 groups), one row per value, each
-    followed by a space.
+    ``coords`` are positive int64 of at most ``width`` digits, one row per value,
+    each followed by a space.
     """
     f, k = _shortest(x)
     zero = x == 0
     f[zero] = 0
     length = np.searchsorted(_POW10, f, "right")
-    digits = _digits((f * _POW10.take(17 - length)).view(np.int64), 5)[:, 3:]  # 17 digits, left-aligned
-    n = np.minimum(17 - (digits[:, ::-1] != 48).argmax(axis=1), length)  # significant digits; 0 for a zero
-    at = length + k + 323
-    at[zero] = 324  # p = 1: "0.0"
-    lead = 0 if coords is None else coords.shape[1] * (4 * groups + 1)
-    canvas = np.empty((x.size, lead + _TEMPLATE.size), np.uint8)
+    f *= _POW10.take(17 - length)  # 17 digits, left-aligned
+    k += length
+    del length
+    k += 323  # p + 323
+    k[zero] = 324  # p = 1: "0.0"
+    layout, point = _CLASS.take(k, axis=0).T  # p's first row in _LAYOUTS, the point's place in X
+    frac = f % _POW10.take(17 - point)
+    f *= 10
+    frac *= 9
+    f -= frac  # 18 digits, with a 0 put in at the point
+    del frac
+    digits = _digits(f.view(np.int64), 5)[:, 2:]  # X, the 0 not yet a point
+    del f
+    m = 18 - (digits[:, ::-1] != 48).argmax(axis=1)  # X up to its last nonzero digit
+    m[zero] = 0
+    del zero
+    m *= 2
+    m += layout
+    m += np.signbit(x)  # the line's row in _LAYOUTS
+    lead = 0 if coords is None else coords.shape[1] * (width + 1)
+    canvas = np.empty((x.size, lead + _WIDTH), np.uint8)
+    row = canvas[:, lead:]
+    row[:, :6] = _TEMPLATE
+    row[:, 6:24] = digits
+    del digits
+    point += np.arange(lead + 6, canvas.size, canvas.shape[1])  # in the flat canvas
+    canvas.reshape(-1)[point] = ord(".")
+    del layout, point
+    row[:, 24:] = _EXPONENT.take(k, axis=0)
+    del k
     kept = np.empty(canvas.shape, bool)
-    row, keep = canvas[:, lead:], kept[:, lead:]
-    row[:] = _TEMPLATE
-    row[:, 2:19] = digits
-    row[:, 23:40] = digits
-    row[:, 41:45] = _EXPONENT.take(at, axis=0)
-    keep[:] = _LAYOUTS.take(_CLASS.take(at) + 2 * n + np.signbit(x), axis=0)
+    layouts = np.pad(_LAYOUTS, ((0, 0), (lead, 0))) if lead else _LAYOUTS  # rows as wide as a line
+    np.take(layouts, m, axis=0, out=kept, mode="clip")  # into a C-contiguous ``out``: no copy
+    del layouts, m
     if lead:
-        fields = canvas[:, :lead].reshape(x.size, -1, 4 * groups + 1)  # a view: the last axis splits
-        fields[:, :, :-1] = _digits(coords, groups)
+        fields = canvas[:, :lead].reshape(x.size, -1, width + 1)  # a view: the last axis splits
+        groups = -(-width // 4)
+        for j, column in enumerate(coords.T):  # a column at a time: small temporaries in either memory order
+            fields[:, j, :-1] = _digits(column, groups)[:, 4 * groups - width :]
         fields[:, :, -1] = ord(" ")
         keeps = kept[:, :lead].reshape(fields.shape)
-        keeps[:, :, :-1] = np.arange(4 * groups) >= (fields[:, :, :-1] != 48).argmax(axis=2)[:, :, None]
+        np.logical_or.accumulate(fields[:, :, :-1] != 48, axis=2, out=keeps[:, :, :-1])  # no leading zeros
         keeps[:, :, -1] = True
     return canvas[kept]
 
 
-def _text(values: np.ndarray, coords: np.ndarray | None = None):
-    """The lines of ``_format``, ``_ROWS`` at a time, as str blocks without their last newline."""
-    groups = 0 if coords is None else -(-len(str(int(coords.max()))) // 4)
-    for lo in range(0, values.size, _ROWS):
-        rows = None if coords is None else coords[lo : lo + _ROWS]
-        yield str(_format(values[lo : lo + _ROWS], rows, groups)[:-1], "ascii")
+def _text(parts, coords: np.ndarray | None = None):
+    """The lines of ``_format`` for the values of the arrays ``parts`` in turn, as ``flatten_params`` lays
+    out a model's cores, in blocks of whole lines of at most ``_ROWS``."""
+    width = 0 if coords is None else len(str(int(coords.max())))
+    start = 0
+    for block in _flat_blocks(parts, _ROWS):
+        yield _format(block, None if coords is None else coords[start : start + block.size], width)
+        start += block.size
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    """``values``, once none is non-finite; else a FormatError naming the first."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise FormatError(f"{what} {i + 1}: non-finite value {float(values[i])!r} cannot be saved")
-    return values
+def _finite(parts, what: str) -> None:
+    """Raise a FormatError naming the first non-finite value of the arrays ``parts``, read as ``_text`` reads
+    them, if one is."""
+    start = 0
+    for block in _flat_blocks(parts, _ROWS):
+        finite = np.isfinite(block)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise FormatError(f"{what} {start + i + 1}: non-finite value {float(block[i])!r} cannot be saved")
+        start += block.size
 
 
 def _parse(lines: list[str], ints: int, int_out: array, float_out: array) -> bool:
@@ -408,8 +481,9 @@ def save_sparse(path, obs: SparseObservations) -> None:
     if (repeated := obs.repeated_rows()).size:
         cell = tuple(obs.indices[repeated[0]].tolist())
         raise FormatError(f"observation {repeated[0] + 1}: duplicate multi-index {cell} cannot be saved")
+    _finite([obs.values], "observation")
     head = (SPARSE_MAGIC, obs.shape.order, " ".join(map(str, obs.shape.sizes)), obs.count)
-    _write(path, head, _text(_finite(obs.values, "observation"), obs.indices))
+    _write(path, head, _text([obs.values], obs.indices))
 
 
 def load_sparse(path, check_shape=None) -> SparseObservations:
@@ -448,9 +522,9 @@ def save_dense(path, t: DenseTensor) -> None:
 
     A non-finite value raises FormatError before the file is opened.
     """
-    values = _finite(t.values, "value")
+    _finite([t.values], "value")
     head = (DENSE_MAGIC, t.shape.order, " ".join(map(str, t.shape.sizes)))
-    _write(path, head, _text(values))
+    _write(path, head, _text([t.values]))
 
 
 def load_dense(path) -> DenseTensor:
@@ -465,15 +539,17 @@ def load_dense(path) -> DenseTensor:
 def save_model(path, cores: TTCores) -> None:
     """Write TT parameters: N, sizes, rank chain, then the flat vector one value per line.
 
-    A non-finite parameter raises FormatError before the file is opened.
+    The flat vector is read from the cores as ``flatten_params`` lays them out,
+    without building it. A non-finite parameter raises FormatError before the
+    file is opened.
     """
-    flat = _finite(flatten_params(cores), "parameter")
+    _finite(cores.cores, "parameter")
     head = (
         cores.shape.order,
         " ".join(map(str, cores.shape.sizes)),
         " ".join(map(str, cores.rank.ranks)),
     )
-    _write(path, head, _text(flat))
+    _write(path, head, _text(cores.cores))
 
 
 def load_model(path) -> TTCores:

@@ -140,6 +140,15 @@ def _flat(cores: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate([c.ravel(order="F") for c in cores])
 
 
+def _flat_blocks(cores: Sequence[np.ndarray], size: int):
+    """The values of ``_flat(cores)`` in order, at most ``size`` at a time, without building the vector.
+
+    A block is a view, or a buffer of ``size`` values where a core's order needs a copy.
+    """
+    for c in cores:
+        yield from np.nditer(c, ("external_loop", "buffered"), order="F", buffersize=size)
+
+
 def flatten_params(cores: TTCores) -> np.ndarray:
     """Pack all cores into one flat vector, laid out by :func:`_flat`."""
     return _flat(cores.cores)

@@ -492,6 +492,34 @@ class TestWriterBlocks:
         obs.repeated_rows()  # the duplicate check's sort is cached on ``obs``; it holds arrays, not lines
         assert _peak(save_sparse, tmp_path / "s.txt", obs) < 2**19
 
+    @pytest.mark.parametrize("fitted", [True, False], ids=["views-of-a-flat-vector", "own-arrays"])
+    def test_save_model_peak_memory(self, tmp_path, fitted):
+        # 110,544 parameters: the flat vector alone is 864 KiB. A fit returns cores that are column-major
+        # views of one flat vector; random_init's cores are row-major arrays of their own.
+        cores = random_init(TensorShape((48, 48, 48)), TTRank((1, 47, 47, 1)), seed=0)
+        if fitted:
+            cores = unflatten_params(cores, flatten_params(cores))
+        assert _peak(save_model, tmp_path / "m.txt", cores) < 2**19
+
+    @pytest.mark.parametrize("writer", ["dense", "sparse", "model"])
+    def test_peak_memory_does_not_grow_with_the_body(self, tmp_path, writer):
+        # a body of 4 x 2^17 values peaks within 16 KiB of one of 2^17, so a temporary as long as the body,
+        # even of one byte a value, fails at any _ROWS; every coordinate has 2 digits, so sparse lines are
+        # as wide at 4x
+        def peak(scale):
+            n = 2**17 * scale
+            if writer == "dense":
+                t = DenseTensor(TensorShape((32 * scale, 64, 64)), np.random.default_rng(0).standard_normal(n))
+                return _peak(save_dense, tmp_path / "d.txt", t)
+            if writer == "sparse":
+                obs = _sparse48((96, 96, 96), n)
+                obs.repeated_rows()
+                return _peak(save_sparse, tmp_path / "s.txt", obs)
+            cores = random_init(TensorShape((n,)), TTRank((1, 1)), seed=0)
+            return _peak(save_model, tmp_path / "m.txt", cores)
+
+        assert peak(4) - peak(1) < 16 * 2**10
+
 
 def _floats(bits) -> np.ndarray:
     """The float64 values of the given 64-bit patterns."""
@@ -548,6 +576,14 @@ class TestFloatText:
         powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)])
         _all_three(tmp_path, np.concatenate([powers, -powers]), np.random.default_rng(0))
 
+    def test_values_near_powers_of_two_and_ten(self, tmp_path):
+        # every finite double within 8 ulps of a power of two or ten, either sign: the edges of the
+        # rounding intervals, and of the scaled products that find the digits
+        powers = np.concatenate([2.0 ** np.arange(-1074, 1024), 10.0 ** np.arange(-323, 309)]).view(np.int64)
+        near = _floats((powers[:, None] + np.arange(-8, 9)).ravel().view(np.uint64))
+        near = np.unique(near[np.isfinite(near) & (near > 0)])
+        _all_three(tmp_path, np.concatenate([near, -near]), np.random.default_rng(0))
+
     @pytest.mark.parametrize("step", [-1, 0, 1])
     def test_body_lengths_around_one_block(self, tmp_path, step):
         rng = np.random.default_rng(step + 1)
@@ -584,11 +620,11 @@ class TestFloatText:
             assert (Path(tmp) / "m.txt").read_bytes() == model_text(cores)
 
 
-def _sparse48() -> SparseObservations:
-    """44,237 distinct cells of a 48^3 tensor, as the bench's sparse48 files hold."""
-    shape = TensorShape((48, 48, 48))
+def _sparse48(sizes=(48, 48, 48), m=44_237) -> SparseObservations:
+    """``m`` distinct cells of a tensor of ``sizes``: by default 44,237 of 48^3, as the bench's sparse48 files hold."""
+    shape = TensorShape(sizes)
     rng = np.random.default_rng(0)
-    cells = rng.choice(shape.element_count, size=44_237, replace=False)
+    cells = rng.choice(shape.element_count, size=m, replace=False)
     coords = np.stack(np.unravel_index(cells, shape.sizes, order="F"), axis=1) + 1
     return SparseObservations(shape, coords, rng.standard_normal(cells.size))
 
