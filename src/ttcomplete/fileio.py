@@ -6,9 +6,12 @@ The text is computed in numpy, ``_ROWS`` = 4,096 values at a time, not by a
 ``repr`` call per value: ``_shortest`` finds the digits by Schubfach and
 ``_format`` lays them out by repr's rules, and a block's bytes are written as
 they are. A block takes about 100 bytes of scratch per value, so each writer's
-traced peak is about 410-430 KiB; a scan of 1,024 to 8,192 rows chose the
-block (see ``_ROWS``). The writers refuse a non-finite value, which no loader
-reads back, with a FormatError before the file is opened.
+traced peak is about 410-440 KiB; a scan of 1,024 to 8,192 rows chose the
+block (see ``_ROWS``). Sparse records wider than ``_LINE`` bytes go in blocks
+of fewer rows: with 44,237 records ``save_sparse`` peaks at 439, 250, 305 and
+344 KiB for coordinates of 2, 4, 7 and 19 digits. The writers refuse a
+non-finite value, which no loader reads back, with a FormatError before the
+file is opened.
 
 Every number in every format goes through ``_LineReader.table``, so all loaders
 share one rule set: the file is ASCII; each line holds exactly its table's
@@ -56,7 +59,12 @@ DENSE_MAGIC = "stto-dense v1"
 # save_dense / save_sparse / save_model on a 48^3 tensor, 44,237 records and 110,544 parameters: 116 /
 # 131 / 108 KiB at 1,024 rows, 209 / 222 / 209 at 2,048, 411 / 433 / 411 at 4,096 and 815 / 856 / 815 at
 # 8,192. 4,096 is the largest power of two under the writers' 512 KiB bound, and no slower than 8,192.
+# A block's scratch grows with its line, so a block of lines wider than _LINE bytes (a float's is 30, a
+# record of three 2-digit coordinates 39) takes the largest power-of-two share of _ROWS that holds no more
+# bytes. With 44,237 records, save_sparse peaks at 439 / 250 / 305 / 344 KiB for 2- / 4- / 7- / 19-digit
+# coordinates (3 / 3 / 3 / 1 modes); at 4,096 rows the wider three peak at 494 / 602 / 681 KiB.
 _ROWS = 4096
+_LINE = 40
 _BLOCK = 1 << 13  # characters per read and parsed block, which then runs on to the end of its last line
 
 
@@ -291,27 +299,34 @@ def _format(x: np.ndarray, coords: np.ndarray | None = None, width: int = 0) -> 
     row[:, 24:] = _EXPONENT.take(k, axis=0)
     del k
     kept = np.empty(canvas.shape, bool)
-    layouts = np.pad(_LAYOUTS, ((0, 0), (lead, 0))) if lead else _LAYOUTS  # rows as wide as a line
+    layouts = _LAYOUTS
+    if lead:  # rows as wide as a line, the coordinates' bytes kept; freed before the lines are compressed
+        layouts = np.ones((len(_LAYOUTS), canvas.shape[1]), bool)
+        layouts[:, lead:] = _LAYOUTS
     np.take(layouts, m, axis=0, out=kept, mode="clip")  # into a C-contiguous ``out``: no copy
     del layouts, m
     if lead:
         fields = canvas[:, :lead].reshape(x.size, -1, width + 1)  # a view: the last axis splits
+        keeps = kept[:, :lead].reshape(fields.shape)
         groups = -(-width // 4)
         for j, column in enumerate(coords.T):  # a column at a time: small temporaries in either memory order
             fields[:, j, :-1] = _digits(column, groups)[:, 4 * groups - width :]
+            for d in range(width - len(str(int(column.min())))):  # places that may hold a leading zero
+                keeps[:, j, d] = column >= 10 ** (width - 1 - d)  # a Python int bound: compared in int64
         fields[:, :, -1] = ord(" ")
-        keeps = kept[:, :lead].reshape(fields.shape)
-        np.logical_or.accumulate(fields[:, :, :-1] != 48, axis=2, out=keeps[:, :, :-1])  # no leading zeros
-        keeps[:, :, -1] = True
     return canvas[kept]
 
 
 def _text(parts, coords: np.ndarray | None = None):
     """The lines of ``_format`` for the values of the arrays ``parts`` in turn, as ``flatten_params`` lays
-    out a model's cores, in blocks of whole lines of at most ``_ROWS``."""
+    out a model's cores, in blocks of whole lines: ``_ROWS``, or fewer where a line is wider than ``_LINE``."""
     width = 0 if coords is None else len(str(int(coords.max())))
+    line = _WIDTH if coords is None else _WIDTH + coords.shape[1] * (width + 1)
+    rows = _ROWS
+    while rows > 1 and rows * line > _ROWS * _LINE:
+        rows //= 2
     start = 0
-    for block in _flat_blocks(parts, _ROWS):
+    for block in _flat_blocks(parts, rows):
         yield _format(block, None if coords is None else coords[start : start + block.size], width)
         start += block.size
 

@@ -141,12 +141,15 @@ def _flat(cores: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _flat_blocks(cores: Sequence[np.ndarray], size: int):
-    """The values of ``_flat(cores)`` in order, at most ``size`` at a time, without building the vector.
+    """The values of ``_flat(cores)`` in order, without building the vector: each core in blocks of ``size``
+    values and then the rest of it.
 
-    A block is a view, or a buffer of ``size`` values where a core's order needs a copy.
+    A block is a view of a column-major core, else a copy: ``c.T.flat`` steps through a core of any memory
+    order column-major, so its blocks are whole too.
     """
     for c in cores:
-        yield from np.nditer(c, ("external_loop", "buffered"), order="F", buffersize=size)
+        flat = c.ravel(order="F") if c.flags.f_contiguous else c.T.flat
+        yield from (flat[i : i + size] for i in range(0, c.size, size))
 
 
 def flatten_params(cores: TTCores) -> np.ndarray:

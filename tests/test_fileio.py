@@ -21,6 +21,7 @@ from ttcomplete import (
     DenseTensor,
     FormatError,
     SparseObservations,
+    TTCores,
     TTRank,
     TensorShape,
     extract_observations,
@@ -492,6 +493,31 @@ class TestWriterBlocks:
         obs.repeated_rows()  # the duplicate check's sort is cached on ``obs``; it holds arrays, not lines
         assert _peak(save_sparse, tmp_path / "s.txt", obs) < 2**19
 
+    @pytest.mark.parametrize("sizes", [(1000,) * 3, (2**20,) * 3, (2**62,)], ids=["4-digits", "7-digits", "19-digits"])
+    def test_save_sparse_peak_memory_at_wide_coordinates(self, tmp_path, sizes):
+        # wider lines take fewer rows a block; at 4,096 rows these peak at 494, 602 and 681 KiB
+        obs = _sparse48(sizes)
+        obs.repeated_rows()
+        assert _peak(save_sparse, tmp_path / "s.txt", obs) < 2**19
+
+    @pytest.mark.parametrize("layout", ["column-major", "row-major", "strided"])
+    def test_save_model_formats_whole_blocks_of_each_core(self, tmp_path, monkeypatch, layout):
+        # nditer hands a row-major core over in runs of r x n values; each core still takes ceil(size / _ROWS)
+        # blocks, all but its last of _ROWS values
+        cores = random_init(TensorShape((48, 48, 48)), TTRank((1, 47, 47, 1)), seed=0)
+        arrays = {
+            "column-major": [np.asfortranarray(c) for c in cores.cores],
+            "row-major": [np.ascontiguousarray(c) for c in cores.cores],
+            "strided": [np.repeat(c, 2, axis=1)[:, ::2] for c in cores.cores],
+        }[layout]
+        cores = TTCores(tuple(arrays), cores.shape, cores.rank)
+        sizes, real = [], fileio._format
+        monkeypatch.setattr(fileio, "_format", lambda x, *rest: sizes.append(x.size) or real(x, *rest))
+        save_model(tmp_path / "m.txt", cores)
+        rows = fileio._ROWS
+        assert sizes == [min(rows, c.size - i) for c in cores.cores for i in range(0, c.size, rows)]
+        assert (tmp_path / "m.txt").read_bytes() == model_text(cores)
+
     @pytest.mark.parametrize("fitted", [True, False], ids=["views-of-a-flat-vector", "own-arrays"])
     def test_save_model_peak_memory(self, tmp_path, fitted):
         # 110,544 parameters: the flat vector alone is 864 KiB. A fit returns cores that are column-major
@@ -600,6 +626,24 @@ class TestFloatText:
         t = DenseTensor(TensorShape((values.size,)), np.where(np.isfinite(values), values, 0.0))
         save_dense(tmp_path / "d.txt", t)
         assert (tmp_path / "d.txt").read_bytes() == dense_text(t)
+
+    @pytest.mark.parametrize("rows", [1, 3, 4096])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_coordinates_at_powers_of_ten(self, tmp_path, monkeypatch, order, rows):
+        # 1 and 10^k - 1, 10^k for k = 1..18: each width up to 19 digits, and each bound where a leading
+        # zero is dropped. A float64 bound reads 10^17 - 1 as 10^17 and keeps its leading 0.
+        monkeypatch.setattr(fileio, "_ROWS", rows)
+        bounds = [1, *(b for k in range(1, 19) for b in (10**k - 1, 10**k))]
+        cases = [((10**18,), [[b] for b in bounds])]  # every width in one column
+        for k in range(1, 18):  # one width per column, k and 18 - k digits
+            ends = [(10 ** (k - 1), 10**k - 1), (10 ** (17 - k), 10 ** (18 - k) - 1)]
+            cases.append(((10**k, 10 ** (18 - k)), [[a, b] for a in ends[0] for b in ends[1]]))
+        sizes = (10**9, 10**6, 10**3)  # mixed widths in each column and across them
+        cases.append((sizes, [[a, b, c] for a in bounds[:19] for b in bounds[:13] for c in bounds[:7]]))
+        for sizes, coords in cases:
+            obs = SparseObservations(TensorShape(sizes), np.array(coords, order=order), np.arange(len(coords)) / 7)
+            save_sparse(tmp_path / "s.txt", obs)
+            assert (tmp_path / "s.txt").read_bytes() == sparse_text(obs)
 
     @given(st.data(), st.integers(1, 5))
     @settings(max_examples=150, deadline=None)
