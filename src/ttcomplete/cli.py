@@ -20,7 +20,7 @@ from .core import TensorShape
 from .data import gen_oscillating, mask_block, mask_random, mask_rows, observed_count
 from .errors import FormatError, NumericError, ShapeError
 from .fileio import _write, load_dense, load_sparse, save_dense, save_model
-from .images import detensorize_image, load_image, save_image, tensorize_image
+from .images import _quantized, detensorize_image, load_image, save_image, tensorize_image
 from .metrics import psnr, rse
 from .optimize import OptimizeConfig
 from .ttmodel import TTRank, cap_ranks, check_full_capacity, tt_full, uniform_ranks
@@ -78,9 +78,12 @@ def _parse_shapes(text: str) -> list[TensorShape]:
 
 
 def _check_out_dir(path: str):
-    """Refuse an output path in a missing directory (exit 3) before any fit."""
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    """Refuse an output path in a missing or unwritable directory (exit 3) before any fit."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
         raise OSError(f"the directory of output path {path!r} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise OSError(f"the directory of output path {path!r} is not writable")
 
 
 def cmd_complete(args) -> int:
@@ -140,7 +143,7 @@ def cmd_complete(args) -> int:
 
     if args.image is not None:
         save_image(f"{args.out_prefix}_recovered.ppm", recovered)
-        saved = load_image(f"{args.out_prefix}_recovered.ppm")
+        saved = _quantized(recovered)  # the image the PPM holds
         fit_rse = rse(saved, image) if np.any(image.values) else float("nan")  # an all-black reference
         metrics_line = f"objective={report.final_objective!r} rse={fit_rse!r} psnr={psnr(saved, image)!r}"
     else:

@@ -89,12 +89,16 @@ def _tensorized_observations(img: DenseTensor, mask: MissingMask) -> tuple[Spars
     return _observations(TensorShape((4,) * k + (3,)), cells[observed], img.values[observed]), cells
 
 
+def _quantized(img: DenseTensor) -> DenseTensor:
+    """The image :func:`save_image` writes, as :func:`load_image` reads it: clamped to [0, 255], rounded half up."""
+    _check_image_shape(img.shape)
+    return DenseTensor(img.shape, np.floor(np.clip(img.values, 0.0, float(_MAXVAL)) + 0.5).astype(np.uint8))
+
+
 def save_image(path, img: DenseTensor) -> None:
     """Write a binary PPM (P6, maxval 255); values are clamped to [0, 255] and rounded half up."""
-    _check_image_shape(img.shape)
+    payload = _quantized(img).as_array().astype(np.uint8).tobytes()
     height, width = img.shape.sizes[0], img.shape.sizes[1]
-    arr = np.clip(img.as_array(), 0.0, float(_MAXVAL))
-    payload = np.floor(arr + 0.5).astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
         fh.write(f"P6\n{width} {height}\n{_MAXVAL}\n".encode("ascii"))
         fh.write(payload)

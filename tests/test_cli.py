@@ -19,7 +19,9 @@ from ttcomplete import (
     load_model,
     load_sparse,
     mask_random,
+    psnr,
     reconstruct,
+    rse,
     save_image,
     save_sparse,
     tensor_from_array,
@@ -197,6 +199,21 @@ class TestComplete:
         out = capsys.readouterr().out
         assert " rse=nan " in out
         assert (tmp_path / "black_run_metrics.txt").read_text() == out
+
+    @pytest.mark.parametrize("black", [False, True])
+    def test_metrics_score_the_written_ppm(self, tmp_path, capsys, black):
+        # the metrics line scores the recovered image in memory; it equals the scores of the PPM as written
+        img_path = write_test_image(tmp_path)
+        if black:
+            save_image(img_path, tensor_from_array(np.zeros((16, 16, 3))))
+        argv = ["complete", "--image", str(img_path), "--missing-rate", "0.5", "--ranks", "1,4,4,1"]
+        with mock.patch.object(cli, "load_image", wraps=load_image) as load:
+            assert main(argv + ["--max-iters", "20", "--out-prefix", str(tmp_path / "run")]) == 0
+        load.assert_called_once_with(str(img_path))
+        image, saved = load_image(img_path), load_image(tmp_path / "run_recovered.ppm")
+        fields = dict(item.split("=") for item in capsys.readouterr().out.split())
+        assert fields["rse"] == ("nan" if black else repr(rse(saved, image)))
+        assert fields["psnr"] == repr(psnr(saved, image))
 
     def test_rows_mask(self, tmp_path):
         img_path = write_test_image(tmp_path)
@@ -389,7 +406,7 @@ class TestComplete:
 
 
 class TestMissingOutputDirectory:
-    """A missing output directory exits 3 before any fit and writes nothing."""
+    """A missing or unwritable output directory exits 3 before any fit and writes nothing."""
 
     def test_complete(self, tmp_path, capsys):
         obs_path, _ = write_small_problem(tmp_path)
@@ -407,6 +424,39 @@ class TestMissingOutputDirectory:
         fit.assert_not_called()
         assert "does not exist" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_complete_unwritable(self, tmp_path, capsys):
+        obs_path, _ = write_small_problem(tmp_path)
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--out-prefix", str(tmp_path / "run")]
+        with mock.patch.object(cli, "fit_cores") as fit, mock.patch.object(cli.os, "access", return_value=False):
+            assert main(argv) == 3
+        fit.assert_not_called()
+        assert "is not writable" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.txt"]
+
+    def test_sweep_unwritable(self, tmp_path, capsys):
+        argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0,1", "--out", str(tmp_path / "s.csv")]
+        with mock.patch.object(cli, "complete_image") as fit, mock.patch.object(cli.os, "access", return_value=False):
+            assert main(argv) == 3
+        fit.assert_not_called()
+        assert "is not writable" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.skipif(os.name != "posix" or os.geteuid() == 0, reason="root ignores directory mode bits")
+    def test_read_only_directory(self, tmp_path, capsys):
+        obs_path, _ = write_small_problem(tmp_path)
+        out_dir = tmp_path / "read_only"
+        out_dir.mkdir()
+        out_dir.chmod(0o555)
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--out-prefix", str(out_dir / "run")]
+        try:
+            with mock.patch.object(cli, "fit_cores") as fit:
+                assert main(argv) == 3
+        finally:
+            out_dir.chmod(0o755)
+        fit.assert_not_called()
+        assert "is not writable" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
 
 
 class TestFitDefaults:

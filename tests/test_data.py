@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,52 @@ class TestTTRandom:
         t = gen_tt_random(TensorShape((5, 6)), TTRank((1, 2, 1)), seed=0)
         assert t.shape.sizes == (5, 6)
         assert t.values.size == 30
+
+
+def _meshgrid_scene(side: int, seed: int) -> np.ndarray:
+    """synthetic_scene's column-major values as a full meshgrid computes them (its earlier form)."""
+    rng = np.random.default_rng(seed)
+    y, x = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    yf, xf = y / side, x / side
+    red = 140 + 90 * np.sin(2 * np.pi * (xf * 1.5 + 0.2)) * np.cos(2 * np.pi * yf)
+    green = 120 + 70 * np.cos(2 * np.pi * (xf + yf))
+    blue = 110 + 80 * np.sin(4 * np.pi * yf)
+    img = np.stack([red, green, blue], axis=2)
+
+    def span(lo, hi):
+        return slice(max(int(lo * side), 0), max(int(hi * side), 1))
+
+    img[span(0.16, 0.35), span(0.23, 0.55), 0] += 60
+    img[span(0.59, 0.86), span(0.12, 0.39), 2] -= 50
+    cy, cx = side * 0.65, side * 0.7
+    disk = (y - cy) ** 2 + (x - cx) ** 2 < (side * 0.18) ** 2
+    img[disk, 1] += 55
+    img += rng.uniform(-3, 3, img.shape)
+    return np.clip(img, 0, 255).ravel(order="F")
+
+
+class TestSyntheticScene:
+    # compared with the meshgrid form, not with stored hashes: sin and cos bits differ across numpy builds
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    @pytest.mark.parametrize("side", [1, 2, 3, 16, 100, 256])
+    def test_bits_match_the_meshgrid_form(self, side, seed):
+        img = synthetic_scene(side, seed)
+        assert img.shape.sizes == (side, side, 3)
+        assert img.values.tobytes() == _meshgrid_scene(side, seed).tobytes()
+
+    def test_range(self):
+        values = synthetic_scene(64, seed=2).values
+        assert values.min() >= 0.0 and values.max() <= 255.0
+
+    def test_peak_memory_at_side_256(self):
+        # the meshgrid form peaks at 8.07 MiB, the broadcast one at 5.58 MiB
+        tracemalloc.start()
+        try:
+            synthetic_scene(256, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
 
 
 class TestMissingMask:
