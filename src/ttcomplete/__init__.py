@@ -13,7 +13,6 @@ from .data import (
     MissingMask,
     default_init_scale,
     extract_observations,
-    gen_oscillating,
     gen_tt_random,
     initial_cores,
     mask_block,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .complete import complete_image, fit_cores
 from .core import TensorShape
-from .data import gen_oscillating, mask_block, mask_random, mask_rows, observed_count
+from .data import gen_tt_random, mask_block, mask_random, mask_rows, observed_count
 from .errors import FormatError, NumericError, ShapeError
 from .fileio import _write, load_dense, load_sparse, save_dense, save_model
 from .images import _quantized, detensorize_image, load_image, save_image, tensorize_image
@@ -114,10 +114,14 @@ def cmd_complete(args) -> int:
 
         obs = load_sparse(args.input, check_shape)
         cores, report = fit_cores(obs, rank, config, args.seed)
+        denom = float(np.linalg.norm(np.sort(obs.values)))  # sorted: independent of record order
+        del obs  # free it and its join before tt_full and the writers, where the run's memory peaks
         recovered = tt_full(cores)
     if report.reason == "line-search-failure":
+        # f/f0 tells a converged fit (about 1e-30) from a stall; f0 > 0, or the start's zero gradient ends the run
+        ratio = report.final_objective / report.records[0].objective
         print(
-            f"warning: line-search-failure after {report.iterations} iterations; "
+            f"warning: line-search-failure after {report.iterations} iterations at f/f0 = {ratio:.3g}; "
             "the outputs hold the last accepted step",
             file=sys.stderr,
         )
@@ -149,7 +153,6 @@ def cmd_complete(args) -> int:
     else:
         save_dense(f"{args.out_prefix}_recovered.txt", recovered)
         # final_objective is 0.5 * ||fitted - y||^2 at the returned cores
-        denom = float(np.linalg.norm(np.sort(obs.values)))  # sorted: independent of record order
         fit_rse = math.sqrt(2.0 * report.final_objective) / denom if denom > 0 else float("nan")
         metrics_line = f"objective={report.final_objective!r} rse_observed={fit_rse!r}"
 
@@ -160,9 +163,12 @@ def cmd_complete(args) -> int:
 
 def _sweep_point(shape: TensorShape, rate: float, seed: int, rank_value: int, config: OptimizeConfig):
     start = time.perf_counter()
-    truth = gen_oscillating(shape)
+    rank = uniform_ranks(shape, rank_value)
+    # The fit's start takes its noise from random_init(shape, rank, seed), the cores that
+    # gen_tt_random(shape, rank, seed) multiplies out, so the truth draws from a seed derived from it.
+    truth = gen_tt_random(shape, rank, int(np.random.SeedSequence([seed, 1]).generate_state(1)[0]))
     mask = mask_random(shape, rate, seed)
-    est, _, report = complete_image(truth, mask, uniform_ranks(shape, rank_value), config, seed, tensorize=False)
+    est, _, report = complete_image(truth, mask, rank, config, seed, tensorize=False)
     err = rse(est, truth)
     seconds = time.perf_counter() - start
     return (
@@ -236,10 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         parents=[fit],
         help="grid of synthetic completion runs, one CSV row each",
-        description="Fit gen_oscillating truths over a grid of shapes, missing rates and seeds, one CSV row "
-        "each. gen_oscillating is not low-rank at small shapes, so a row's rse measures how well a rank-r "
-        "model fits that function, not whether completion recovers a low-rank truth: 10x10x10 at missing "
-        "rate 0.5 and rank 3 reaches a held-out RSE of 2.00, worse than filling zeros.",
+        description="Fit random truths of TT rank --rank (gen_tt_random) over a grid of shapes, missing "
+        "rates and seeds, one CSV row each; a row's rse is the recovered tensor's error against its truth.",
     )
     p_sweep.add_argument("--shapes", required=True, help="comma list, e.g. 26x26x26,7x7x7x7x7")
     p_sweep.add_argument("--rates", required=True, help="comma list of missing rates in [0,1)")

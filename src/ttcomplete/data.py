@@ -16,18 +16,6 @@ from .ttmodel import TTCores, TTRank, cap_ranks, random_init, tt_full
 _START_NOISE = 0.6
 
 
-def gen_oscillating(shape: TensorShape) -> DenseTensor:
-    """Fill a tensor with samples of f(x) = sin(x/4) * cos(x^2) on (0, 10].
-
-    Cell k of the column-major buffer (0-based) holds f((k + 1) / N * 10),
-    N the element count. On this fixed interval the signal is smooth along
-    the linearization: on 26^3 and 7^5 every unfolding has numerical rank
-    at most 8 (singular values above 1e-4 of the largest).
-    """
-    x = np.arange(1, shape.element_count + 1, dtype=np.float64) / shape.element_count * 10.0
-    return DenseTensor(shape, np.sin(x / 4.0) * np.cos(x * x))
-
-
 def gen_tt_random(shape: TensorShape, rank: TTRank, seed: int) -> DenseTensor:
     """Ground truth with known train rank: materialize randomly drawn cores."""
     return tt_full(random_init(shape, rank, seed))

@@ -361,7 +361,8 @@ class _Join:
     over modes 1..s and ``right`` the trie over modes N, ..., s+1. ``tiles``
     lists, per row tile of the ``left.leaves`` x ``right.leaves`` join block,
     the slice of its block rows and the slice of sorted rows that fall in it;
-    sorted row m sits at ``cell[m]`` of its flattened tile. ``order`` and
+    sorted row m sits at ``cell[m]`` of its flattened tile; the tries drop
+    their per-row ``leaf`` arrays once ``cell`` is built. ``order`` and
     ``fresh`` come in as :func:`_sort_rows` of ``indices``.
     """
 
@@ -387,6 +388,7 @@ class _Join:
         self.tiles = [(slice(r, r + rows), slice(a, b)) for r, a, b in zip(starts, bounds[:-1], bounds[1:])]
         self.cell = (row - row // rows * rows) * width + right_leaf[self.order]  # 3x faster than row % rows
         self.values = values[self.order]
+        del self.left.leaf, self.right.leaf  # cell and order hold all the join needs of them
 
     def forward(self, cores: Sequence[np.ndarray]):
         """Predictions of the sorted rows, and what ``backward`` needs."""

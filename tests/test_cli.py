@@ -92,6 +92,7 @@ class TestComplete:
         assert main(argv + ["--max-iters", "400", "--out-prefix", str(tmp_path / "run")]) == 0
         err = capsys.readouterr().err
         assert "line-search-failure" in err
+        assert float(err.split("f/f0 = ")[1].split(";")[0]) < 1e-20  # converged, not stalled
         trace = (tmp_path / "run.csv").read_text().splitlines()
         assert "# termination=line-search-failure" in trace
         evals = int(next(l for l in trace if l.startswith("# evals=")).split("=")[1])
@@ -612,8 +613,27 @@ class TestSweep:
         fields = rows[0].split(",")
         assert fields[0] == "5x5x5"
         # fully observed with full-capacity ranks: the fit drives the error down
-        # (this under-resolved 5^3 sampling needs about 3,000 NCG iterations)
+        # (this rank-(1, 5, 5, 1) truth takes about 3,500 NCG iterations)
         assert float(fields[6]) < 1e-4
+
+    def test_recovers_a_known_rank_truth(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--shapes", "6x6x6", "--rates", "0.5", "--seeds", "0,1", "--rank", "2", "--out", str(out)]
+        assert main(argv) == 0
+        rows = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert [row[2] for row in rows] == ["0", "1"]
+        assert all(float(row[6]) <= 1e-6 for row in rows)
+
+    def test_truth_seed_is_not_the_grid_seed(self, tmp_path):
+        # the fit's start takes its noise from random_init(shape, rank, seed), the very cores
+        # gen_tt_random(shape, rank, seed) multiplies out, so the truth must not share the seed
+        seeds = [0, 1, 2]
+        argv = ["sweep", "--shapes", "3x3", "--rates", "0.5", "--seeds", "0,1,2", "--max-iters", "2"]
+        with mock.patch.object(cli, "gen_tt_random", wraps=cli.gen_tt_random) as draw:
+            assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+        drawn = [call.args[2] for call in draw.call_args_list]
+        assert len(drawn) == 3 and len(set(drawn)) == 3
+        assert all(truth != grid for truth, grid in zip(drawn, seeds))
 
     def test_empty_rates_exit_2(self, tmp_path):
         code = main(

@@ -18,7 +18,6 @@ from ttcomplete import (
     default_init_scale,
     extract_observations,
     fit_cores,
-    gen_oscillating,
     gen_tt_random,
     initial_cores,
     mask_block,
@@ -34,7 +33,7 @@ from ttcomplete import (
     uniform_ranks,
 )
 import ttcomplete.data as data_module
-from oracles import outer_product
+from oracles import gen_oscillating, outer_product
 
 
 class TestOscillating:

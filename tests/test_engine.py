@@ -648,6 +648,22 @@ class TestTiles:
             tracemalloc.stop()
         assert peak < block_bytes / 2
 
+    def test_join_retains_few_bytes_per_observation(self):
+        # 200,000 of 4^10 cells: the sort (order, N flags) and the join (order, cell, values) are
+        # 42 bytes per observation; also keeping the tries' per-row leaf arrays would be 58
+        shape = TensorShape((4,) * 10)
+        rng = np.random.default_rng(3)
+        cells = rng.choice(shape.element_count, size=200_000, replace=False)
+        coords = np.stack(np.unravel_index(cells, shape.sizes), axis=1) + 1
+        obs = SparseObservations(shape, coords, rng.standard_normal(cells.size))
+        tracemalloc.start()
+        try:
+            obs._join
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert retained / obs.count < 48
+
 
 class TestSplit:
     @pytest.mark.parametrize("seed", range(8))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ttcomplete.engine as engine
 import ttcomplete.fileio as fileio
-from oracles import WholeFileReader, dense_text, model_text, sparse_text
+from oracles import WholeFileReader, dense_text, gen_oscillating, model_text, sparse_text
 from ttcomplete import (
     CapacityError,
     DenseTensor,
@@ -27,7 +27,6 @@ from ttcomplete import (
     extract_observations,
     flatten_params,
     unflatten_params,
-    gen_oscillating,
     load_dense,
     load_model,
     load_sparse,

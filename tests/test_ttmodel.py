@@ -16,7 +16,6 @@ from ttcomplete import (
     extract_observations,
     fit_cores,
     flatten_params,
-    gen_oscillating,
     mask_random,
     random_init,
     tt_full,
@@ -25,7 +24,7 @@ from ttcomplete import (
 )
 import ttcomplete.complete as complete
 from ttcomplete.optimize import minimize
-from oracles import entry_by_matrix_chain, full_by_entries, full_by_sweep, outer_product
+from oracles import entry_by_matrix_chain, full_by_entries, full_by_sweep, gen_oscillating, outer_product
 
 
 def two_mode_example():
