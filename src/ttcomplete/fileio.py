@@ -31,11 +31,11 @@ which no writer here makes, is read whole and loads the same. A writer formats
 ``_ROWS`` lines at a time. After a fault the reader reads on to the end of the
 file, one block at a time and keeping none, only to rank it.
 
-numpy's C text parser (``_parse``) parses each block of a table with a value
-column. It reads no token that ``int`` or ``float`` reject, nor to other bits,
-so the rules above stay Python's: ``_fill`` parses only a block that numpy
-refuses, and the one-line header tables, and re-walks a block that fails there
-too line by line to name its first bad line.
+Every table, header tables included, follows one parse rule. numpy's C text
+parser (``_parse``) reads each block. It reads no token that ``int`` or
+``float`` reject, nor to other bits, so the rules above stay Python's: only in a
+block that numpy refuses does ``_fill`` read each line by ``int`` and ``float``,
+and the first line it refuses is the one named.
 """
 
 from __future__ import annotations
@@ -343,39 +343,39 @@ def _finite(parts, what: str) -> None:
         start += block.size
 
 
-def _parse(lines: list[str], ints: int, int_out: array, float_out: array) -> bool:
-    """Append ``lines`` of ``ints`` ints and then a float, parsed by numpy's C parser; False if it refuses them.
+def _parse(lines: list[str], ints: int, value: bool, int_out: array, float_out: array) -> bool:
+    """Append ``lines`` of ``ints`` ints (then a float if ``value``), read by numpy's C parser; False if it refuses.
 
     numpy reads no token that ``int`` or ``float`` reject, nor to other bits, but
     refuses some that they accept (``1_0``) and skips blank lines; so a refusal,
-    warning or lost line leaves the block to ``_fill``, which names any fault.
+    warning or lost line leaves the block to ``_fill``. An integer-only table is an
+    int64 matrix as wide as its lines: no row is as wide as a declared mode count.
     """
     fields = [("i", np.int64, (ints,))] if ints else []
+    dtype, shape = ([*fields, ("v", np.float64)], (len(lines),)) if value else (np.int64, (len(lines), ints))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # numpy 1.24-1.26 read the int field 1.0 as 1, with only a DeprecationWarning
         try:
-            records = np.loadtxt(lines, [*fields, ("v", np.float64)], comments=None, delimiter=None, ndmin=1)
+            records = np.loadtxt(lines, dtype, comments=None, delimiter=None, ndmin=len(shape))
         except Exception:  # noqa: BLE001 - whatever numpy refuses, Python's parser reads or names
             return False
-    if records.shape != (len(lines),):
+    if records.shape != shape:
         return False
+    if value:
+        float_out.frombytes(records["v"].tobytes())
     if ints:
-        int_out.frombytes(records["i"].tobytes())
-    float_out.frombytes(records["v"].tobytes())
+        int_out.frombytes((records["i"] if value else records).tobytes())
     return True
 
 
-def _fill(rows, ints: int, value: bool, int_out: array, float_out: array) -> bool:
-    """Append split ``rows`` of ``ints`` ints (then a float if ``value``); False on a bad width or token."""
-    width = ints + value
-    if set(map(len, rows)) != {width}:
+def _fill(parts: list[str], ints: int, value: bool, int_out: array, float_out: array) -> bool:
+    """Append one split line of ``ints`` ints (then a float if ``value``); False on a bad width or token."""
+    if len(parts) != ints + value:
         return False
-    tokens = list(chain.from_iterable(rows))
     try:
+        int_out.extend(map(int, parts[:ints]))
         if value:
-            float_out.extend(map(float, tokens[ints::width]))
-            del tokens[ints::width]
-        int_out.extend(map(int, tokens))
+            float_out.append(float(parts[ints]))
     except (ValueError, OverflowError):
         return False
     return True
@@ -444,17 +444,16 @@ class _LineReader:
         nonfinite = None  # the first non-finite value's line and message
         while (lo := self.pos) < stop:
             lines = self.take(stop - lo)
-            if not (value and lines and _parse(lines, ints, int_out, float_out)):
-                rows = [line.split() for line in lines]
-                if not lines or not _fill(rows, ints, value, int_out, float_out):
+            if not (lines and _parse(lines, ints, value, int_out, float_out)):
+                rows = enumerate(map(str.split, lines))  # Python reads a refused block up to its first bad line
+                bad = next((k for k, parts in rows if not _fill(parts, ints, value, int_out, float_out)), None)
+                if not lines or bad is not None:
                     if (total := self.rest()) < stop:  # a short table ranks before a malformed line
                         found = f"{n} lines expected, {total - start} found"
                         raise FormatError(f"line {total + 1}: missing {what} ({found})")
-                    for k, (parts, line) in enumerate(zip(rows, lines), lo + 1):  # re-walk it for the first bad line
-                        if len(parts) != width:
-                            raise FormatError(f"line {k}: {what} has {len(parts)} fields, expected {width}")
-                        if not _fill([parts], ints, value, array("q"), array("d")):
-                            raise FormatError(f"line {k}: malformed {what} {line.strip()!r}")
+                    if (fields := len(lines[bad].split())) != width:
+                        raise FormatError(f"line {lo + bad + 1}: {what} has {fields} fields, expected {width}")
+                    raise FormatError(f"line {lo + bad + 1}: malformed {what} {lines[bad].strip()!r}")
             if value and nonfinite is None:
                 finite = np.isfinite(np.frombuffer(float_out[-len(lines) :]))
                 if not finite.all():

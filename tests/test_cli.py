@@ -459,6 +459,25 @@ class TestMissingOutputDirectory:
         assert "is not writable" in capsys.readouterr().err
         assert list(out_dir.iterdir()) == []
 
+    def test_read_only_directory_for_any_user(self, tmp_path, capsys):
+        # as the test above, but ``os.access`` denies W_OK as the mode bits deny it to a non-root user,
+        # so it runs as root too; every other access check is the real one
+        obs_path, _ = write_small_problem(tmp_path)
+        out_dir = tmp_path / "read_only"
+        out_dir.mkdir()
+        access = os.access
+
+        def deny_write(path, mode, *args, **kwargs):
+            return not mode & os.W_OK and access(path, mode, *args, **kwargs)
+
+        argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--out-prefix", str(out_dir / "run")]
+        with mock.patch.object(cli, "fit_cores") as fit, mock.patch.object(cli.os, "access", side_effect=deny_write):
+            assert main(argv) == 3
+        fit.assert_not_called()
+        assert "is not writable" in capsys.readouterr().err
+        assert list(out_dir.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["obs.txt", "read_only"]
+
 
 class TestFitDefaults:
     """Without fit flags, both fitting commands fit with ``OptimizeConfig()``."""

@@ -708,6 +708,18 @@ class TestStreamingReads:
         load, bound = (load_dense, 1.5 * 2**20) if fmt == "dense" else (load_sparse, 3 * 2**20)
         assert _peak(load, path) < bound
 
+    def test_a_huge_mode_count_allocates_no_row_that_wide(self, tmp_path):
+        # numpy reads an integer-only table as wide as its lines; a structured row as wide as the declared
+        # 10^6 modes traces 33 MiB before the 2 fields of the sizes line refuse it
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"stto-dense v1\n1000000\n3 3\n0.5\n")
+
+        def load():
+            with pytest.raises(FormatError, match="^line 3: mode sizes has 2 fields, expected 1000000$"):
+                load_dense(path)
+
+        assert _peak(load) < 2**20
+
     @pytest.mark.parametrize(
         "raw, lines",
         [
@@ -754,17 +766,18 @@ class TestStreamingReads:
             load_sparse(path, _refuse)
 
     def test_a_fault_reads_on_only_to_rank_it(self, tmp_path, monkeypatch):
-        # after the first fault the rest of the file is read for non-ASCII bytes, but not parsed
-        monkeypatch.setattr(fileio, "_BLOCK", 4)
+        # in a block that numpy refuses, Python reads the lines up to and including the first bad one; after
+        # that fault the rest of the file is read for non-ASCII bytes, but not parsed
+        monkeypatch.setattr(fileio, "_BLOCK", 32)  # the header and records 1-3, then records 4-12 and 13-21
         path = tmp_path / "bad.txt"
-        path.write_bytes(b"stto-dense v1\n1\n3\nx\n" + b"0.5\n" * 3000)
+        path.write_bytes(b"stto-dense v1\n1\n3000\n" + b"0.5\n" * 16 + b"x\n" + b"0.5\n" * 2983)
         with mock.patch.object(fileio, "_parse", wraps=fileio._parse) as parse, mock.patch.object(
             fileio, "_fill", wraps=fileio._fill
         ) as fill:
-            with pytest.raises(FormatError, match="^line 4: malformed value 'x'$"):
+            with pytest.raises(FormatError, match="^line 20: malformed value 'x'$"):
                 load_dense(path)
-        assert parse.call_count == 1  # the record block, which numpy refuses; no later block
-        assert fill.call_count == 2 + 2  # the header's two tables, the record block and its re-walk
+        assert parse.call_count == 2 + 3  # the header's two tables and the first three record blocks; no later block
+        assert [call.args[0] for call in fill.call_args_list] == [["0.5"]] * 4 + [["x"]]  # records 13-17
 
     def test_one_parse_per_block(self, tmp_path, monkeypatch):
         # the records of each decoded block are parsed at once, never gathered across blocks
@@ -779,12 +792,12 @@ class TestStreamingReads:
             assert load_dense(path).values.size == 3000
         blocks = more.call_count - 1  # the last call finds the end of the file
         assert blocks == 1 + 2997 // 9
-        assert parse.call_count == blocks  # one parse per block
-        assert fill.call_count == 2  # only the header's two tables
+        assert parse.call_count == 2 + blocks  # the header's two tables, then one parse per block
+        assert fill.call_count == 0
 
     @pytest.mark.parametrize("fmt", ["sparse", "dense", "model"])
     def test_a_savers_body_is_parsed_by_numpy(self, tmp_path, monkeypatch, fmt):
-        # Python's parser reads only the one-line header tables of what the savers write
+        # numpy reads every line of what the savers write, the header tables' too; Python reads none
         monkeypatch.setattr(fileio, "_BLOCK", 256)  # several blocks
         path = tmp_path / "f.txt"
         rng = np.random.default_rng(0)
@@ -798,7 +811,7 @@ class TestStreamingReads:
             save_model(path, random_init(shape, TTRank((1, 3, 2, 1)), seed=0))
         with mock.patch.object(fileio, "_fill", wraps=fileio._fill) as fill:
             assert _outcome(fmt, path, None)[0] == shape.sizes
-        assert not any(call.args[2] for call in fill.call_args_list)  # no table with a value column
+        assert fill.call_count == 0
 
     @pytest.mark.parametrize("lenient", [False, True], ids=["numpy", "warning parser"])
     def test_a_float_coordinate_is_malformed_under_any_warning_filter(self, tmp_path, monkeypatch, lenient):
@@ -841,8 +854,12 @@ _SPACE = st.sampled_from(["", " ", "\t", "\x1f"])
 
 class TestNumpyParser:
     # numpy's parser may refuse a line that Python's int and float read, and then _fill reads it;
-    # but what numpy reads, Python reads to the same bits, so no file loads differently.
-    @pytest.mark.parametrize("template, ints", [("{}", 0), ("{} 0.5", 1), ("1 {}", 1), ("7 {} -2", 2)])
+    # but what numpy reads, Python reads to the same bits, so no file loads differently. A template
+    # of more fields than ints ends in a value column; the others are integer-only tables.
+    @pytest.mark.parametrize(
+        "template, ints",
+        [("{}", 0), ("{} 0.5", 1), ("1 {}", 1), ("7 {} -2", 2), ("{}", 1), ("1 {}", 2), ("7 {} -2", 3)],
+    )
     @given(st.tuples(_SPACE, _TOKENS, _SPACE))
     @example(("", "1_0", ""))
     @example(("", "\u0661", ""))
@@ -852,17 +869,21 @@ class TestNumpyParser:
     @settings(max_examples=300, deadline=None)
     def test_reads_a_token_as_python_does_or_refuses_it(self, template, ints, padded):
         line = template.format("".join(padded))
+        value = len(template.split()) > ints
         got, expected = (array("q"), array("d")), (array("q"), array("d"))
-        if fileio._parse([line], ints, *got):
-            assert fileio._fill([line.split()], ints, True, *expected), line
+        if fileio._parse([line], ints, value, *got):
+            assert fileio._fill(line.split(), ints, value, *expected), line
             assert (got[0].tobytes(), got[1].tobytes()) == (expected[0].tobytes(), expected[1].tobytes()), line
 
     def test_reads_what_the_savers_write(self):
         lines = ["1 2 0.5", "3 4 -1e-300", "9223372036854775807 1 1.7976931348623157e+308", "1 1 5e-324"]
         got = array("q"), array("d")
-        assert fileio._parse(lines, 2, *got)
+        assert fileio._parse(lines, 2, True, *got)
         assert got[0].tolist() == [1, 2, 3, 4, 2**63 - 1, 1, 1, 1]
         assert got[1].tolist() == [0.5, -1e-300, 1.7976931348623157e308, 5e-324]
+        got = array("q"), array("d")
+        assert fileio._parse(["3"], 1, False, *got) and fileio._parse(["48 48 9223372036854775807"], 3, False, *got)
+        assert got[0].tolist() == [3, 48, 48, 2**63 - 1] and not got[1]
 
     @pytest.mark.parametrize(
         "lines, ints",
@@ -870,7 +891,11 @@ class TestNumpyParser:
     )
     def test_refuses_a_lost_line_or_a_wrong_width(self, lines, ints):
         # loadtxt skips blank lines, which are malformed records here
-        assert not fileio._parse(lines, ints, array("q"), array("d"))
+        assert not fileio._parse(lines, ints, True, array("q"), array("d"))
+
+    @pytest.mark.parametrize("lines, ints", [(["3", ""], 1), (["3 3"], 1), (["3"], 2), (["1 2", "3"], 2), ([" "], 1)])
+    def test_refuses_a_lost_line_or_a_wrong_width_without_a_value(self, lines, ints):
+        assert not fileio._parse(lines, ints, False, array("q"), array("d"))
 
 
 def _refuse(shape):
