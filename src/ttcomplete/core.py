@@ -20,9 +20,9 @@ MAX_ELEMENT_COUNT = 2**62
 
 
 def _integral(value) -> bool:
-    """Whether ``value`` is an int, a numpy integer or an integral float; NaN, inf and None are not."""
+    """Whether ``value`` is an int, a numpy integer or an integral float; bools, NaN, inf and None are not."""
     try:  # not contextlib.suppress: about 3x slower, and this runs some 50 times per fit
-        return int(value) == value
+        return not isinstance(value, (bool, np.bool_)) and int(value) == value
     except (TypeError, ValueError, OverflowError):
         return False
 

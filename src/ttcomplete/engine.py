@@ -32,10 +32,10 @@ kernel, not the slower NT one (an 85 x 768 img256 tile: 30-33 vs 47-57 us).
 A trie depth is one of two kinds, read from the observed cells. It is
 complete when every parent has all I_n children (K_n = K_{n-1} * I_n), as on
 a tensorized image at 90% missing. Its K_{n-1} x r_{n-1} parent rows then
-meet the r_{n-1} x (I_n * r_n) reshaped core in one GEMM, a dense Kronecker
-step like the left-to-right sweep of TT-SVD. Any other depth is a segment
-depth: its nodes gather their parents' rows and run one matmul per slice
-label.
+meet the r_{n-1} x (I_n * r_n) reshaped core in one GEMM: the step
+``ttmodel._grow``, which ``tt_full`` takes at every mode. Any other depth is
+a segment depth: its nodes gather their parents' rows and run one matmul per
+slice label.
 
 The backward pass is reverse mode. Tile by tile, the residuals x_m - y_m of
 its run are summed into its rows E_t of the block E at (a_m, b_m) (one
@@ -94,7 +94,7 @@ import numpy as np
 
 from .core import TensorShape, _integral
 from .errors import BoundsError, NumericError, ShapeError
-from .ttmodel import TTCores, _flat
+from .ttmodel import _ROOT, TTCores, _flat, _grow
 
 
 @dataclass(eq=False)
@@ -251,11 +251,6 @@ def _best_split(prefix: Sequence[int], suffix: Sequence[int], m: int) -> int:
     return best
 
 
-# The row of every trie's root: the empty prefix's partial product.
-_ROOT = np.ones((1, 1))
-_ROOT.flags.writeable = False
-
-
 class _Trie:
     """Shared-prefix trie over the first ``len(fresh)`` modes, from :func:`_sort_rows`'s ``order``, ``fresh``.
 
@@ -268,9 +263,9 @@ class _Trie:
     count), stored grouped by slice label: segments lists (label, node slice)
     in ascending label order, parents[k] is the position of node k's parent
     among the ``count`` nodes of the previous depth, and within one segment
-    the parents are distinct. A complete first depth skips the root's 1 x 1
-    product: its rows are the core's slices, and its gradient is their
-    adjoint, both exact.
+    the parents are distinct. A complete depth grows its rows by
+    ``ttmodel._grow``, so at the first depth they are the core's slices, and
+    the gradient there is their adjoint, both exact.
     """
 
     def __init__(self, indices: np.ndarray, order: np.ndarray, fresh: np.ndarray, sizes):
@@ -304,11 +299,7 @@ class _Trie:
         kept = []
         for core, level in zip(cores, self.depths):
             if level is None:
-                g = rows
-                if g is _ROOT:  # the root's children are the core's slices
-                    rows = core.reshape(-1, core.shape[2])
-                else:
-                    rows = (g @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+                g, rows = rows, _grow(rows, core)
             else:
                 segments, parents, _ = level
                 g = np.take(rows, parents, axis=0)

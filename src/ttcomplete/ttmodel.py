@@ -8,6 +8,7 @@ core_n[:, i_n, :], a chain of r_{n-1} x r_n matrices collapsing to a scalar.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -102,6 +103,19 @@ def random_init(shape: TensorShape, rank: TTRank, seed: int, scale: float = 1.0)
     return TTCores(tuple(cores), shape, rank)
 
 
+# The row of every sweep's root: the empty prefix's partial product.
+_ROOT = np.ones((1, 1))
+_ROOT.flags.writeable = False
+
+
+def _grow(rows: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """A complete depth's step: rows[p] @ core[:, j, :] of all parents p and labels j as row p * I_n + j,
+    in one GEMM; the root's children are the core's slices."""
+    if rows is _ROOT:
+        return core.reshape(-1, core.shape[2])
+    return (rows @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
+
+
 def check_full_capacity(shape: TensorShape) -> None:
     """Raise CapacityError if :func:`tt_full` would refuse ``shape``."""
     count = shape.element_count
@@ -112,27 +126,21 @@ def check_full_capacity(shape: TensorShape) -> None:
 def tt_full(cores: TTCores) -> DenseTensor:
     """Materialize the full tensor represented by the cores.
 
-    Meets in the middle: a left-to-right sweep over modes 1..s gives the
-    (I_1 * ... * I_s) x r_s prefix rows, a right-to-left sweep over modes
-    N..s+1 the r_s x (I_{s+1} * ... * I_N) suffix columns (one column of ones
-    when s = N), both in column-major index order, and one GEMM joins them;
-    their product raveled in F order is the tensor. s makes the larger of the
-    two counts as small as it can be, about the square root of the element
-    count. Refuses shapes with more than ``DEFAULT_FULL_LIMIT`` entries.
+    Meets in the middle as the engine's join does when every depth is complete: :func:`_grow` sweeps the cores
+    of modes 1..s into the (I_1 * ... * I_s) x r_s prefix rows, and the transposed cores of modes N..s+1 into
+    the suffix rows (``_ROOT`` when s = N), which come in column-major index order. One reshape and transpose
+    puts the prefix rows in that order too, and one GEMM joins them. The cores are swept in C order, so their
+    memory order changes no bit. s makes the larger row count as small as it can be, about the square root of
+    the element count. Refuses shapes with more than ``DEFAULT_FULL_LIMIT`` entries.
     """
     check_full_capacity(cores.shape)
     sizes = cores.shape.sizes
     s = min(range(1, len(sizes) + 1), key=lambda n: max(math.prod(sizes[:n]), math.prod(sizes[n:])))
-    left = np.ones((1, 1))
-    for size, core in zip(sizes[:s], cores.cores[:s]):
-        grown = (left @ core.reshape(core.shape[0], -1)).reshape(left.shape[0], size, -1)
-        left = grown.reshape((left.shape[0] * size, core.shape[2]), order="F")
-    right = np.ones((1, 1))
-    for size, core in zip(sizes[s:][::-1], cores.cores[s:][::-1]):
-        grown = (core.reshape(-1, core.shape[2]) @ right).reshape(core.shape[0], size, -1)
-        right = grown.reshape((core.shape[0], size * right.shape[1]), order="F")
-    # the product's transpose in C order is the product in F order, without a strided copy
-    return DenseTensor(cores.shape, (right.T @ left.T).ravel())
+    left = functools.reduce(_grow, map(np.ascontiguousarray, cores.cores[:s]), _ROOT)
+    suffix = [np.ascontiguousarray(core.transpose(2, 1, 0)) for core in cores.cores[s:][::-1]]
+    right = functools.reduce(_grow, suffix, _ROOT)
+    left = left.reshape(*sizes[:s], -1).transpose(*range(s - 1, -1, -1), s).reshape(left.shape)
+    return DenseTensor(cores.shape, (right @ left.T).ravel())
 
 
 def _flat(cores: Sequence[np.ndarray]) -> np.ndarray:

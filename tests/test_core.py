@@ -22,6 +22,12 @@ class TestTensorShape:
         with pytest.raises(ShapeError, match="is not an integer"):
             TensorShape(bad)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_sizes_rejected(self, flag):
+        # int(True) == 1, but a flag is no mode size
+        with pytest.raises(ShapeError, match=f"^mode size {flag!r} is not an integer$"):
+            TensorShape((flag, 3))
+
     def test_integral_floats_and_numpy_integers_accepted(self):
         shape = TensorShape((2.0, np.int32(3), np.uint8(4)))
         assert shape.sizes == (2, 3, 4)

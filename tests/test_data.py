@@ -192,6 +192,12 @@ class TestStructuredMasks:
         with pytest.raises(BoundsError, match="row 1.5 is not an integer"):
             mask_rows(TensorShape((4, 4, 3)), [1.5])
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_row_rejected(self, flag):
+        # read as 1, a flag would withhold row 1
+        with pytest.raises(BoundsError, match=f"^row {flag!r} is not an integer$"):
+            mask_rows(TensorShape((4, 4, 3)), [flag])
+
     def test_integral_rows_accepted(self):
         mask = mask_rows(TensorShape((4, 5, 3)), [2.0, np.int64(4)])
         assert np.array_equal(mask.observed, mask_rows(TensorShape((4, 5, 3)), [2, 4]).observed)
@@ -209,6 +215,13 @@ class TestStructuredMasks:
             mask_block(TensorShape((8, 8, 3)), 1.5, 1, 2, 2)
         with pytest.raises(BoundsError, match="width 2.5 is not an integer"):
             mask_block(TensorShape((8, 8, 3)), 1, 1, 2, 2.5)
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_block_rejected(self, flag):
+        with pytest.raises(BoundsError, match=f"^top {flag!r} is not an integer$"):
+            mask_block(TensorShape((8, 8, 3)), flag, flag, 2, 2)
+        with pytest.raises(BoundsError, match=f"^height {flag!r} is not an integer$"):
+            mask_block(TensorShape((8, 8, 3)), 1, 1, flag, 2)
 
     def test_integral_block_accepted(self):
         mask = mask_block(TensorShape((8, 8, 3)), 2.0, np.int64(1), 2, 2.0)

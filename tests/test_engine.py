@@ -213,6 +213,9 @@ class TestObservations:
             # a string is quoted, so that it does not read as a number; bytes print as their repr already
             ([[1, "2"]], 0, "observation 1: coordinate '2' is not an integer in mode 2"),
             ([[1, 1], [b"2", 1]], 1, "observation 2: coordinate b'2' is not an integer in mode 1"),
+            # a bool dtype is refused outright; a flag among objects is no coordinate either
+            ([[True, 2]], 0, "observation 1: coordinate True is not an integer in mode 1"),
+            ([[1, 1], [2, np.True_]], 1, "observation 2: coordinate True is not an integer in mode 2"),
         ],
     )
     @pytest.mark.parametrize("layout", [np.ascontiguousarray, np.asfortranarray])

@@ -125,6 +125,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="max_iters .* is not an integer"):
             OptimizeConfig(max_iters=max_iters)
 
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_max_iters_rejected(self, flag):
+        with pytest.raises(ValueError, match=f"^max_iters {flag!r} is not an integer$"):
+            OptimizeConfig(max_iters=flag)
+
     def test_integral_max_iters_accepted(self):
         cfg = OptimizeConfig(max_iters=2.0)
         assert cfg == OptimizeConfig(max_iters=np.int64(2)) == OptimizeConfig(max_iters=2)

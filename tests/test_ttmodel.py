@@ -23,6 +23,8 @@ from ttcomplete import (
     uniform_ranks,
 )
 import ttcomplete.complete as complete
+import ttcomplete.engine as engine
+import ttcomplete.ttmodel as ttmodel
 from ttcomplete.optimize import minimize
 from oracles import entry_by_matrix_chain, full_by_entries, full_by_sweep, gen_oscillating, outer_product
 
@@ -79,6 +81,11 @@ class TestRankChains:
             uniform_ranks(shape, 2.5)
         with pytest.raises(ShapeError, match="rank 0.5 is not an integer"):
             cap_ranks(TensorShape((1, 3)), (1, 0.5, 1))  # capped to 1 if truncated
+
+    @pytest.mark.parametrize("flag", [True, np.True_])
+    def test_bool_ranks_rejected(self, flag):
+        with pytest.raises(ShapeError, match=f"^rank {flag!r} is not an integer$"):
+            TTRank((1, flag, 1))
 
     def test_integral_ranks_accepted(self):
         shape = TensorShape((3, 3, 3))
@@ -211,6 +218,41 @@ class TestFullReconstruction:
         cores = random_init(shape, uniform_ranks(shape, 8), seed=3)
         ref = full_by_sweep(cores)
         assert np.max(np.abs(tt_full(cores).values - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_memory_order_changes_no_bit(self, data):
+        # random_init makes C-ordered cores; a fit hands tt_full column-major views of its flat vector
+        sizes = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=10), label="sizes")
+        inner = data.draw(st.lists(st.integers(1, 6), min_size=len(sizes) - 1, max_size=len(sizes) - 1))
+        shape = TensorShape(sizes)
+        cores = random_init(shape, cap_ranks(shape, (1, *inner, 1)), seed=data.draw(st.integers(0, 2**32 - 1)))
+        views = unflatten_params(cores, flatten_params(cores))
+        assert all(c.flags.f_contiguous for c in views.cores)
+        assert tt_full(views).values.tobytes() == tt_full(cores).values.tobytes()
+
+    @pytest.mark.parametrize("sizes", [(7,), (48, 48), (3, 1, 2, 1, 3), (2, 2, 2, 2, 20), (4,) * 6 + (3,)])
+    def test_prefix_rows_are_a_fully_observed_tries_leaf_rows(self, sizes, monkeypatch):
+        shape = TensorShape(sizes)
+        cores = random_init(shape, uniform_ranks(shape, 3), seed=len(sizes))
+        grow, steps = ttmodel._grow, []
+
+        def recorded(rows, core):
+            steps.append((rows is ttmodel._ROOT, grow(rows, core)))
+            return steps[-1][1]
+
+        monkeypatch.setattr(ttmodel, "_grow", recorded)
+        tt_full(cores)
+        monkeypatch.undo()
+        # the prefix sweep runs first; a suffix sweep, if any, starts again from the root
+        roots = [k for k, (root, _) in enumerate(steps) if root]
+        s = roots[1] if len(roots) > 1 else len(steps)
+        cells = np.indices(sizes).reshape(len(sizes), -1).T + 1
+        order, fresh = engine._sort_rows(cells, sizes)
+        trie = engine._Trie(cells, order, fresh[:s], sizes)
+        assert trie.depths == [None] * s  # every depth complete
+        leaves, _ = trie.forward(cores.cores[:s])
+        assert leaves.tobytes() == steps[s - 1][1].tobytes()
 
     def test_capacity_guard(self):
         # 4097 * 4096 = 16,781,312 cells, one row over the 2**24 limit; the cores stay tiny
