@@ -86,6 +86,12 @@ def _check_out_dir(path: str):
         raise OSError(f"the directory of output path {path!r} is not writable")
 
 
+def _observed_rse(objective: float, values: np.ndarray) -> float:
+    """sqrt(2 f) / ||y||, f = 0.5 * ||fitted - y||^2 at the returned cores; NaN where y is 0."""
+    denom = float(np.linalg.norm(np.sort(values)))  # sorted: independent of record order
+    return math.sqrt(2.0 * objective) / denom if denom > 0 else float("nan")
+
+
 def cmd_complete(args) -> int:
     if (args.input is None) == (args.image is None):
         raise UsageError("exactly one input source is required: --input or --image")
@@ -106,23 +112,25 @@ def cmd_complete(args) -> int:
         image = load_image(args.image)
         check_full_capacity(image.shape)
         mask = build_mask(image.shape, args.seed)
-        recovered, cores, report = complete_image(image, mask, rank, config, args.seed, args.tensorize)
+        recovered, cores, report = complete_image(image, mask, rank, config, args.tensorize)
+        observed_rse = None  # the metrics line scores the image; the RSE is needed only for the warning
     else:
         def check_shape(shape):
             check_full_capacity(shape)
             cap_ranks(shape, rank.ranks)
 
         obs = load_sparse(args.input, check_shape)
-        cores, report = fit_cores(obs, rank, config, args.seed)
-        denom = float(np.linalg.norm(np.sort(obs.values)))  # sorted: independent of record order
+        cores, report = fit_cores(obs, rank, config)
+        observed_rse = _observed_rse(report.final_objective, obs.values)
         del obs  # free it and its join before tt_full and the writers, where the run's memory peaks
         recovered = tt_full(cores)
     if report.reason == "line-search-failure":
-        # f/f0 tells a converged fit (about 1e-30) from a stall; f0 > 0, or the start's zero gradient ends the run
-        ratio = report.final_objective / report.records[0].objective
+        if observed_rse is None:
+            observed_rse = _observed_rse(report.final_objective, image.values[mask.observed])
+        # the observed RSE tells a converged fit (about 1e-15) from a stall, also where the start is near the optimum
         print(
-            f"warning: line-search-failure after {report.iterations} iterations at f/f0 = {ratio:.3g}; "
-            "the outputs hold the last accepted step",
+            f"warning: line-search-failure after {report.iterations} iterations at rse_observed = "
+            f"{observed_rse:.3g}; the outputs hold the last accepted step",
             file=sys.stderr,
         )
 
@@ -152,9 +160,7 @@ def cmd_complete(args) -> int:
         metrics_line = f"objective={report.final_objective!r} rse={fit_rse!r} psnr={psnr(saved, image)!r}"
     else:
         save_dense(f"{args.out_prefix}_recovered.txt", recovered)
-        # final_objective is 0.5 * ||fitted - y||^2 at the returned cores
-        fit_rse = math.sqrt(2.0 * report.final_objective) / denom if denom > 0 else float("nan")
-        metrics_line = f"objective={report.final_objective!r} rse_observed={fit_rse!r}"
+        metrics_line = f"objective={report.final_objective!r} rse_observed={observed_rse!r}"
 
     _write(f"{args.out_prefix}_metrics.txt", [metrics_line], ())
     print(metrics_line)
@@ -164,11 +170,11 @@ def cmd_complete(args) -> int:
 def _sweep_point(shape: TensorShape, rate: float, seed: int, rank_value: int, config: OptimizeConfig):
     start = time.perf_counter()
     rank = uniform_ranks(shape, rank_value)
-    # The fit's start takes its noise from random_init(shape, rank, seed), the cores that
-    # gen_tt_random(shape, rank, seed) multiplies out, so the truth draws from a seed derived from it.
+    # The mask draws from the grid seed. Its generator's first bits would also be the truth's cores,
+    # so the truth draws from a seed derived from it.
     truth = gen_tt_random(shape, rank, int(np.random.SeedSequence([seed, 1]).generate_state(1)[0]))
     mask = mask_random(shape, rate, seed)
-    est, _, report = complete_image(truth, mask, rank, config, seed, tensorize=False)
+    est, _, report = complete_image(truth, mask, rank, config, tensorize=False)
     err = rse(est, truth)
     seconds = time.perf_counter() - start
     return (
@@ -234,7 +240,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_complete.add_argument("--missing-rate", type=float, help="random missing rate for --image")
     p_complete.add_argument("--mask", help="irregular mask: rows:10,20,30 or block:top,left,height,width")
     p_complete.add_argument("--tensorize", action="store_true", help="fit the block-tensorized image")
-    p_complete.add_argument("--seed", type=int, default=0)
+    p_complete.add_argument("--seed", type=int, default=0, help="seeds the --missing-rate mask; a fit draws no noise")
     p_complete.add_argument("--out-prefix", required=True)
     p_complete.set_defaults(run=cmd_complete)
 
@@ -247,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument("--shapes", required=True, help="comma list, e.g. 26x26x26,7x7x7x7x7")
     p_sweep.add_argument("--rates", required=True, help="comma list of missing rates in [0,1)")
-    p_sweep.add_argument("--seeds", required=True, help="comma list of seeds")
+    p_sweep.add_argument("--seeds", required=True, help="comma list of seeds (masks; truths from derived seeds)")
     p_sweep.add_argument("--rank", type=int, default=8, help="uniform interior TT rank (capped by shape)")
     p_sweep.add_argument("--out", required=True, help="output CSV path")
     p_sweep.set_defaults(run=cmd_sweep)

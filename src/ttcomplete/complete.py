@@ -16,15 +16,14 @@ def fit_cores(
     obs: SparseObservations,
     rank: TTRank,
     cfg: OptimizeConfig | None = None,
-    seed: int = 0,
 ) -> tuple[TTCores, OptimizeReport]:
-    """Fit TT cores to the observed entries from the near-identity start ``seed`` draws.
+    """Fit TT cores to the observed entries from their truncated TT-SVD.
 
-    The start is :func:`ttcomplete.data.initial_cores`. ``rank`` is capped by
+    The start is :func:`ttcomplete.data.initial_cores`, which draws no noise. ``rank`` is capped by
     ``obs.shape`` (see :func:`ttcomplete.ttmodel.cap_ranks`); the fitted cores
     carry the capped chain.
     """
-    start = initial_cores(obs, rank, seed)
+    start = initial_cores(obs, rank)
     flat = flatten_params(start)
     cores = unflatten_params(start, flat)  # views of ``flat``, built once per fit
 
@@ -41,7 +40,6 @@ def complete_image(
     mask: MissingMask,
     rank: TTRank,
     cfg: OptimizeConfig | None = None,
-    seed: int = 0,
     tensorize: bool = True,
 ) -> tuple[DenseTensor, TTCores, OptimizeReport]:
     """Recover a masked image; returns the unclamped reconstruction.
@@ -54,7 +52,7 @@ def complete_image(
         obs, cells = _tensorized_observations(img, mask)
     else:
         obs = extract_observations(img, mask)
-    cores, report = fit_cores(obs, rank, cfg, seed)
+    cores, report = fit_cores(obs, rank, cfg)
     del obs  # free it and its join before tt_full and the gather, where a fit's memory peaks
     recovered = tt_full(cores)
     if tensorize:

@@ -7,14 +7,9 @@ import math
 import numpy as np
 
 from .core import DenseTensor, TensorShape, whole
-from .engine import SparseObservations
+from .engine import _BLOCK_CELLS_PER_OBS, SparseObservations
 from .errors import BoundsError, ShapeError
 from .ttmodel import TTCores, TTRank, cap_ranks, random_init, tt_full
-
-# sigma of initial_cores' middle slices. Of 0.3, 0.4, ..., 1.0 only 0.3 and 0.6 keep every tier-1
-# recovery bound; 0.6 recovers more on img256 (held-out, seeds 0/7: 0.2253/0.2278 against 0.2477/0.2438)
-_START_NOISE = 0.6
-
 
 def gen_tt_random(shape: TensorShape, rank: TTRank, seed: int) -> DenseTensor:
     """Ground truth with known train rank: materialize randomly drawn cores."""
@@ -185,31 +180,168 @@ def default_init_scale(obs: SparseObservations, rank: TTRank) -> float:
     return _spread(obs.values) ** (1.0 / order) / math.prod(rank.ranks) ** (0.5 / order)
 
 
-def initial_cores(obs: SparseObservations, rank: TTRank, seed: int) -> TTCores:
-    """The start of :func:`ttcomplete.fit_cores`: near-identity cores at the data's scale.
+def _top_right_vectors(d: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` leading right singular vectors of ``d``, at most its column count, as orthonormal columns.
 
-    An order-N train is a depth-N linear network whose layer the index
-    picks, and such networks train fast from near-identity layers (Saxe et
-    al., ICLR 2014; Hardt & Ma, ICLR 2017). So each slice of a middle core
-    is eye(r_{n-1}, r_n) + sigma / sqrt(r_{n-1}) * N(0, 1), sigma being
-    ``_START_NOISE``. The two boundary cores are N(0, s^2) with
-    s = (spread / sqrt(r_1))^(1/2), so the start predicts about the data's
-    spread (:func:`_spread`); an order-1 train's one core is N(0, spread^2),
-    clipped at max float. The noise is ``random_init(shape, rank, seed)``.
-    ``rank`` is capped by ``obs.shape`` (:func:`cap_ranks`).
+    They come from the smaller Gram matrix: the eigenvectors of d^T d, or
+    d^T v for those v of d d^T, made orthonormal by a QR factorization, which
+    also completes them where a singular value is 0.
+    """
+    rows, cols = d.shape
+    if cols <= rows:
+        return np.linalg.eigh(d.T @ d)[1][:, : -count - 1 : -1]
+    u = np.zeros((cols, count))
+    v = np.linalg.eigh(d @ d.T)[1][:, : -min(count, rows) - 1 : -1]
+    u[:, : v.shape[1]] = d.T @ v
+    return np.linalg.qr(u)[0]
+
+
+def _top_right_vectors_of_nodes(
+    rows: np.ndarray, parent: np.ndarray, label: np.ndarray, parents: int, size: int, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """About the ``count`` leading right singular vectors U of D, as orthonormal columns, and D U, without D.
+
+    D has ``parents`` rows of ``size`` blocks of r columns; node i's row
+    ``rows[i]`` (r wide) is its block in row ``parent[i]`` (nondecreasing in
+    i) at block ``label[i]``, and D is 0 elsewhere. A block subspace
+    iteration of b = 2 * ``count`` columns (fewer if D has fewer rows or
+    columns) finds U. It starts from D X, X[j, c] = frac(1/2 + (j + 1) /
+    g^(c + 1)) - 1/2 with g^(b + 1) = g + 1: an additive-recurrence
+    quasi-random sequence, which draws no noise but, like a random sketch,
+    meets every singular direction (D's largest columns alone miss those of
+    D's other blocks where D splits into disconnected blocks). It then takes
+    eight products with D D^T, each made orthonormal by a QR factorization,
+    and U is :func:`_top_right_vectors` of D projected on their span. The
+    products run one of the r columns at a time and sum in the nodes' order,
+    so memory stays O((nodes + size * r) * count) and the result depends on
+    the nodes alone.
+    """
+    r = rows.shape[1]
+    block = min(2 * count, size * r, parents)  # D's rank is at most the smaller side
+    firsts = np.flatnonzero(np.diff(parent, prepend=-1))  # each parent's first node
+    at = (label[:, None] * block + np.arange(block)).ravel()
+
+    def times(x):  # D @ x
+        x = x.reshape(size, r, -1)
+        part = rows[:, :1] * x[label, 0]
+        for a in range(1, r):
+            part += rows[:, a : a + 1] * x[label, a]
+        return np.add.reduceat(part, firsts)
+
+    def times_transposed(y):  # D^T @ y
+        y = y[parent]
+        x = np.empty((size, r, block))
+        for a in range(r):
+            x[:, a] = np.bincount(at, (rows[:, a : a + 1] * y).ravel(), size * block).reshape(size, block)
+        return x.reshape(size * r, block)
+
+    g = 2.0
+    for _ in range(64):  # g^(block + 1) = g + 1, a contraction from 2 down to g in (1, 2)
+        g = (1.0 + g) ** (1.0 / (block + 1))
+    y = times((0.5 + np.outer(np.arange(1.0, size * r + 1), g ** -np.arange(1.0, block + 1))) % 1.0 - 0.5)
+    for _ in range(8):
+        y = np.linalg.qr(times(times_transposed(y)))[0]
+    u = _top_right_vectors(times_transposed(y).T, count)
+    return u, times(u)
+
+
+def initial_cores(obs: SparseObservations, rank: TTRank) -> TTCores:
+    """The start of :func:`ttcomplete.fit_cores`: the truncated TT-SVD of the zero-filled, rescaled data.
+
+    T holds, at each of the K distinct observed cells, the mean observed value
+    times prod(I) / K, and 0 elsewhere; the start is T's sequentially
+    truncated TT-SVD (Oseledets, SIAM J. Sci. Comput. 2011), the tensor-train
+    form of the spectral start of Keshavan, Montanari & Oh (IEEE Trans. Inf.
+    Theory 2010). It is computed from the observations alone, in one sweep up
+    the suffix trie that the observations' reversed sort describes: level n
+    holds the distinct suffixes (i_n, ..., i_N), each with an r_{n-1}-wide
+    row, at level 1 the cells' values. Scattered into their parents, the
+    distinct (i_{n+1}, ..., i_N), by label i_n, the rows form the
+    parents x (I_n * r_{n-1}) matrix D_n, a plain reshape where every parent
+    has all I_n children. Core n is D_n's r_n leading right singular vectors
+    U_n (:func:`_top_right_vectors`; the identity where r_n >= I_n * r_{n-1}
+    leaves nothing to truncate), and the next level's rows are D_n U_n; the
+    root's row is the last core. Last, the cores are scaled to equal
+    Frobenius norms.
+
+    D_n is formed only where it has at most ``_BLOCK_CELLS_PER_OBS`` cells
+    per entry of the rows, the join block's cap per observation, and then so
+    is the smaller Gram matrix, which is no larger. A sparser D_n, as at a
+    mode of thousands of labels with few observations per label, stays the
+    nodes' rows, and :func:`_top_right_vectors_of_nodes` approximates U_n by
+    a subspace iteration in O((nodes + I_n * r_{n-1}) * r_n) memory; there
+    the start is only near T's TT-SVD. So a level holds memory in proportion
+    to its nodes' rows and its core, never to prod(I). Every D_n is formed
+    where at least prod(I) / 16 distinct cells are observed, or where each
+    level has at most 16 labels.
+
+    The values are first scaled by 2^-k, max|y| = m * 2^k, and the last step
+    gives 2^k back with the rest of T's scale, each core's share split into a
+    factor in [1, 2) and an exact power of two, so the start is finite for
+    every finite y (an order-1 core is clipped at max float); all-zero data
+    give the zero tensor. Repeated cells enter as their mean, and every
+    reduction runs in the sort's order, so permuting the distinct
+    observations changes no bit. ``rank`` is capped by ``obs.shape``
+    (:func:`cap_ranks`).
     """
     shape = obs.shape
     rank = cap_ranks(shape, rank.ranks)
-    ranks = rank.ranks
-    spread = _spread(obs.values)
-    cores = []
-    for n, noise in enumerate(random_init(shape, rank, seed).cores):
-        if shape.order == 1:
-            with np.errstate(over="ignore"):  # a draw past max float becomes max float
-                cores.append(np.nan_to_num(spread * noise))
-        elif n in (0, shape.order - 1):
-            cores.append(math.sqrt(spread) / ranks[1] ** 0.25 * noise)  # spread / sqrt(r_1) may underflow
+    sizes, ranks, order = shape.sizes, rank.ranks, shape.order
+    rorder, rfresh = obs._suffix_sort()  # rfresh[order - 1 - n]: the sorted rows starting a suffix at 0-based mode n
+    scale = math.frexp(float(np.max(np.abs(obs.values))))[1]
+    values = np.ldexp(obs.values[rorder], -scale)
+    cell = np.cumsum(rfresh[-1]) - 1
+    cells = int(cell[-1]) + 1
+    rows = (np.bincount(cell, weights=values) / np.bincount(cell))[:, None]  # each cell's mean, in sorted order
+    # Leading levels that keep every column, r_n = I_1 * ... * I_n, take the identity for U_n (below), so
+    # they merge into level m, whose nodes are the cells and whose labels are the column-major offsets of
+    # (i_1, ..., i_m): the same D_m, without the levels before it.
+    m = 0
+    while m + 1 < order and ranks[m + 1] >= sizes[m] * ranks[m]:
+        m += 1
+    cores = [np.eye(ranks[n + 1]).reshape(sizes[n], ranks[n], ranks[n + 1]).transpose(1, 0, 2) for n in range(m)]
+    for n in range(m, order):
+        lo = 0 if n == m else n  # the level's labels run over modes lo..n
+        size = math.prod(sizes[lo : n + 1])
+        parents = np.count_nonzero(rfresh[order - n - 2]) if n + 1 < order else 1
+        width = size * rows.shape[1]
+        if parents * size == rows.shape[0]:  # every parent has all its children, in label order; 7% off img256's start
+            d = rows.reshape(parents, width)
+        else:  # each node's row goes to its parent's, at its label
+            starts = np.flatnonzero(rfresh[order - lo - 1])
+            at = rorder[starts]
+            label = obs.indices[at, n] - 1
+            for k in range(n - 1, lo - 1, -1):
+                label = label * sizes[k] + obs.indices[at, k] - 1
+            parent = np.cumsum(rfresh[order - n - 2][starts]) - 1 if n + 1 < order else 0
+            if n + 1 < order and ranks[n + 1] < width and parents * width > _BLOCK_CELLS_PER_OBS * rows.size:
+                # D_n would hold more cells per entry of the rows than the fit's join block holds per
+                # observation, so it stays the nodes' rows
+                u, rows = _top_right_vectors_of_nodes(rows, parent, label, parents, size, ranks[n + 1])
+                cores.append(u.reshape(sizes[n], ranks[n], ranks[n + 1]).transpose(1, 0, 2))
+                continue
+            d = np.zeros((parents * size, rows.shape[1]))
+            item = np.dtype((np.void, rows.itemsize * rows.shape[1]))  # numpy moves a row as one item 2x faster
+            d.view(item)[parent * size + label, 0] = rows.view(item)[:, 0]
+            d = d.reshape(parents, width)
+        if n + 1 == order:
+            u = d.reshape(width, 1)  # the root's row
+        elif ranks[n + 1] >= width:
+            # nothing to truncate: the singular vectors are an orthogonal gauge away from the identity, which
+            # changes neither T's projection nor, in exact arithmetic, the NCG run from it
+            u = np.eye(width, ranks[n + 1])
         else:
-            identity = np.eye(ranks[n], ranks[n + 1])[:, None, :]
-            cores.append(identity + _START_NOISE / math.sqrt(ranks[n]) * noise)
+            u = _top_right_vectors(d, ranks[n + 1])
+        cores.append(u.reshape(sizes[n], ranks[n], ranks[n + 1]).transpose(1, 0, 2))
+        rows = d @ u
+        del d  # before the next level's D is built
+    norms = [float(np.linalg.norm(c)) for c in cores]
+    if norms[-1] > 0.0:  # else T is 0, which the orthonormal cores and a zero last core give
+        # log2 of every core's norm once the cores also carry T's scale, 2^k * prod(I) / K
+        target = (scale + math.log2(math.prod(sizes) / cells) + sum(map(math.log2, norms))) / order
+        logs = [target - math.log2(a) for a in norms]
+        with np.errstate(over="ignore"):  # past max float only an order-1 core, clipped to it
+            cores = [np.ldexp(c * 2.0 ** (x - math.floor(x)), math.floor(x)) for c, x in zip(cores, logs)]
+        if order == 1:
+            cores = [np.nan_to_num(cores[0])]
     return TTCores(tuple(cores), shape, rank)

@@ -65,6 +65,10 @@ node starts come from one prefix-start table per sort of the observations'
 linear offsets (two sorts), so s depends only on the observed cells. The
 observations cache the first sort, whose table alone answers the duplicate
 check, and the join built on it, which serves the objective and the gradient.
+They cache the second, the suffix sort, until the join is built: a fit's start
+(``data.initial_cores``) sweeps up the suffix trie it describes first, so a
+fit sorts its observations twice, and the join then frees it. A later start
+on the same observations sorts them once more and keeps nothing.
 
 Determinism: rows are sorted stably and lexicographically by (i_1, ..., i_N),
 as their row-major offsets, so the rows of one cell keep their input order.
@@ -164,9 +168,22 @@ class SparseObservations:
         return _sort_rows(self.indices, self.shape.sizes)
 
     @functools.cached_property
+    def _rsorted(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_sort_rows` of the reversed indices, shared by the first fit's start and the join."""
+        return _sort_rows(self.indices[:, ::-1], self.shape.sizes[::-1])
+
+    def _suffix_sort(self) -> tuple[np.ndarray, np.ndarray]:
+        """The reversed sort for a fit's start: the cached one, or a fresh, uncached one once the join has freed it."""
+        if "_join" in vars(self):
+            return _sort_rows(self.indices[:, ::-1], self.shape.sizes[::-1])
+        return self._rsorted
+
+    @functools.cached_property
     def _join(self) -> _Join:
-        """The observations' two tries and their join."""
-        return _Join(self.indices, self.values, self.shape, *self._sorted)
+        """The observations' two tries and their join, which frees the reversed sort once built."""
+        join = _Join(self.indices, self.values, self.shape, self._sorted, self._rsorted)
+        del self._rsorted
+        return join
 
 
 # The join block holds at most this many cells per observation. On img256 at
@@ -353,15 +370,14 @@ class _Join:
     lists, per row tile of the ``left.leaves`` x ``right.leaves`` join block,
     the slice of its block rows and the slice of sorted rows that fall in it;
     sorted row m sits at ``cell[m]`` of its flattened tile; the tries drop
-    their per-row ``leaf`` arrays once ``cell`` is built. ``order`` and
-    ``fresh`` come in as :func:`_sort_rows` of ``indices``.
+    their per-row ``leaf`` arrays once ``cell`` is built. ``sort`` and
+    ``rsort`` come in as :func:`_sort_rows` of ``indices`` and of their
+    reversed columns.
     """
 
-    def __init__(
-        self, indices: np.ndarray, values: np.ndarray, shape: TensorShape, order: np.ndarray, fresh: np.ndarray
-    ):
+    def __init__(self, indices: np.ndarray, values: np.ndarray, shape: TensorShape, sort: tuple, rsort: tuple):
+        (order, fresh), (rorder, rfresh) = sort, rsort
         sizes, rsizes = shape.sizes, shape.sizes[::-1]
-        rorder, rfresh = _sort_rows(indices[:, ::-1], rsizes)
         prefix, suffix = ([np.count_nonzero(new) for new in flags] for flags in (fresh, rfresh))
         self.split = _best_split(prefix, suffix[::-1], values.size)
         self.left = _Trie(indices, order, fresh[: self.split], sizes)

@@ -271,3 +271,23 @@ def model_text(cores) -> bytes:
     head = (cores.shape.order, " ".join(map(str, cores.shape.sizes)), " ".join(map(str, cores.rank.ranks)))
     flat = np.concatenate([core.ravel(order="F") for core in cores.cores])
     return _text(head, map(repr, flat.tolist()))
+
+
+def tt_svd_full(t: np.ndarray, ranks) -> np.ndarray:
+    """The sequentially truncated TT-SVD of the N-d array ``t`` at the rank chain ``ranks``, multiplied out.
+
+    Unfold the remainder into (r_{n-1} * I_n) rows, keep its leading r_n left singular vectors (numpy's SVD) as
+    core n, and carry their S V^T on to the next mode; the last remainder is the last core.
+    """
+    sizes = t.shape
+    cores = []
+    rest = t.reshape(1, -1)
+    for n, size in enumerate(sizes[:-1]):
+        u, s, vt = np.linalg.svd(rest.reshape(rest.shape[0] * size, -1), full_matrices=False)
+        k = min(ranks[n + 1], s.size)
+        cores.append(u[:, :k].reshape(-1, size, k))
+        rest = s[:k, None] * vt[:k]
+    full = rest.reshape(-1, sizes[-1])
+    for core in cores[::-1]:
+        full = np.tensordot(core, full, axes=(2, 0))
+    return full.reshape(sizes)

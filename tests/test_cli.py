@@ -32,11 +32,14 @@ import ttcomplete.fileio as fileio
 from ttcomplete.cli import main
 
 
-def write_small_problem(tmp_path, seed=0):
-    """Fully observed cells of an exactly rank-(1,2,2,1) tensor."""
+def write_small_problem(tmp_path, seed=0, missing_rate=0.0):
+    """Cells of an exactly rank-(1,2,2,1) 4x4x4 tensor, all observed unless ``missing_rate`` withholds some.
+
+    Fully observed, the fit starts at the optimum: the start is the truncated TT-SVD of the truth itself.
+    """
     shape = TensorShape((4, 4, 4))
     truth = gen_tt_random(shape, TTRank((1, 2, 2, 1)), seed=seed)
-    obs = extract_observations(truth, mask_random(shape, 0.0, seed))
+    obs = extract_observations(truth, mask_random(shape, missing_rate, seed))
     path = tmp_path / "obs.txt"
     save_sparse(path, obs)
     return path, truth
@@ -85,14 +88,14 @@ class TestComplete:
         assert model.shape.sizes == (4, 4, 4)
 
     def test_line_search_failure_reported_on_stderr(self, tmp_path, capsys):
-        # Pinned: the fully observed 4x4x4 problem of seed 0, fitted from seed 1,
-        # reaches f ~ 0 and then ends in a line search that finds no decrease.
+        # Pinned: the fully observed 4x4x4 problem of seed 0 starts at f ~ 0, so it
+        # ends in a line search that finds no decrease, and the warning says it converged.
         obs_path, _ = write_small_problem(tmp_path)
         argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--seed", "1"]
         assert main(argv + ["--max-iters", "400", "--out-prefix", str(tmp_path / "run")]) == 0
         err = capsys.readouterr().err
         assert "line-search-failure" in err
-        assert float(err.split("f/f0 = ")[1].split(";")[0]) < 1e-20  # converged, not stalled
+        assert float(err.split("rse_observed = ")[1].split(";")[0]) < 1e-10  # converged, not stalled
         trace = (tmp_path / "run.csv").read_text().splitlines()
         assert "# termination=line-search-failure" in trace
         evals = int(next(l for l in trace if l.startswith("# evals=")).split("=")[1])
@@ -105,8 +108,21 @@ class TestComplete:
         assert capsys.readouterr().err == ""
         assert "# termination=max-iters" in (tmp_path / "short.csv").read_text().splitlines()
 
+    def test_image_line_search_failure_reports_the_observed_rse(self, tmp_path, capsys):
+        # a fully observed rank-1 image, fitted at rank 1, ends in a line search that finds no decrease
+        img = np.einsum("i,j,k->ijk", 20.0 + 10.0 * np.arange(8), 1.0 + 0.1 * np.arange(8), [1.0, 0.5, 0.25])
+        save_image(tmp_path / "img.ppm", tensor_from_array(img))
+        argv = ["complete", "--image", str(tmp_path / "img.ppm"), "--missing-rate", "0", "--ranks", "1,1,1,1"]
+        assert main(argv + ["--max-iters", "50", "--out-prefix", str(tmp_path / "run")]) == 0
+        err = capsys.readouterr().err
+        assert "line-search-failure" in err
+        objective = float((tmp_path / "run_metrics.txt").read_text().split("objective=")[1].split()[0])
+        want = np.sqrt(2.0 * objective) / np.linalg.norm(load_image(tmp_path / "img.ppm").values)
+        assert float(err.split("rse_observed = ")[1].split(";")[0]) == pytest.approx(want, rel=1e-2)
+
     def test_gradients_counted_after_evals(self, tmp_path, capsys):
-        obs_path, _ = write_small_problem(tmp_path)
+        # half observed, the problem runs all 20 iterations
+        obs_path, _ = write_small_problem(tmp_path, missing_rate=0.5)
         argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--seed", "1"]
         assert main(argv + ["--max-iters", "20", "--out-prefix", str(tmp_path / "run")]) == 0
         trace = (tmp_path / "run.csv").read_text().splitlines()
@@ -146,7 +162,8 @@ class TestComplete:
 
     @pytest.mark.parametrize("max_iters", [1, 2, 4])
     def test_trace_and_metrics_bytes(self, tmp_path, capsys, monkeypatch, max_iters):
-        # traces of 2, 3 and 5 records; the metrics body is empty
+        # traces of 2, 3 and 5 records on a half-observed problem, which runs every iteration; the metrics
+        # body is empty
         items = {}
 
         def write(path, head, body):
@@ -155,7 +172,7 @@ class TestComplete:
             fileio._write(path, head, body)
 
         monkeypatch.setattr(cli, "_write", write)
-        obs_path, _ = write_small_problem(tmp_path)
+        obs_path, _ = write_small_problem(tmp_path, missing_rate=0.5)
         prefix = str(tmp_path / "run")
         argv = ["complete", "--input", str(obs_path), "--ranks", "1,2,2,1", "--max-iters", str(max_iters)]
         assert main(argv + ["--out-prefix", prefix]) == 0
@@ -351,7 +368,7 @@ class TestComplete:
         img = load_image(img_path)
         mask = mask_random(img.shape, 0.5, 3)
         rank = TTRank((1, 4, 4, 4, 4, 1))
-        recovered = complete_image(img, mask, rank, OptimizeConfig(max_iters=20), seed=3)[0]
+        recovered = complete_image(img, mask, rank, OptimizeConfig(max_iters=20))[0]
         save_image(tmp_path / "lib.ppm", recovered)
         assert (tmp_path / "run_recovered.ppm").read_bytes() == (tmp_path / "lib.ppm").read_bytes()
 
@@ -494,7 +511,7 @@ class TestFitDefaults:
         assert self.fitted_config(argv + ["--out-prefix", str(tmp_path / "run")], "fit_cores", 2) == OptimizeConfig()
 
     def test_sweep(self, tmp_path):
-        # a sweep point fits through complete_image(truth, mask, rank, config, seed, tensorize=False)
+        # a sweep point fits through complete_image(truth, mask, rank, config, tensorize=False)
         argv = ["sweep", "--shapes", "4x4", "--rates", "0.5", "--seeds", "0"]
         config = self.fitted_config(argv + ["--out", str(tmp_path / "s.csv")], "complete_image", 3)
         assert config == OptimizeConfig()
@@ -644,8 +661,8 @@ class TestSweep:
         assert all(float(row[6]) <= 1e-6 for row in rows)
 
     def test_truth_seed_is_not_the_grid_seed(self, tmp_path):
-        # the fit's start takes its noise from random_init(shape, rank, seed), the very cores
-        # gen_tt_random(shape, rank, seed) multiplies out, so the truth must not share the seed
+        # the mask draws from the grid seed, whose generator's first bits would also be the
+        # cores gen_tt_random(shape, rank, seed) multiplies out, so the truth must not share it
         seeds = [0, 1, 2]
         argv = ["sweep", "--shapes", "3x3", "--rates", "0.5", "--seeds", "0,1,2", "--max-iters", "2"]
         with mock.patch.object(cli, "gen_tt_random", wraps=cli.gen_tt_random) as draw:

@@ -414,9 +414,9 @@ class TestGradientOnDemand:
         # gradient up front must reach the same cores through the same records
         cores, obs = random_instance(seed)
         cfg = OptimizeConfig(max_iters=40)
-        fitted, report = fit_cores(obs, cores.rank, cfg, seed)
+        fitted, report = fit_cores(obs, cores.rank, cfg)
 
-        template = initial_cores(obs, cores.rank, seed)
+        template = initial_cores(obs, cores.rank)
 
         def eager(flat):
             f, g = objective_and_gradient(unflatten_params(template, flat), obs)
@@ -467,6 +467,18 @@ class TestPrefixTrie:
         cells = data.draw(st.lists(st.integers(0, math.prod(sizes) - 1), min_size=1, max_size=60))
         cells = data.draw(st.permutations(cells + data.draw(st.lists(st.sampled_from(cells), max_size=30))))
         assert_sorted_rows(np.stack(np.unravel_index(cells, sizes), axis=1) + 1, sizes)
+
+    def test_a_fit_sorts_twice_and_the_join_frees_the_suffix_sort(self):
+        # the start sweeps up the suffix trie of the reversed sort, which the join then reuses
+        cores, obs = random_instance(8, order=5)
+        with mock.patch.object(engine, "_sort_rows", wraps=engine._sort_rows) as sort:
+            fit_cores(obs, cores.rank, OptimizeConfig(max_iters=2))
+            assert sort.call_count == 2
+            assert "_rsorted" not in vars(obs)
+            # a second fit reuses the join: its start sorts once more and caches nothing
+            fit_cores(obs, cores.rank, OptimizeConfig(max_iters=2))
+        assert sort.call_count == 3
+        assert "_rsorted" not in vars(obs)
 
     def test_sort_past_packed_keys_falls_back(self):
         # 2^62 cells: with 200 rows an offset and a row number need 70 bits,

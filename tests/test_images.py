@@ -286,9 +286,9 @@ class TestCellMap:
         rank = uniform_ranks(TensorShape((4, 4, 4, 4, 3)), 2)
         cfg = OptimizeConfig(max_iters=3)
         with mock.patch.object(images, "_tensor_cells", wraps=_tensor_cells) as built:
-            recovered = complete_image(img, mask, rank, cfg, seed=4)[0]
+            recovered = complete_image(img, mask, rank, cfg)[0]
         assert built.call_count == 1
-        cores = fit_cores(_tensorized_observations(img, mask)[0], rank, cfg, seed=4)[0]
+        cores = fit_cores(_tensorized_observations(img, mask)[0], rank, cfg)[0]
         steps = detensorize_image(tt_full(cores))
         assert recovered.shape == steps.shape
         assert recovered.values.tobytes() == steps.values.tobytes()

@@ -258,7 +258,7 @@ class TestMinimize:
         rank = uniform_ranks(obs.shape, 4)
         _, report = fit_cores(obs, rank, OptimizeConfig(max_iters=10))
         assert report.iterations == 10
-        template = initial_cores(obs, rank, 0)
+        template = initial_cores(obs, rank)
 
         def f(flat):
             value, gradient = evaluate(unflatten_params(template, flat), obs)
