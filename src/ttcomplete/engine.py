@@ -62,13 +62,19 @@ sum_{n<=s} K_n + sum_{n>s} K'_n among the splits whose block holds at most
 R is the 1 x 1 matrix of ones, always qualifies; there every product is exact
 and the engine is a one-sided prefix trie. K_n, K'_n and each trie depth's
 node starts come from one prefix-start table per sort of the observations'
-linear offsets (two sorts), so s depends only on the observed cells. The
-observations cache the first sort, whose table alone answers the duplicate
-check, and the join built on it, which serves the objective and the gradient.
-They cache the second, the suffix sort, until the join is built: a fit's start
-(``data.initial_cores``) sweeps up the suffix trie it describes first, so a
-fit sorts its observations twice, and the join then frees it. A later start
-on the same observations sorts them once more and keeps nothing.
+linear offsets (two sorts), so s depends only on the observed cells. A
+node's parent holds the node's first sorted row, and each of the previous
+depth's starts also starts a node, so counting the previous depth's flags at
+a depth's starts numbers every node's parent: no depth expands its nodes
+over the rows, and each trie's one per-row array, the leaf of every sorted
+row, is expanded once, at its last depth. The join frees each per-row array
+once it is spent. The observations cache the first sort, whose table alone
+answers the duplicate check, and the join built on it, which serves the
+objective and the gradient. They cache the second, the suffix sort, until
+the join is built: a fit's start (``data.initial_cores``) sweeps up the
+suffix trie it describes first, so a fit sorts its observations twice, and
+the join then frees it. A later start on the same observations sorts them
+once more and keeps nothing.
 
 Determinism: rows are sorted stably and lexicographically by (i_1, ..., i_N),
 as their row-major offsets, so the rows of one cell keep their input order.
@@ -283,18 +289,25 @@ class _Trie:
     the parents are distinct. A complete depth grows its rows by
     ``ttmodel._grow``, so at the first depth they are the core's slices, and
     the gradient there is their adjoint, both exact.
+
+    A node's parent is the previous depth's node that holds the node's first
+    sorted row, and every such node starts there too, so the parent's
+    sorted position is the count of the previous depth's flags at the
+    node's start, minus 1. The build thus keeps only per-node arrays, and
+    ``leaf``, the one per-row array, is expanded once from the last depth.
     """
 
     def __init__(self, indices: np.ndarray, order: np.ndarray, fresh: np.ndarray, sizes):
-        node = np.zeros(order.size, dtype=np.int64)  # each row's node at the previous depth
+        starts = place = np.zeros(1, dtype=np.int64)  # the root, node 0, whose rows start at sorted row 0
         self.depths = []
         self.leaves = 1
         self._targets = {}
-        for column, size, new in zip(indices.T, sizes, fresh):
+        for n, (column, size, new) in enumerate(zip(indices.T, sizes, fresh)):
             starts = np.flatnonzero(new)
+            # the previous depth's flags counted at the starts: each node's parent (see the docstring)
+            parents = place[np.cumsum(fresh[n - 1][starts]) - 1] if n else np.zeros_like(starts)
             # narrow labels let the stable sort use radix sort
             label = (column[order[starts]] - 1).astype(np.min_scalar_type(size))
-            parents = node[starts]
             if starts.size == self.leaves * size:
                 self.depths.append(None)
                 place = parents * size + label
@@ -306,9 +319,8 @@ class _Trie:
                 self.depths.append((segments, parents[perm], self.leaves))
                 place = np.empty_like(perm)
                 place[perm] = np.arange(perm.size)
-            node = np.repeat(place, np.diff(starts, append=order.size))  # over each node's run of rows
             self.leaves = starts.size
-        self.leaf = node
+        self.leaf = np.repeat(place, np.diff(starts, append=order.size))  # over each leaf's run of rows
 
     def forward(self, cores: Sequence[np.ndarray]):
         """Leaf rows, and each depth's parent rows (per node at a segment depth) for ``backward``."""
@@ -369,8 +381,9 @@ class _Join:
     over modes 1..s and ``right`` the trie over modes N, ..., s+1. ``tiles``
     lists, per row tile of the ``left.leaves`` x ``right.leaves`` join block,
     the slice of its block rows and the slice of sorted rows that fall in it;
-    sorted row m sits at ``cell[m]`` of its flattened tile; the tries drop
-    their per-row ``leaf`` arrays once ``cell`` is built. ``sort`` and
+    sorted row m sits at ``cell[m]`` of its flattened tile, formed in place
+    on the rows' block rows. Each per-row array goes once spent: the tries'
+    ``leaf`` arrays as ``order`` and ``cell`` take them up. ``sort`` and
     ``rsort`` come in as :func:`_sort_rows` of ``indices`` and of their
     reversed columns.
     """
@@ -384,18 +397,22 @@ class _Join:
         self.right = _Trie(indices[:, ::-1], rorder, rfresh[: len(sizes) - self.split], rsizes)
         right_leaf = np.empty_like(rorder)
         right_leaf[rorder] = self.right.leaf
+        del self.right.leaf
         # rows by block row; a no-op when every prefix depth is complete
         by_row = np.argsort(self.left.leaf, kind="stable")
         self.order, row = order[by_row], self.left.leaf[by_row]
+        del self.left.leaf, by_row
         height, width = self.left.leaves, self.right.leaves
         count = max(1, min(-(-height * width // _TILE_CELLS), height // _TILE_MIN_ROWS))
         rows = -(-height // count)
         starts = range(0, height, rows)
         bounds = np.searchsorted(row, [*starts, height])
         self.tiles = [(slice(r, r + rows), slice(a, b)) for r, a, b in zip(starts, bounds[:-1], bounds[1:])]
-        self.cell = (row - row // rows * rows) * width + right_leaf[self.order]  # 3x faster than row % rows
+        row -= row // rows * rows  # 3x faster than row % rows
+        row *= width
+        row += right_leaf[self.order]
+        self.cell = row
         self.values = values[self.order]
-        del self.left.leaf, self.right.leaf  # cell and order hold all the join needs of them
 
     def forward(self, cores: Sequence[np.ndarray]):
         """Predictions of the sorted rows, and what ``backward`` needs."""

@@ -24,6 +24,7 @@ from ttcomplete import (
     extract_observations,
     fit_cores,
     flatten_params,
+    gen_tt_random,
     gradient,
     initial_cores,
     mask_random,
@@ -539,42 +540,49 @@ class TestPrefixTrie:
         # Each depth's nodes against np.unique's labelling of the distinct
         # prefixes, laid out as _Trie's docstring states: child j of the parent
         # at position p at row p * I + j at a complete depth; by label, then in
-        # lexicographic order, at a segment depth.
+        # lexicographic order, at a segment depth. Both tries of every split:
+        # the prefix trie of the first s modes and the suffix trie of the last
+        # N - s, read in reverse; the rows repeat cells, in shuffled order.
         order = data.draw(st.integers(1, 5))
         sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=order, max_size=order)))
         total = math.prod(sizes)
         cells = data.draw(st.lists(st.integers(0, total - 1), min_size=1, max_size=60))
+        cells += data.draw(st.lists(st.sampled_from(cells), min_size=1, max_size=20))
         if data.draw(st.booleans()):  # every cell too, so that every depth is complete
             cells += range(total)
+        cells = data.draw(st.permutations(cells))
         indices = np.stack(np.unravel_index(cells, sizes), axis=1) + 1
-        rows, fresh = engine._sort_rows(indices, sizes)
-        node = np.zeros(len(cells), dtype=np.int64)  # each input row's node at the previous depth
-        previous = 1
-        for depth, size in enumerate(sizes):
-            trie = engine._Trie(indices, rows, fresh[: depth + 1], sizes)
-            prefixes, inverse = np.unique(indices[:, : depth + 1], axis=0, return_inverse=True)
-            inverse, label, k = inverse.ravel(), prefixes[:, -1] - 1, len(prefixes)
-            parent = np.empty(k, dtype=np.int64)
-            parent[inverse] = node
-            level = trie.depths[depth]
-            if k == previous * size:
-                assert level is None
-                place = parent * size + label
-            else:
-                segments, parents, count = level
-                assert count == previous
-                place = np.empty(k, dtype=np.int64)
-                place[np.lexsort((np.arange(k), label))] = np.arange(k)
-                stored = np.empty(k, dtype=np.int64)
-                stored[place] = label
-                assert [j for j, _ in segments] == np.unique(label).tolist()
-                assert segments[0][1].start == 0 and segments[-1][1].stop == k
-                for (j, seg), (_, after) in zip(segments, segments[1:] + [(None, slice(k, k))]):
-                    assert seg.stop == after.start and np.all(stored[seg] == j)
-                assert np.array_equal(parents[place], parent)
-            node, previous = place[inverse], k
-            assert trie.leaves == k
-            assert np.array_equal(trie.leaf, node[rows])
+        for indices, sizes in ((indices, sizes), (indices[:, ::-1], sizes[::-1])):
+            rows, fresh = engine._sort_rows(indices, sizes)
+            root = engine._Trie(indices, rows, fresh[:0], sizes)
+            assert root.depths == [] and root.leaves == 1 and np.array_equal(root.leaf, np.zeros(len(cells)))
+            node = np.zeros(len(cells), dtype=np.int64)  # each input row's node at the previous depth
+            previous = 1
+            for depth, size in enumerate(sizes):
+                trie = engine._Trie(indices, rows, fresh[: depth + 1], sizes)
+                prefixes, inverse = np.unique(indices[:, : depth + 1], axis=0, return_inverse=True)
+                inverse, label, k = inverse.ravel(), prefixes[:, -1] - 1, len(prefixes)
+                parent = np.empty(k, dtype=np.int64)
+                parent[inverse] = node
+                level = trie.depths[depth]
+                if k == previous * size:
+                    assert level is None
+                    place = parent * size + label
+                else:
+                    segments, parents, count = level
+                    assert count == previous
+                    place = np.empty(k, dtype=np.int64)
+                    place[np.lexsort((np.arange(k), label))] = np.arange(k)
+                    stored = np.empty(k, dtype=np.int64)
+                    stored[place] = label
+                    assert [j for j, _ in segments] == np.unique(label).tolist()
+                    assert segments[0][1].start == 0 and segments[-1][1].stop == k
+                    for (j, seg), (_, after) in zip(segments, segments[1:] + [(None, slice(k, k))]):
+                        assert seg.stop == after.start and np.all(stored[seg] == j)
+                    assert np.array_equal(parents[place], parent)
+                node, previous = place[inverse], k
+                assert trie.leaves == k
+                assert np.array_equal(trie.leaf, node[rows])
 
     def test_reconstruct_unsorted_repeated_requests(self):
         cores = two_mode_example()
@@ -678,6 +686,23 @@ class TestTiles:
         finally:
             tracemalloc.stop()
         assert retained / obs.count < 48
+
+    def test_join_build_peaks_under_48_bytes_per_observation(self):
+        # sparse48-cli's 48^3 input, its two sorts cached: the build peaks with two per-row leaf arrays, the
+        # block-row order, the sorted rows and their block rows at 40 bytes per observation; keeping each
+        # per-row array until the join is done reaches 64
+        shape = TensorShape((48,) * 3)
+        obs = extract_observations(gen_tt_random(shape, TTRank((1, 2, 2, 1)), 0), mask_random(shape, 0.6, 1))
+        assert obs.count == 44_237
+        obs._sorted, obs._rsorted  # cached before the build is traced
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            obs._join
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - held) / obs.count < 48
 
 
 class TestSplit:
