@@ -7,7 +7,7 @@ import numpy as np
 from .core import DenseTensor
 from .data import MissingMask, extract_observations, initial_cores
 from .engine import SparseObservations, evaluate
-from .images import _tensorized_observations
+from .images import _tensorized_observations, detensorize_image
 from .optimize import OptimizeConfig, OptimizeReport, minimize
 from .ttmodel import TTCores, TTRank, flatten_params, tt_full, unflatten_params
 
@@ -48,13 +48,9 @@ def complete_image(
     mapped back afterwards; ``rank`` must have the working shape's order and is
     capped by that shape.
     """
-    if tensorize:  # one cell map takes the image to the tensor and back
-        obs, cells = _tensorized_observations(img, mask)
-    else:
-        obs = extract_observations(img, mask)
+    # the tensorized fit reads only the observed pixels' offsets, so its memory follows the observations
+    obs = _tensorized_observations(img, mask) if tensorize else extract_observations(img, mask)
     cores, report = fit_cores(obs, rank, cfg)
     del obs  # free it and its join before tt_full and the gather, where a fit's memory peaks
     recovered = tt_full(cores)
-    if tensorize:
-        recovered = DenseTensor(img.shape, recovered.values[cells])
-    return recovered, cores, report
+    return (detensorize_image(recovered) if tensorize else recovered), cores, report

@@ -125,7 +125,7 @@ def synthetic_scene(side: int = 256, seed: int = 0) -> DenseTensor:
     exploit (large-scale structure) while mean-style baselines fare poorly.
     The channels are built separably from 1-D row and column sweeps and
     broadcast, with the bits a full meshgrid gives; only green's cosine runs
-    per pixel. At side 256 a call takes about 2.7 ms and traces a 5.6 MiB peak.
+    per pixel. At side 256 a call takes about 2.7 ms and traces a 4.1 MiB peak.
     """
     rng = np.random.default_rng(seed)
     y, x = np.arange(side)[:, None], np.arange(side)
@@ -145,7 +145,7 @@ def synthetic_scene(side: int = 256, seed: int = 0) -> DenseTensor:
     img[disk, 1] += 55
     img += rng.uniform(-3, 3, img.shape)
     return DenseTensor(
-        TensorShape((side, side, 3)), np.clip(img, 0, 255).ravel(order="F")
+        TensorShape((side, side, 3)), np.clip(img, 0, 255, out=img).ravel(order="F")
     )
 
 

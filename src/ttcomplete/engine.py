@@ -383,9 +383,10 @@ class _Join:
     the slice of its block rows and the slice of sorted rows that fall in it;
     sorted row m sits at ``cell[m]`` of its flattened tile, formed in place
     on the rows' block rows. Each per-row array goes once spent: the tries'
-    ``leaf`` arrays as ``order`` and ``cell`` take them up. ``sort`` and
-    ``rsort`` come in as :func:`_sort_rows` of ``indices`` and of their
-    reversed columns.
+    ``leaf`` arrays as ``order`` and ``cell`` take them up. When every prefix
+    depth is complete the sort is already by block row, and ``order`` is the
+    sort's own array. ``sort`` and ``rsort`` come in as :func:`_sort_rows` of
+    ``indices`` and of their reversed columns.
     """
 
     def __init__(self, indices: np.ndarray, values: np.ndarray, shape: TensorShape, sort: tuple, rsort: tuple):
@@ -398,10 +399,13 @@ class _Join:
         right_leaf = np.empty_like(rorder)
         right_leaf[rorder] = self.right.leaf
         del self.right.leaf
-        # rows by block row; a no-op when every prefix depth is complete
-        by_row = np.argsort(self.left.leaf, kind="stable")
-        self.order, row = order[by_row], self.left.leaf[by_row]
-        del self.left.leaf, by_row
+        row = self.left.leaf
+        del self.left.leaf
+        if any(level is not None for level in self.left.depths):  # rows by block row; a complete trie has them so
+            by_row = np.argsort(row, kind="stable")
+            order, row = order[by_row], row[by_row]
+            del by_row
+        self.order = order
         height, width = self.left.leaves, self.right.leaves
         count = max(1, min(-(-height * width // _TILE_CELLS), height // _TILE_MIN_ROWS))
         rows = -(-height // count)

@@ -4,12 +4,14 @@ Images are DenseTensors of shape (height, width, 3) with values in [0, 255].
 The tensorization turns a 2^k x 2^k x 3 image into an order-(k+1) tensor of
 shape (4, ..., 4, 3) whose first mode enumerates a 2x2 pixel block and whose
 later modes cover progressively larger blocks (the ket augmentation of
-Bengua et al., IEEE TIP 2017). It is a lossless cell permutation, one
-closed-form map of cell offsets (``_tensor_cells``) that ``detensorize_image``
-inverts exactly. ``complete_image`` builds the map once per call: it reads the
-observed cells' tensor offsets from it (``_tensorized_observations``) and
-gathers the fitted tensor back into image order with it. A fit never builds
-the tensorized image or mask.
+Bengua et al., IEEE TIP 2017). It is a lossless cell permutation that
+``detensorize_image`` inverts exactly. It interleaves row and column bits
+within one channel, and the channel is the last mode of both shapes, so the
+closed-form offsets of one channel's 4^k pixels (``_plane``) describe it.
+``complete_image`` reads only the observed pixels' tensor offsets through
+that plane (``_tensorized_observations``) and gathers the fitted tensor back
+with ``detensorize_image``. A fit builds neither the tensorized image or mask
+nor a map of the whole image's cells.
 """
 
 from __future__ import annotations
@@ -35,27 +37,35 @@ def _spatial_exponent(shape: TensorShape) -> int:
     return h.bit_length() - 1
 
 
-def _tensor_cells(k: int) -> np.ndarray:
-    """Column-major offset in the (4, ..., 4, 3) tensor of each column-major (2^k, 2^k, 3) cell.
+def _plane(k: int) -> np.ndarray:
+    """Column-major offset in the (4, ..., 4, 3) tensor of each column-major pixel of one (2^k, 2^k) channel.
 
     0-based pixel (r, c, ch) lands at tensor index
     (((r >> n) & 1) + 2 * ((c >> n) & 1) for n < k, ch), that is at offset
     spread(r) + 2 * spread(c) + 4^k * ch, where spread(x) moves bit n of x
-    to bit 2n.
+    to bit 2n. The channel is the last mode of both shapes, so a reshape to
+    (3, 4^k) carries it and one channel's 4^k offsets describe the map.
     """
     x = np.arange(2**k, dtype=np.int64)
     spread = np.zeros_like(x)
     for n in range(k):
         spread |= ((x >> n) & 1) << (2 * n)
-    return ((4**k * np.arange(3))[:, None, None] + 2 * spread[:, None] + spread).ravel()
+    return (2 * spread[:, None] + spread).ravel()
+
+
+def _tensorized(values: np.ndarray, k: int) -> np.ndarray:
+    """The column-major (2^k, 2^k, 3) cell ``values`` in (4, ..., 4, 3) tensor order."""
+    out = np.empty_like(values)
+    plane = _plane(k)
+    for dst, src in zip(out.reshape(3, -1), values.reshape(3, -1)):  # 2-3x faster than one [:, plane] scatter
+        dst[plane] = src
+    return out
 
 
 def tensorize_image(img: DenseTensor) -> DenseTensor:
     """Lift a 2^k x 2^k x 3 image to the (4, ..., 4, 3) block tensor."""
     k = _spatial_exponent(img.shape)
-    values = np.empty(img.values.size)
-    values[_tensor_cells(k)] = img.values
-    return DenseTensor(TensorShape((4,) * k + (3,)), values)
+    return DenseTensor(TensorShape((4,) * k + (3,)), _tensorized(img.values, k))
 
 
 def detensorize_image(t: DenseTensor) -> DenseTensor:
@@ -63,30 +73,31 @@ def detensorize_image(t: DenseTensor) -> DenseTensor:
     k = t.shape.order - 1
     if k < 1 or t.shape.sizes != (4,) * k + (3,):
         raise ShapeError(f"expected shape (4, ..., 4, 3), got {t.shape}")
-    return DenseTensor(TensorShape((2**k, 2**k, 3)), t.values[_tensor_cells(k)])
+    return DenseTensor(TensorShape((2**k, 2**k, 3)), t.values.reshape(3, -1).take(_plane(k), axis=1).ravel())
 
 
 def tensorize_mask(mask: MissingMask) -> MissingMask:
     """Carry an image-domain missing mask through the tensorization bijection."""
     k = _spatial_exponent(mask.shape)
-    observed = np.empty(mask.observed.size, dtype=bool)
-    observed[_tensor_cells(k)] = mask.observed
-    return MissingMask(TensorShape((4,) * k + (3,)), observed)
+    return MissingMask(TensorShape((4,) * k + (3,)), _tensorized(mask.observed, k))
 
 
-def _tensorized_observations(img: DenseTensor, mask: MissingMask) -> tuple[SparseObservations, np.ndarray]:
+def _tensorized_observations(img: DenseTensor, mask: MissingMask) -> SparseObservations:
     """The observations of ``extract_observations(tensorize_image(img), tensorize_mask(mask))``.
 
     Reads the observed cells from the image, in its column-major cell order;
-    a fit depends only on the set of observations. Returns them with the
-    :func:`_tensor_cells` map it read them through.
+    a fit depends only on the set of observations. Each observed pixel's
+    tensor offset is read from the :func:`_plane` of its channel, so no map
+    of the whole image is built.
     """
     if img.shape.sizes != mask.shape.sizes:
         raise ShapeError(f"image shape {img.shape} does not match mask shape {mask.shape}")
     k = _spatial_exponent(img.shape)
-    cells = _tensor_cells(k)
     observed = np.flatnonzero(mask.observed)
-    return _observations(TensorShape((4,) * k + (3,)), cells[observed], img.values[observed]), cells
+    pixel = observed & (4**k - 1)  # the low 2k bits; the rest, observed - pixel, is 4^k * channel
+    cells = _plane(k)[pixel]
+    cells += observed - pixel
+    return _observations(TensorShape((4,) * k + (3,)), cells, img.values[observed])
 
 
 def _quantized(img: DenseTensor) -> DenseTensor:

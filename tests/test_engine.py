@@ -687,10 +687,9 @@ class TestTiles:
             tracemalloc.stop()
         assert retained / obs.count < 48
 
-    def test_join_build_peaks_under_48_bytes_per_observation(self):
-        # sparse48-cli's 48^3 input, its two sorts cached: the build peaks with two per-row leaf arrays, the
-        # block-row order, the sorted rows and their block rows at 40 bytes per observation; keeping each
-        # per-row array until the join is done reaches 64
+    @staticmethod
+    def join_build_bytes_per_observation():
+        """Traced peak of the join build on sparse48-cli's 48^3 input, its two sorts cached, per observation."""
         shape = TensorShape((48,) * 3)
         obs = extract_observations(gen_tt_random(shape, TTRank((1, 2, 2, 1)), 0), mask_random(shape, 0.6, 1))
         assert obs.count == 44_237
@@ -698,11 +697,24 @@ class TestTiles:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            obs._join
+            join = obs._join
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (peak - held) / obs.count < 48
+        return (peak - held) / obs.count, join
+
+    def test_join_build_peaks_under_48_bytes_per_observation(self):
+        # a build that sorts the rows by block row peaks with two per-row leaf arrays, the block-row order, the
+        # sorted rows and their block rows at 40 bytes per observation, and keeping each per-row array until
+        # the join is done reaches 64; this input's prefix trie is complete, so its build skips the sort
+        assert self.join_build_bytes_per_observation()[0] < 48
+
+    def test_complete_prefix_join_build_peaks_under_32_bytes_per_observation(self):
+        # every prefix depth is complete, so the sort is already by block row: the build takes the sort's order
+        # and the prefix leaf as they are and peaks at 24 bytes per observation; permuting them reads 40
+        per_obs, join = self.join_build_bytes_per_observation()
+        assert level_kinds(join.left) == ["complete"] * join.split
+        assert per_obs < 32
 
 
 class TestSplit:

@@ -1,5 +1,5 @@
 import re
-from unittest import mock
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from ttcomplete import (
     mask_random,
     mask_rows,
     save_image,
+    synthetic_scene,
     tensor_from_array,
     tensorize_image,
     tensorize_mask,
@@ -30,7 +31,7 @@ from ttcomplete import (
 )
 from oracles import next_ppm_token
 from ttcomplete import images
-from ttcomplete.images import _tensor_cells, _tensorized_observations
+from ttcomplete.images import _tensorized_observations
 
 
 def random_image(rng, side=16):
@@ -214,17 +215,33 @@ class TestTensorizeMask:
         assert np.array_equal(kept_before, kept_after)
 
 
+def closed_form_cells(k):
+    """Tensor offset of each column-major (2^k, 2^k, 3) cell: pixel (r, c, ch) lands at
+    sum_n (((r >> n) & 1) + 2 * ((c >> n) & 1)) * 4^n + 4^k * ch."""
+    r, c, ch = (a.ravel(order="F") for a in np.indices((2**k, 2**k, 3)))
+    want = 4**k * ch
+    for n in range(k):
+        want += (((r >> n) & 1) + 2 * ((c >> n) & 1)) * 4**n
+    return want
+
+
 class TestCellMap:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_permutation_matching_the_closed_form(self, k):
-        side = 2**k
-        cells = _tensor_cells(k)
+        cells = closed_form_cells(k)
         assert np.array_equal(np.sort(cells), np.arange(3 * 4**k))
-        r, c, ch = (a.ravel(order="F") for a in np.indices((side, side, 3)))
-        want = 4**k * ch
-        for n in range(k):
-            want += (((r >> n) & 1) + 2 * ((c >> n) & 1)) * 4**n
-        assert np.array_equal(cells, want)
+        # a distinct value at every cell, so each lands exactly where the closed form puts it; the mask likewise
+        img = tensor_from_array(np.arange(3 * 4**k, dtype=float).reshape(2**k, 2**k, 3, order="F"))
+        tensor = tensorize_image(img)
+        assert tensor.shape.sizes == (4,) * k + (3,)
+        want = np.empty(cells.size)
+        want[cells] = img.values
+        assert np.array_equal(tensor.values, want)
+        assert np.array_equal(detensorize_image(tensor).values, img.values)
+        mask = MissingMask(img.shape, np.arange(cells.size) % 3 == 1)
+        lifted = np.empty(cells.size, dtype=bool)
+        lifted[cells] = mask.observed
+        assert np.array_equal(tensorize_mask(mask).observed, lifted)
 
     @staticmethod
     def masks(side):
@@ -240,7 +257,7 @@ class TestCellMap:
         # the same (index, value) pairs; their order is free
         img = random_image(np.random.default_rng(side), side=side)
         for mask in self.masks(side):
-            direct = _tensorized_observations(img, mask)[0]
+            direct = _tensorized_observations(img, mask)
             lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
             assert direct.shape == lifted.shape
             pairs = [
@@ -257,7 +274,7 @@ class TestCellMap:
         observed = rng.random(cells) < {"random": rng.uniform(0.01, 0.99), "full": 1.0, "single": 0.0}[kind]
         observed[rng.integers(cells)] = True
         mask = MissingMask(img.shape, observed)
-        direct = _tensorized_observations(img, mask)[0]
+        direct = _tensorized_observations(img, mask)
         lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
         # the same (index, value) pairs
         assert direct.shape == lifted.shape
@@ -265,14 +282,14 @@ class TestCellMap:
         assert pairs[0] == pairs[1]
         # in the image's column-major cell order
         tensor_cells = np.ravel_multi_index(tuple(direct.indices.T - 1), direct.shape.sizes, order="F")
-        image_cells = np.argsort(_tensor_cells(k))[tensor_cells]
+        image_cells = np.argsort(closed_form_cells(k))[tensor_cells]
         assert np.array_equal(image_cells, np.flatnonzero(observed))
 
     @pytest.mark.parametrize("side", [16, 64])
     def test_fits_on_both_observation_sets_agree(self, side):
         img = random_image(np.random.default_rng(side + 1), side=side)
         mask = self.masks(side)[0]
-        direct = _tensorized_observations(img, mask)[0]
+        direct = _tensorized_observations(img, mask)
         lifted = extract_observations(tensorize_image(img), tensorize_mask(mask))
         rank = uniform_ranks(direct.shape, 3)
         cfg = OptimizeConfig(max_iters=3)
@@ -280,15 +297,21 @@ class TestCellMap:
         assert report_a.records == report_b.records
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.cores, b.cores))
 
-    def test_complete_image_builds_one_cell_map(self):
-        img = random_image(np.random.default_rng(9), side=16)
-        mask = mask_random(img.shape, 0.6, seed=9)
-        rank = uniform_ranks(TensorShape((4, 4, 4, 4, 3)), 2)
-        cfg = OptimizeConfig(max_iters=3)
-        with mock.patch.object(images, "_tensor_cells", wraps=_tensor_cells) as built:
+    def test_complete_image_traces_under_4_mib(self):
+        # a 256^2 fit holds no whole-image cell map: each observed pixel's offset is read through one channel's
+        # plane, and the fitted tensor goes back through detensorize_image; with a 1.5 MiB map it traces 5.17 MiB
+        img = synthetic_scene(256, seed=1)
+        mask = mask_random(img.shape, 0.9, seed=1)
+        rank = uniform_ranks(TensorShape((4,) * 8 + (3,)), 8)
+        cfg = OptimizeConfig(max_iters=20)
+        tracemalloc.start()
+        try:
             recovered = complete_image(img, mask, rank, cfg)[0]
-        assert built.call_count == 1
-        cores = fit_cores(_tensorized_observations(img, mask)[0], rank, cfg)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        cores = fit_cores(_tensorized_observations(img, mask), rank, cfg)[0]
         steps = detensorize_image(tt_full(cores))
         assert recovered.shape == steps.shape
         assert recovered.values.tobytes() == steps.values.tobytes()
